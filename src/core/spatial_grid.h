@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "geom/box.h"
+#include "geom/tile_grid.h"
 
 namespace paradise::core {
 
@@ -32,7 +33,7 @@ class SpatialGrid {
   SpatialGrid(const geom::Box& universe, uint32_t tiles_per_axis,
               uint32_t num_nodes)
       : universe_(universe),
-        tiles_per_axis_(tiles_per_axis),
+        tiles_(universe, tiles_per_axis),
         num_nodes_(num_nodes),
         max_node_(num_nodes - 1) {
     PARADISE_CHECK(tiles_per_axis > 0 && num_nodes > 0);
@@ -40,8 +41,8 @@ class SpatialGrid {
   }
 
   const geom::Box& universe() const { return universe_; }
-  uint32_t tiles_per_axis() const { return tiles_per_axis_; }
-  uint32_t num_tiles() const { return tiles_per_axis_ * tiles_per_axis_; }
+  uint32_t tiles_per_axis() const { return tiles_.tiles_per_axis(); }
+  uint32_t num_tiles() const { return tiles_per_axis() * tiles_per_axis(); }
   uint32_t num_nodes() const { return num_nodes_; }
   /// Highest node id the grid can route to (>= num_nodes()-1 once nodes
   /// have been added by a scale-out).
@@ -55,9 +56,7 @@ class SpatialGrid {
   /// Tile numbering is row-major starting at the upper-left corner
   /// (max y, min x), as Query 12's description specifies.
   uint32_t TileOfPoint(const geom::Point& p) const {
-    uint32_t cx = CoordToCell(p.x - universe_.xmin, universe_.Width());
-    uint32_t cy = CoordToCell(universe_.ymax - p.y, universe_.Height());
-    return cy * tiles_per_axis_ + cx;
+    return tiles_.TileOfPoint(p);
   }
 
   /// Node owning a tile: planned reassignment if present, else hash on
@@ -144,30 +143,20 @@ class SpatialGrid {
 
   /// Geographic extent of a tile.
   geom::Box TileBox(uint32_t tile) const {
-    uint32_t cx = tile % tiles_per_axis_;
-    uint32_t cy = tile / tiles_per_axis_;
-    double w = universe_.Width() / tiles_per_axis_;
-    double h = universe_.Height() / tiles_per_axis_;
+    uint32_t cx = tile % tiles_per_axis();
+    uint32_t cy = tile / tiles_per_axis();
+    double w = universe_.Width() / tiles_per_axis();
+    double h = universe_.Height() / tiles_per_axis();
     double x0 = universe_.xmin + cx * w;
     double y1 = universe_.ymax - cy * h;
     return geom::Box(x0, y1 - h, x0 + w, y1);
   }
 
-  /// Cell-index rectangle of a box: columns [cx0, cx1], rows [cy0, cy1].
-  /// Rows are numbered downward from ymax, so cy0 is the row holding
-  /// b.ymax and cy1 the row holding b.ymin — the *begin* tile (the one
-  /// containing the reference point) is (cx0, cy1).
-  struct CellRange {
-    uint32_t cx0 = 0, cx1 = 0;
-    uint32_t cy0 = 0, cy1 = 0;
-  };
+  /// Cell-index rectangle of a box (geom::TileGrid: the begin tile, the
+  /// one containing the reference point, is (cx0, cy1)).
+  using CellRange = geom::TileGrid::CellRange;
   CellRange RangeOfBox(const geom::Box& b) const {
-    CellRange r;
-    r.cx0 = CoordToCell(b.xmin - universe_.xmin, universe_.Width());
-    r.cx1 = CoordToCell(b.xmax - universe_.xmin, universe_.Width());
-    r.cy0 = CoordToCell(universe_.ymax - b.ymax, universe_.Height());
-    r.cy1 = CoordToCell(universe_.ymax - b.ymin, universe_.Height());
-    return r;
+    return tiles_.RangeOfBox(b);
   }
 
   /// Two-layer begin class of one (feature, tile) pair: A when the tile
@@ -177,11 +166,8 @@ class SpatialGrid {
   enum TileClass : uint8_t { kClassA = 0, kClassB = 1, kClassC = 2,
                              kClassD = 3 };
   uint8_t ClassAt(uint32_t tile, const CellRange& r) const {
-    uint32_t cx = tile % tiles_per_axis_;
-    uint32_t cy = tile / tiles_per_axis_;
-    const bool x_spilled = cx != r.cx0;  // begins in an earlier column
-    const bool y_spilled = cy != r.cy1;  // begins in a lower row
-    return static_cast<uint8_t>((x_spilled ? 1 : 0) | (y_spilled ? 2 : 0));
+    return geom::TileGrid::ClassAt(tile % tiles_per_axis(),
+                                   tile / tiles_per_axis(), r);
   }
 
   /// CopyClassAt's "the node owns no overlapped tile" answer — a staged
@@ -197,7 +183,7 @@ class SpatialGrid {
     uint8_t best = kNoOwnedTile;
     for (uint32_t cy = r.cy0; cy <= r.cy1; ++cy) {
       for (uint32_t cx = r.cx0; cx <= r.cx1; ++cx) {
-        uint32_t tile = cy * tiles_per_axis_ + cx;
+        uint32_t tile = cy * tiles_per_axis() + cx;
         if (NodeOfTile(tile) != node) continue;
         best = std::min(best, ClassAt(tile, r));
       }
@@ -213,7 +199,7 @@ class SpatialGrid {
     tiles.reserve(static_cast<size_t>(cx1 - cx0 + 1) * (cy1 - cy0 + 1));
     for (uint32_t cy = cy0; cy <= cy1; ++cy) {
       for (uint32_t cx = cx0; cx <= cx1; ++cx) {
-        tiles.push_back(cy * tiles_per_axis_ + cx);
+        tiles.push_back(cy * tiles_per_axis() + cx);
       }
     }
     return tiles;
@@ -263,15 +249,8 @@ class SpatialGrid {
     }
   }
 
-  uint32_t CoordToCell(double offset, double extent) const {
-    double f = offset / extent * tiles_per_axis_;
-    if (f < 0) f = 0;
-    uint32_t c = static_cast<uint32_t>(f);
-    return std::min(c, tiles_per_axis_ - 1);
-  }
-
   geom::Box universe_;
-  uint32_t tiles_per_axis_ = 1;
+  geom::TileGrid tiles_;
   uint32_t num_nodes_ = 1;
   uint32_t max_node_ = 0;
   uint64_t epoch_ = 0;

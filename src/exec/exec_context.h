@@ -14,14 +14,15 @@ class ThreadPool;
 
 namespace paradise::exec {
 
-/// Partition-shape counters the PBSM join reports when the context carries
-/// a stats sink: how evenly the cell→partition map spread the inputs and
-/// how much boundary replication it caused. `max/mean partition items` are
-/// over the combined left+right entry counts of non-empty partitions; a
-/// map that clusters adjacent hot cells into one partition shows up as
-/// max >> mean.
+/// Partition-shape counters the partition joins (PBSM and two-layer)
+/// report when the context carries a stats sink: how evenly the
+/// partitioning spread the inputs and how much boundary replication it
+/// caused. A "partition" is one sweep task: a PBSM partition or a group
+/// of two-layer tiles. `max/mean partition items` are over the combined
+/// left+right entry counts of non-empty partitions; a map that clusters
+/// adjacent hot cells into one partition shows up as max >> mean.
 struct PbsmJoinStats {
-  size_t partitions = 0;          // P actually used
+  size_t partitions = 0;          // sweep tasks actually used
   size_t cells_per_axis = 0;      // grid resolution
   int64_t left_tuples = 0;        // input cardinalities
   int64_t right_tuples = 0;
@@ -30,7 +31,9 @@ struct PbsmJoinStats {
   int64_t max_partition_items = 0;
   double mean_partition_items = 0.0;
   int64_t nonempty_partitions = 0;  // partitions with at least one item
-  int64_t parallel_tasks = 0;     // partition sweeps run as pool tasks
+  // Tasks that ran at least one sweep, when they ran on a pool with more
+  // than one thread (0 when the join ran inline).
+  int64_t parallel_tasks = 0;
 
   // Sweep-kernel counters (summed over partitions, in partition order):
   // pair compares the sweeps performed, MBR-overlapping candidates they
@@ -89,8 +92,8 @@ struct ExecContext {
   /// accumulate onto task-local clocks and are merged in task order.
   common::ThreadPool* pool = nullptr;
 
-  /// Optional stats sink filled by PbsmSpatialJoin (skew / replication of
-  /// the cell→partition map). Not owned; may be null.
+  /// Optional stats sink filled by PbsmSpatialJoin and TwoLayerSpatialJoin
+  /// (skew / replication of the partitioning). Not owned; may be null.
   PbsmJoinStats* pbsm_stats = nullptr;
 
   /// Returns a TileSource able to read tiles of arrays owned by

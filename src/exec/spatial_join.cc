@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "exec/join_kernel.h"
+#include "geom/tile_grid.h"
 #include "sim/cost_model.h"
 #include "storage/page.h"
 
@@ -47,20 +49,6 @@ size_t PartitionOfCell(size_t cell, size_t cells_axis, size_t P,
   return static_cast<size_t>((Mix64(block) + within) % P);
 }
 
-/// Runs every index of [0, count) through `fn`, on the pool when it has
-/// real workers and the fan-out is non-trivial, inline otherwise. Caller
-/// guarantees fn(i) touches only slot-i state, so the modeled outcome is
-/// identical either way; only wall-clock changes.
-void ForEachTask(common::ThreadPool* pool, size_t count,
-                 const std::function<void(size_t)>& fn) {
-  if (pool != nullptr && pool->num_threads() > 1 && count > 1) {
-    pool->ParallelFor(static_cast<int>(count),
-                      [&fn](int i) { fn(static_cast<size_t>(i)); });
-  } else {
-    for (size_t i = 0; i < count; ++i) fn(i);
-  }
-}
-
 /// A task-local execution context: same node services, but charges land on
 /// `task_clock` and nested operators never re-enter the pool.
 ExecContext TaskContext(const ExecContext& ctx, sim::NodeClock* task_clock) {
@@ -71,14 +59,70 @@ ExecContext TaskContext(const ExecContext& ctx, sim::NodeClock* task_clock) {
   return task;
 }
 
-/// Maps a point to its grid cell (clamped to the grid). The extent→cell
-/// scale is precomputed once, so mapping a coordinate is one multiply
-/// instead of a divide; CellOf and CellRange use the same scale, so the
-/// reference-point rule ("the cell containing the intersection's lower-left
-/// corner is within the overlap cell range of both MBRs") keeps holding.
-/// Clamping happens in double before the integer cast, so out-of-universe
-/// and ±inf (empty-box) coordinates clamp instead of invoking UB; an empty
-/// box yields an inverted (hi < lo) cell range, i.e. no cells.
+/// What one task of a parallel join leaves behind: its own status, output
+/// and charges, plus the sweep counters the merge sums.
+struct TaskResult {
+  Status status = Status::OK();
+  TupleVec out;
+  sim::ResourceUsage usage;
+  bool swept = false;  // ran at least one sweep
+  int64_t compares = 0;
+  int64_t candidates = 0;
+  int64_t exact_tests = 0;
+  int64_t dedup_dropped = 0;
+};
+
+/// The task runner shared by every join here: task t runs `body(t,
+/// task_ctx, &result)` against a task-local clock whose charges land in
+/// result.usage — on the pool when it has real workers and the fan-out is
+/// non-trivial, inline otherwise. Each task touches only its own slot, so
+/// nothing about the outcome depends on which thread ran it, or when.
+template <typename Body>
+std::vector<TaskResult> RunTasks(const ExecContext& ctx, size_t count,
+                                 const Body& body) {
+  std::vector<TaskResult> results(count);
+  auto run = [&](size_t t) {
+    sim::NodeClock task_clock;
+    body(t, TaskContext(ctx, &task_clock), &results[t]);
+    results[t].usage = task_clock.EndPhase();
+  };
+  if (ctx.pool != nullptr && ctx.pool->num_threads() > 1 && count > 1) {
+    ctx.pool->ParallelFor(static_cast<int>(count),
+                          [&run](int i) { run(static_cast<size_t>(i)); });
+  } else {
+    for (size_t t = 0; t < count; ++t) run(t);
+  }
+  return results;
+}
+
+/// Deterministic merge, in task order: the first failing task's error
+/// wins; otherwise each task's charges fold into the node clock in one
+/// fixed sequence, `each(t, result)` runs right after task t's fold, and
+/// the outputs concatenate — so results and modeled time are bit-identical
+/// at any thread count.
+template <typename Each>
+StatusOr<TupleVec> MergeTasks(const ExecContext& ctx,
+                              std::vector<TaskResult>* results,
+                              const Each& each) {
+  for (TaskResult& r : *results) {
+    PARADISE_RETURN_IF_ERROR(std::move(r.status));
+  }
+  TupleVec out;
+  for (size_t t = 0; t < results->size(); ++t) {
+    TaskResult& r = (*results)[t];
+    ctx.ChargeUsage(r.usage);
+    each(t, r);
+    for (Tuple& tuple : r.out) out.push_back(std::move(tuple));
+  }
+  return out;
+}
+
+/// PBSM's uniform cell grid: maps a coordinate to its cell column / row
+/// (clamped to the grid). The extent→cell scale is precomputed once, so
+/// mapping a coordinate is one multiply instead of a divide. Clamping
+/// happens in double before the integer cast, so out-of-universe and ±inf
+/// (empty-box) coordinates clamp instead of invoking UB; an empty box
+/// yields an inverted (hi < lo) cell range, i.e. no cells.
 struct Grid {
   double xmin;
   double ymin;
@@ -103,26 +147,13 @@ struct Grid {
     double f = std::max(0.0, (y - ymin) * y_scale);
     return static_cast<size_t>(std::min(f, static_cast<double>(cells_y - 1)));
   }
-
-  size_t CellOf(double x, double y) const {
-    return CellY(y) * cells_x + CellX(x);
-  }
-
-  /// Cell index range [cx0,cx1]x[cy0,cy1] overlapped by an MBR.
-  void CellRange(double bxlo, double bylo, double bxhi, double byhi,
-                 size_t* cx0, size_t* cy0, size_t* cx1, size_t* cy1) const {
-    *cx0 = CellX(bxlo);
-    *cy0 = CellY(bylo);
-    *cx1 = CellX(bxhi);
-    *cy1 = CellY(byhi);
-  }
 };
 
 /// Non-uniform grid over tuned cell boundaries (CellMap::kAdaptive).
-/// Same contract as Grid — CellOf and CellRange agree, out-of-range and
-/// ±inf coordinates clamp to the edge cells (an empty box still yields an
-/// inverted, i.e. empty, cell range) — but cell lookup is a binary search
-/// over the tuned edges instead of one multiply.
+/// Same contract as Grid — out-of-range and ±inf coordinates clamp to the
+/// edge cells (an empty box still yields an inverted, i.e. empty, cell
+/// range) — but cell lookup is a binary search over the tuned edges
+/// instead of one multiply.
 struct NonUniformGrid {
   const std::vector<double>& x_edges;
   const std::vector<double>& y_edges;
@@ -146,36 +177,24 @@ struct NonUniformGrid {
 
   size_t CellX(double x) const { return CellOnAxis(x_edges, cells_x, x); }
   size_t CellY(double y) const { return CellOnAxis(y_edges, cells_y, y); }
-
-  size_t CellOf(double x, double y) const {
-    return CellY(y) * cells_x + CellX(x);
-  }
-
-  void CellRange(double bxlo, double bylo, double bxhi, double byhi,
-                 size_t* cx0, size_t* cy0, size_t* cx1, size_t* cy1) const {
-    *cx0 = CellX(bxlo);
-    *cy0 = CellY(bylo);
-    *cx1 = CellX(bxhi);
-    *cy1 = CellY(byhi);
-  }
 };
 
-/// One side's partition assignment in CSR form: `rows` holds tuple
-/// ordinals grouped by partition (replicas included), `offsets[p] ..
-/// offsets[p+1]` delimits partition p. Built by a stable counting sort
-/// over a side argsorted by (xlo, ordinal), so each partition's rows are
-/// already in sweep order.
+/// One side's bucket assignment in CSR form: `rows` holds tuple ordinals
+/// grouped by bucket (replicas included), `offsets[k] .. offsets[k+1]`
+/// delimits bucket k. Built by a stable counting sort over a side
+/// argsorted by (xlo, ordinal), so each bucket's rows are already in sweep
+/// order.
 struct SideParts {
   std::vector<uint32_t> rows;
   std::vector<size_t> offsets;
 
-  size_t begin(size_t p) const { return offsets[p]; }
-  size_t count(size_t p) const { return offsets[p + 1] - offsets[p]; }
+  size_t begin(size_t k) const { return offsets[k]; }
+  size_t count(size_t k) const { return offsets[k + 1] - offsets[k]; }
 };
 
-/// Per-thread sweep buffers, reused across the partitions a worker runs:
-/// every field is fully rewritten before use, so reuse affects only
-/// allocation traffic, never results or charges.
+/// Per-thread sweep buffers, reused across the tasks a worker runs: every
+/// field is fully rewritten before use, so reuse affects only allocation
+/// traffic, never results or charges.
 struct SweepScratch {
   join_kernel::SweepSide ls, rs;
   std::vector<join_kernel::AosItem> l_items, r_items;
@@ -183,265 +202,470 @@ struct SweepScratch {
 };
 thread_local SweepScratch t_sweep_scratch;
 
-/// The grid-parametric join body: everything after universe/grid setup.
-/// `GridT` is Grid (uniform) or NonUniformGrid (tuned boundaries); both
-/// expose the same CellOf/CellRange contract, so the distribute phase and
-/// the reference-point duplicate-elimination rule stay in agreement.
-/// `cells_axis_stat` is only reported in stats.
-template <typename GridT, typename PartFn>
-StatusOr<TupleVec> PbsmJoinBody(const TupleVec& left, size_t left_col,
-                                const TupleVec& right, size_t right_col,
-                                const ExecContext& ctx,
-                                const PbsmOptions& options,
-                                const join_kernel::MbrColumns& left_cols,
-                                const join_kernel::MbrColumns& right_cols,
-                                size_t P, size_t cells_axis_stat,
-                                const GridT& grid,
-                                const PartFn& partition_of_cell) {
-  TupleVec out;
-  // Each side's ordinals argsorted by (xlo, ordinal), once, globally. The
-  // distribute below walks rows in this order and its counting sort is
-  // stable, so every partition's row list comes out already in sweep
-  // order — the per-partition sorts the sweep would otherwise run are
-  // replaced by two sorts of the whole side. The modeled sort charge is
-  // unchanged: it is computed per partition from the partition sizes, not
-  // from how the host happens to sort.
-  const std::vector<uint32_t> left_order =
-      join_kernel::ArgsortByXlo(left_cols);
-  const std::vector<uint32_t> right_order =
-      join_kernel::ArgsortByXlo(right_cols);
+/// A bucket pair a unit sweeps, as offsets into the unit's buckets.
+struct BucketPair {
+  uint8_t l, r;
+};
 
-  // Phase 1: replicate each tuple's ordinal into every partition whose
-  // cells its MBR overlaps, in CSR form (counting sort — no per-partition
-  // vector growth). Runs on the calling thread; the per-tuple overhead is
-  // replayed as one batched charge, identical to the per-tuple sequence
-  // because kTupleOverhead is integer-valued. The duplicate guard is an
-  // epoch-stamped array: bumping the epoch retires every stamp at once,
-  // instead of an O(P) refill per tuple — and only runs for the rare MBR
-  // spanning more than one cell; a single-cell MBR maps to exactly one
-  // partition.
-  auto distribute = [&](const join_kernel::MbrColumns& cols,
-                        const std::vector<uint32_t>& order,
-                        SideParts* parts) {
-    const size_t n = cols.size();
-    ctx.ChargeCpuOps(static_cast<int64_t>(n), sim::cpu_cost::kTupleOverhead);
-    std::vector<uint32_t> entry_part, entry_row;
-    entry_part.reserve(n + n / 4);
-    entry_row.reserve(n + n / 4);
-    std::vector<size_t> counts(P, 0);
-    std::vector<uint32_t> seen_epoch(P, 0);
-    uint32_t epoch = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const uint32_t i = order[r];
-      size_t cx0, cy0, cx1, cy1;
-      grid.CellRange(cols.xlo[i], cols.ylo[i], cols.xhi[i], cols.yhi[i],
-                     &cx0, &cy0, &cx1, &cy1);
-      if (cx0 == cx1 && cy0 == cy1) {
-        size_t p = partition_of_cell(cy0 * grid.cells_x + cx0);
-        entry_part.push_back(static_cast<uint32_t>(p));
-        entry_row.push_back(i);
-        ++counts[p];
-        continue;
-      }
-      ++epoch;
-      for (size_t cy = cy0; cy <= cy1; ++cy) {
-        for (size_t cx = cx0; cx <= cx1; ++cx) {
-          size_t p = partition_of_cell(cy * grid.cells_x + cx);
-          if (seen_epoch[p] != epoch) {
-            seen_epoch[p] = epoch;
-            entry_part.push_back(static_cast<uint32_t>(p));
-            entry_row.push_back(i);
-            ++counts[p];
-          }
-        }
-      }
-    }
-    parts->offsets.assign(P + 1, 0);
-    for (size_t p = 0; p < P; ++p) {
-      parts->offsets[p + 1] = parts->offsets[p] + counts[p];
-    }
-    parts->rows.resize(entry_row.size());
-    std::vector<size_t> cursor(parts->offsets.begin(),
-                               parts->offsets.end() - 1);
-    for (size_t e = 0; e < entry_row.size(); ++e) {
-      parts->rows[cursor[entry_part[e]]++] = entry_row[e];
-    }
-  };
-  SideParts left_parts, right_parts;
-  distribute(left_cols, left_order, &left_parts);
-  distribute(right_cols, right_order, &right_parts);
+// ---------------------------------------------------------------------------
+// The partition-join driver. Both local joins — PBSM with reference-point
+// dedup and the two-layer class plan — are one pipeline:
+//
+//   gather → argsort → CSR distribute over K buckets → tasks, each on a
+//   task-local clock with one candidate batch → ordered merge →
+//   PbsmJoinStats, filled once.
+//
+// Buckets group into units of kBucketsPerUnit consecutive buckets (a PBSM
+// partition; a two-layer tile's four class lists). A task sweeps a list
+// of units, and each unit sweeps the bucket pairs kPairs names. A policy
+// states what differs between the joins:
+//   ForEachBucket(xlo, ylo, xhi, yhi, emit)  the buckets an MBR lands in;
+//   num_buckets, kBucketsPerUnit, kPairs     the bucket layout;
+//   FormTasks, num_tasks, ForEachUnit        how units group into tasks;
+//   kRefPointFilter, OwnsRefPoint            the candidate filter, if any;
+//   aos, cells_per_axis, AddClassCensus      kernel and extra counters.
+// Every hook is a template or inline call: nothing per MBR or per
+// candidate goes through a std::function.
 
-  if (ctx.pbsm_stats != nullptr) {
-    PbsmJoinStats& st = *ctx.pbsm_stats;
-    st.partitions = P;
-    st.cells_per_axis = cells_axis_stat;
-    st.left_tuples = static_cast<int64_t>(left.size());
-    st.right_tuples = static_cast<int64_t>(right.size());
-    st.left_items = st.right_items = st.max_partition_items = 0;
-    st.mean_partition_items = 0.0;
-    st.nonempty_partitions = 0;
-    st.parallel_tasks = 0;
-    size_t nonempty = 0;
-    for (size_t p = 0; p < P; ++p) {
-      int64_t l = static_cast<int64_t>(left_parts.count(p));
-      int64_t r = static_cast<int64_t>(right_parts.count(p));
-      st.left_items += l;
-      st.right_items += r;
-      st.max_partition_items = std::max(st.max_partition_items, l + r);
-      if (l + r > 0) ++nonempty;
-    }
-    st.nonempty_partitions = static_cast<int64_t>(nonempty);
-    if (nonempty > 0) {
-      st.mean_partition_items =
-          static_cast<double>(st.left_items + st.right_items) /
-          static_cast<double>(nonempty);
-    }
-    st.replicated_entry_bytes =
-        (st.left_items - st.left_tuples + st.right_items - st.right_tuples) *
-        static_cast<int64_t>(4 * sizeof(double) + sizeof(uint32_t));
+/// Replicates each row of `order` (one side's argsorted ordinals) into the
+/// buckets `policy` maps its MBR to, as a stable counting sort into CSR
+/// form — no per-bucket vector growth. The per-tuple overhead is replayed
+/// as one batched charge, identical to the per-tuple sequence because
+/// kTupleOverhead is integer-valued.
+template <typename Policy>
+SideParts Distribute(const ExecContext& ctx,
+                     const join_kernel::MbrColumns& cols,
+                     const std::vector<uint32_t>& order, Policy* policy) {
+  const size_t n = cols.size();
+  const size_t K = policy->num_buckets();
+  ctx.ChargeCpuOps(static_cast<int64_t>(n), sim::cpu_cost::kTupleOverhead);
+  std::vector<uint32_t> entry_bucket, entry_row;
+  entry_bucket.reserve(n + n / 4);
+  entry_row.reserve(n + n / 4);
+  std::vector<size_t> counts(K, 0);
+  for (size_t r = 0; r < n; ++r) {
+    const uint32_t i = order[r];
+    policy->ForEachBucket(cols.xlo[i], cols.ylo[i], cols.xhi[i], cols.yhi[i],
+                          [&](size_t k) {
+                            entry_bucket.push_back(static_cast<uint32_t>(k));
+                            entry_row.push_back(i);
+                            ++counts[k];
+                          });
   }
+  SideParts parts;
+  parts.offsets.assign(K + 1, 0);
+  for (size_t k = 0; k < K; ++k) {
+    parts.offsets[k + 1] = parts.offsets[k] + counts[k];
+  }
+  parts.rows.resize(entry_row.size());
+  std::vector<size_t> cursor(parts.offsets.begin(), parts.offsets.end() - 1);
+  for (size_t e = 0; e < entry_row.size(); ++e) {
+    parts.rows[cursor[entry_bucket[e]]++] = entry_row[e];
+  }
+  return parts;
+}
 
-  // Phase 2: per partition, forward plane sweep on xmin for candidate
-  // pairs — through the SoA kernel by default, the AoS layout for
-  // ablation. Partition-to-threads: every partition is one task with its
-  // own clock and output vector, merged in partition order after the
-  // barrier — so the charge totals and the result order depend only on
-  // the partition decomposition, never on which thread ran which
-  // partition when. Within a task the charge sequence is: sort, then the
-  // exact-test charges batch by batch as candidates flush, then the
-  // sweep's pair compares as one batched charge — a fixed sequence whose
-  // total equals the old interleaved per-encounter charging (all
-  // per-item constants are integer-valued).
-  struct PartitionTask {
-    Status status = Status::OK();
-    TupleVec out;
-    sim::ResourceUsage usage;
-    int64_t compares = 0;
-    int64_t candidates = 0;
-    int64_t exact_tests = 0;
-    int64_t dedup_dropped = 0;
-  };
-  std::vector<PartitionTask> tasks(P);
-  const bool use_soa =
-      options.sweep_kernel == PbsmOptions::SweepKernel::kSoa;
-  auto sweep_partition = [&](size_t p) {
-    PartitionTask& task = tasks[p];
-    const size_t ln = left_parts.count(p);
-    const size_t rn = right_parts.count(p);
-    if (ln == 0 || rn == 0) return;
-    sim::NodeClock task_clock;
-    ExecContext task_ctx = TaskContext(ctx, &task_clock);
-    const double sort_charge =
-        (static_cast<double>(ln) * std::log2(static_cast<double>(ln) + 1) +
-         static_cast<double>(rn) * std::log2(static_cast<double>(rn) + 1)) *
-        sim::cpu_cost::kCompare;
+template <typename Policy>
+StatusOr<TupleVec> PartitionJoin(const TupleVec& left, size_t left_col,
+                                 const TupleVec& right, size_t right_col,
+                                 const ExecContext& ctx,
+                                 const join_kernel::MbrColumns& left_cols,
+                                 const join_kernel::MbrColumns& right_cols,
+                                 Policy* policy) {
+  constexpr size_t B = Policy::kBucketsPerUnit;
+  // Each side's ordinals argsorted by (xlo, ordinal), once, globally. The
+  // distribute walks rows in this order and its counting sort is stable,
+  // so every bucket's row list comes out already in sweep order — the
+  // per-bucket sorts the sweep would otherwise run are replaced by two
+  // sorts of the whole side. The modeled sort charge is unchanged: it is
+  // computed per unit from the bucket sizes, not from how the host sorts.
+  const SideParts lp =
+      Distribute(ctx, left_cols, join_kernel::ArgsortByXlo(left_cols), policy);
+  const SideParts rp = Distribute(
+      ctx, right_cols, join_kernel::ArgsortByXlo(right_cols), policy);
+  policy->FormTasks(lp, rp);
+  const size_t num_tasks = policy->num_tasks();
 
-    // Shared flush: reference-point duplicate elimination over a batch of
-    // MBR-overlapping candidates, then the batched exact-geometry pass.
-    // The accessors map a sweep position to that side's MBR lower-left
-    // corner and source ordinal, so both kernels share one code path.
+  // Per task: each unit with entries on both sides is charged its sort,
+  // then sweeps its bucket pairs, each candidate batch flushing through
+  // the policy's filter into the batched exact pass; the task's pair
+  // compares are charged once at the end. A fixed charge sequence per
+  // task, so the totals depend only on the task decomposition.
+  auto sweep_task = [&](size_t t, const ExecContext& task_ctx,
+                        TaskResult* task) {
     SweepScratch& scratch = t_sweep_scratch;
     std::vector<join_kernel::OrdinalPair>& survivors = scratch.survivors;
+    size_t unit = 0;  // the unit being swept; the filter tests against it
+
+    // The accessors map a sweep position to that side's MBR lower-left
+    // corner and source ordinal, so both kernels share one flush.
     auto make_flush = [&](auto lxlo_at, auto lylo_at, auto lord_at,
                           auto rxlo_at, auto rylo_at, auto rord_at) {
       return [&, lxlo_at, lylo_at, lord_at, rxlo_at, rylo_at,
               rord_at](const join_kernel::Candidate* cands, size_t n) {
-        task.candidates += static_cast<int64_t>(n);
+        task->candidates += static_cast<int64_t>(n);
         survivors.clear();
-        for (size_t t = 0; t < n; ++t) {
-          const uint32_t lp = cands[t].left_pos;
-          const uint32_t rp = cands[t].right_pos;
-          // Only the partition owning the cell that contains the
-          // intersection's lower-left corner reports the pair.
-          double rx = std::max(lxlo_at(lp), rxlo_at(rp));
-          double ry = std::max(lylo_at(lp), rylo_at(rp));
-          if (partition_of_cell(grid.CellOf(rx, ry)) != p) continue;
-          survivors.push_back({lord_at(lp), rord_at(rp)});
+        for (size_t c = 0; c < n; ++c) {
+          const uint32_t l = cands[c].left_pos;
+          const uint32_t r = cands[c].right_pos;
+          if constexpr (Policy::kRefPointFilter) {
+            if (!policy->OwnsRefPoint(unit, std::max(lxlo_at(l), rxlo_at(r)),
+                                      std::max(lylo_at(l), rylo_at(r)))) {
+              continue;
+            }
+          }
+          survivors.push_back({lord_at(l), rord_at(r)});
         }
-        task.dedup_dropped +=
+        task->dedup_dropped +=
             static_cast<int64_t>(n) - static_cast<int64_t>(survivors.size());
-        task.exact_tests += static_cast<int64_t>(survivors.size());
-        if (!task.status.ok() || survivors.empty()) return;
-        task.status = join_kernel::ExactJoinBatch(
+        task->exact_tests += static_cast<int64_t>(survivors.size());
+        if (!task->status.ok() || survivors.empty()) return;
+        task->status = join_kernel::ExactJoinBatch(
             left, left_col, right, right_col, survivors.data(),
-            survivors.size(), task_ctx, &task.out);
+            survivors.size(), task_ctx, &task->out);
       };
     };
 
-    if (use_soa) {
+    // `sweep(lk, rk, batch)` gathers buckets lk and rk into the kernel's
+    // layout and sweeps them; the batch is built once per task, on the
+    // first sweep, and drained after every sweep so its flush boundaries
+    // are those of a fresh batch per sweep.
+    auto run_units = [&](auto flush, auto sweep) {
+      std::optional<join_kernel::CandidateBatch> batch;
+      policy->ForEachUnit(t, [&](size_t u) {
+        size_t l_total = 0, r_total = 0;
+        for (size_t c = 0; c < B; ++c) {
+          l_total += lp.count(u * B + c);
+          r_total += rp.count(u * B + c);
+        }
+        if (l_total == 0 || r_total == 0) return;
+        double sort_charge = 0.0;
+        for (size_t c = 0; c < B; ++c) {
+          for (const SideParts* side : {&lp, &rp}) {
+            const double n = static_cast<double>(side->count(u * B + c));
+            if (n > 0) sort_charge += n * std::log2(n + 1);
+          }
+        }
+        task_ctx.ChargeCpu(sort_charge * sim::cpu_cost::kCompare);
+        unit = u;
+        for (const BucketPair& pair : Policy::kPairs) {
+          const size_t lk = u * B + pair.l;
+          const size_t rk = u * B + pair.r;
+          if (lp.count(lk) == 0 || rp.count(rk) == 0) continue;
+          if (!batch) batch.emplace(join_kernel::kCandidateBatchSize, flush);
+          task->compares += sweep(lk, rk, &*batch);
+          batch->Flush();
+          task->swept = true;
+        }
+      });
+      task_ctx.ChargeCpuOps(task->compares, sim::cpu_cost::kCompare);
+    };
+
+    if (!policy->aos) {
       join_kernel::SweepSide& ls = scratch.ls;
       join_kernel::SweepSide& rs = scratch.rs;
-      ls.GatherPresorted(left_cols, &left_parts.rows[left_parts.begin(p)],
-                         ln);
-      rs.GatherPresorted(right_cols, &right_parts.rows[right_parts.begin(p)],
-                         rn);
-      task_ctx.ChargeCpu(sort_charge);
-      join_kernel::CandidateBatch batch(
-          join_kernel::kCandidateBatchSize,
-          make_flush([&](uint32_t i) { return ls.xlo()[i]; },
-                     [&](uint32_t i) { return ls.ylo()[i]; },
-                     [&](uint32_t i) { return ls.ordinal(i); },
-                     [&](uint32_t i) { return rs.xlo()[i]; },
-                     [&](uint32_t i) { return rs.ylo()[i]; },
-                     [&](uint32_t i) { return rs.ordinal(i); }));
-      task.compares = join_kernel::SweepForCandidates(ls, rs, &batch);
-      batch.Flush();
+      run_units(make_flush([&](uint32_t i) { return ls.xlo()[i]; },
+                           [&](uint32_t i) { return ls.ylo()[i]; },
+                           [&](uint32_t i) { return ls.ordinal(i); },
+                           [&](uint32_t i) { return rs.xlo()[i]; },
+                           [&](uint32_t i) { return rs.ylo()[i]; },
+                           [&](uint32_t i) { return rs.ordinal(i); }),
+                [&](size_t lk, size_t rk, join_kernel::CandidateBatch* b) {
+                  ls.GatherPresorted(left_cols, &lp.rows[lp.begin(lk)],
+                                     lp.count(lk));
+                  rs.GatherPresorted(right_cols, &rp.rows[rp.begin(rk)],
+                                     rp.count(rk));
+                  return join_kernel::SweepForCandidates(ls, rs, b);
+                });
     } else {
+      std::vector<join_kernel::AosItem>& L = scratch.l_items;
+      std::vector<join_kernel::AosItem>& R = scratch.r_items;
       auto gather_aos = [](const join_kernel::MbrColumns& cols,
-                           const uint32_t* rows, size_t n,
+                           const SideParts& parts, size_t k,
                            std::vector<join_kernel::AosItem>* items) {
-        items->resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          (*items)[i] = {cols.BoxAt(rows[i]), rows[i]};
+        items->resize(parts.count(k));
+        for (size_t i = 0; i < items->size(); ++i) {
+          const uint32_t row = parts.rows[parts.begin(k) + i];
+          (*items)[i] = {cols.BoxAt(row), row};
         }
         join_kernel::SortAosByXmin(items);
       };
-      std::vector<join_kernel::AosItem>& L = scratch.l_items;
-      std::vector<join_kernel::AosItem>& R = scratch.r_items;
-      gather_aos(left_cols, &left_parts.rows[left_parts.begin(p)], ln, &L);
-      gather_aos(right_cols, &right_parts.rows[right_parts.begin(p)], rn, &R);
-      task_ctx.ChargeCpu(sort_charge);
-      join_kernel::CandidateBatch batch(
-          join_kernel::kCandidateBatchSize,
-          make_flush([&](uint32_t i) { return L[i].box.xmin; },
-                     [&](uint32_t i) { return L[i].box.ymin; },
-                     [&](uint32_t i) { return L[i].ordinal; },
-                     [&](uint32_t i) { return R[i].box.xmin; },
-                     [&](uint32_t i) { return R[i].box.ymin; },
-                     [&](uint32_t i) { return R[i].ordinal; }));
-      task.compares = join_kernel::SweepForCandidatesAos(L, R, &batch);
-      batch.Flush();
+      run_units(make_flush([&](uint32_t i) { return L[i].box.xmin; },
+                           [&](uint32_t i) { return L[i].box.ymin; },
+                           [&](uint32_t i) { return L[i].ordinal; },
+                           [&](uint32_t i) { return R[i].box.xmin; },
+                           [&](uint32_t i) { return R[i].box.ymin; },
+                           [&](uint32_t i) { return R[i].ordinal; }),
+                [&](size_t lk, size_t rk, join_kernel::CandidateBatch* b) {
+                  gather_aos(left_cols, lp, lk, &L);
+                  gather_aos(right_cols, rp, rk, &R);
+                  return join_kernel::SweepForCandidatesAos(L, R, b);
+                });
     }
-    task_ctx.ChargeCpuOps(task.compares, sim::cpu_cost::kCompare);
-    task.usage = task_clock.EndPhase();
   };
-  const bool pooled = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-  ForEachTask(ctx.pool, P, sweep_partition);
+  std::vector<TaskResult> results = RunTasks(ctx, num_tasks, sweep_task);
 
-  // Deterministic merge, in partition order: first failure wins, charges
-  // fold into the node clock in one fixed sequence, outputs concatenate.
-  int64_t ran = 0;
-  for (size_t p = 0; p < P; ++p) {
-    PARADISE_RETURN_IF_ERROR(std::move(tasks[p].status));
+  // Counters sum in the merge; the partition shape fills in once after.
+  PbsmJoinStats st;
+  PARADISE_ASSIGN_OR_RETURN(
+      TupleVec out, MergeTasks(ctx, &results, [&st](size_t, TaskResult& r) {
+        st.parallel_tasks += r.swept ? 1 : 0;
+        st.sweep_pair_compares += r.compares;
+        st.sweep_candidates += r.candidates;
+        st.exact_tests += r.exact_tests;
+        st.dedup_dropped += r.dedup_dropped;
+      }));
+  if (ctx.pbsm_stats == nullptr) return out;
+  if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1) {
+    st.parallel_tasks = 0;
   }
-  for (size_t p = 0; p < P; ++p) {
-    PartitionTask& task = tasks[p];
-    if (left_parts.count(p) > 0 && right_parts.count(p) > 0) ++ran;
-    ctx.ChargeUsage(task.usage);
-    if (ctx.pbsm_stats != nullptr) {
-      ctx.pbsm_stats->sweep_pair_compares += task.compares;
-      ctx.pbsm_stats->sweep_candidates += task.candidates;
-      ctx.pbsm_stats->exact_tests += task.exact_tests;
-      // Every candidate runs the reference-point test in this mode.
-      ctx.pbsm_stats->dedup_tests += task.candidates;
-      ctx.pbsm_stats->dedup_dropped += task.dedup_dropped;
-    }
-    for (Tuple& t : task.out) out.push_back(std::move(t));
+  // With the filter, every candidate runs the reference-point test.
+  if (Policy::kRefPointFilter) st.dedup_tests = st.sweep_candidates;
+  st.partitions = num_tasks;
+  st.cells_per_axis = policy->cells_per_axis;
+  st.left_tuples = static_cast<int64_t>(left.size());
+  st.right_tuples = static_cast<int64_t>(right.size());
+  st.left_items = static_cast<int64_t>(lp.rows.size());
+  st.right_items = static_cast<int64_t>(rp.rows.size());
+  for (size_t t = 0; t < num_tasks; ++t) {
+    int64_t items = 0;
+    policy->ForEachUnit(t, [&](size_t u) {
+      for (size_t c = 0; c < B; ++c) {
+        items +=
+            static_cast<int64_t>(lp.count(u * B + c) + rp.count(u * B + c));
+      }
+    });
+    st.max_partition_items = std::max(st.max_partition_items, items);
+    if (items > 0) ++st.nonempty_partitions;
   }
-  if (ctx.pbsm_stats != nullptr) {
-    ctx.pbsm_stats->parallel_tasks = pooled ? ran : 0;
+  if (st.nonempty_partitions > 0) {
+    st.mean_partition_items =
+        static_cast<double>(st.left_items + st.right_items) /
+        static_cast<double>(st.nonempty_partitions);
   }
+  st.replicated_entry_bytes =
+      (st.left_items - st.left_tuples + st.right_items - st.right_tuples) *
+      static_cast<int64_t>(4 * sizeof(double) + sizeof(uint32_t));
+  policy->AddClassCensus(&st, lp, rp);
+  *ctx.pbsm_stats = st;
   return out;
+}
+
+/// PBSM [Pate96]: bucket = join partition. An MBR lands in the partition
+/// of every cell it overlaps, once per partition; a task sweeps one
+/// partition and keeps a candidate only where the partition owns the cell
+/// holding the intersection's lower-left corner. `GridT` is Grid (uniform)
+/// or NonUniformGrid (tuned boundaries); the distribute and the filter
+/// both map coordinates through its CellX/CellY, so they agree.
+template <typename GridT, typename PartFn>
+struct PbsmPolicy {
+  static constexpr size_t kBucketsPerUnit = 1;
+  static constexpr BucketPair kPairs[] = {{0, 0}};
+  static constexpr bool kRefPointFilter = true;
+
+  const GridT& grid;
+  const PartFn& partition_of_cell;
+  size_t P;
+  size_t cells_per_axis;  // reported in stats only
+  bool aos;
+  // Duplicate guard for a multi-cell MBR: bumping the epoch retires every
+  // stamp at once, instead of an O(P) refill per tuple. A single-cell MBR
+  // maps to exactly one partition and skips it.
+  std::vector<uint32_t> seen_epoch = std::vector<uint32_t>(P, 0);
+  uint32_t epoch = 0;
+
+  size_t num_buckets() const { return P; }
+
+  template <typename Emit>
+  void ForEachBucket(double xlo, double ylo, double xhi, double yhi,
+                     const Emit& emit) {
+    const size_t cx0 = grid.CellX(xlo), cx1 = grid.CellX(xhi);
+    const size_t cy0 = grid.CellY(ylo), cy1 = grid.CellY(yhi);
+    if (cx0 == cx1 && cy0 == cy1) {
+      emit(partition_of_cell(cy0 * grid.cells_x + cx0));
+      return;
+    }
+    ++epoch;
+    for (size_t cy = cy0; cy <= cy1; ++cy) {
+      for (size_t cx = cx0; cx <= cx1; ++cx) {
+        const size_t p = partition_of_cell(cy * grid.cells_x + cx);
+        if (seen_epoch[p] != epoch) {
+          seen_epoch[p] = epoch;
+          emit(p);
+        }
+      }
+    }
+  }
+
+  void FormTasks(const SideParts&, const SideParts&) {}
+  size_t num_tasks() const { return P; }
+  template <typename Fn>
+  void ForEachUnit(size_t task, const Fn& fn) const {
+    fn(task);
+  }
+
+  bool OwnsRefPoint(size_t partition, double x, double y) const {
+    return partition_of_cell(grid.CellY(y) * grid.cells_x + grid.CellX(x)) ==
+           partition;
+  }
+
+  void AddClassCensus(PbsmJoinStats*, const SideParts&,
+                      const SideParts&) const {}
+};
+
+constexpr BucketPair Classes(TileClass l, TileClass r) {
+  return {static_cast<uint8_t>(l), static_cast<uint8_t>(r)};
+}
+
+/// Two-layer class plan (Tsitsigkos et al.): bucket = (owned tile, begin
+/// class), four per tile. An MBR lands once in every owned tile it
+/// overlaps, under its class there; tiles pack into load-balanced groups,
+/// one per task; each tile sweeps the nine class pairs that can hold a
+/// pair's intersection reference point, so no candidate needs a filter.
+struct TwoLayerPolicy {
+  static constexpr size_t kBucketsPerUnit = 4;
+  /// At the tile holding the intersection's reference point, neither side
+  /// can be x-spilled on both ends (the intersection's xmin is one side's
+  /// xmin) nor y-spilled on both ends — which excludes exactly the seven
+  /// combinations with B/D on the left and B/D's x-spill or C/D's y-spill
+  /// repeated on the right. Note B×C and C×B are required: a wide-flat
+  /// MBR crossing a tall-thin one meets it at a tile where neither is
+  /// class A.
+  static constexpr BucketPair kPairs[] = {
+      Classes(TileClass::kA, TileClass::kA),
+      Classes(TileClass::kA, TileClass::kB),
+      Classes(TileClass::kA, TileClass::kC),
+      Classes(TileClass::kA, TileClass::kD),
+      Classes(TileClass::kB, TileClass::kA),
+      Classes(TileClass::kC, TileClass::kA),
+      Classes(TileClass::kD, TileClass::kA),
+      Classes(TileClass::kB, TileClass::kC),
+      Classes(TileClass::kC, TileClass::kB)};
+  static constexpr bool kRefPointFilter = false;
+  static constexpr bool aos = false;
+
+  const geom::TileGrid& grid;
+  const TwoLayerOptions& options;
+  // Dense ids for the owned tiles (-1 = not owned); buckets are keyed by
+  // dense_tile * 4 + class, so unowned tiles cost nothing.
+  const std::vector<int32_t>& tile_dense;
+  size_t num_dense;
+  size_t cells_per_axis = grid.tiles_per_axis();
+  std::vector<std::vector<uint32_t>> group_tiles = {};  // tiles per task
+
+  size_t num_buckets() const { return num_dense * 4; }
+
+  // No duplicate guard: a tile is visited at most once per MBR.
+  template <typename Emit>
+  void ForEachBucket(double xlo, double ylo, double xhi, double yhi,
+                     const Emit& emit) const {
+    const uint32_t T = grid.tiles_per_axis();
+    const geom::TileGrid::CellRange r = grid.RangeOf(xlo, ylo, xhi, yhi);
+    for (uint32_t cy = r.cy0; cy <= r.cy1; ++cy) {
+      for (uint32_t cx = r.cx0; cx <= r.cx1; ++cx) {
+        const int32_t dense = tile_dense[static_cast<size_t>(cy) * T + cx];
+        if (dense < 0) continue;
+        emit(static_cast<size_t>(dense) * 4 +
+             geom::TileGrid::ClassAt(cx, cy, r));
+      }
+    }
+  }
+
+  /// Packs owned tiles into task groups by combined entry load. The group
+  /// count and assignment are pure functions of the data and the options
+  /// — never of the thread count.
+  void FormTasks(const SideParts& l, const SideParts& r) {
+    std::vector<int64_t> tile_loads(num_dense, 0);
+    int64_t total_entries = 0;
+    for (size_t d = 0; d < num_dense; ++d) {
+      for (size_t c = 0; c < 4; ++c) {
+        tile_loads[d] += static_cast<int64_t>(l.count(d * 4 + c) +
+                                              r.count(d * 4 + c));
+      }
+      total_entries += tile_loads[d];
+    }
+    const size_t G =
+        std::max<size_t>(1, std::min(options.num_tasks, num_dense));
+    std::vector<uint32_t> tile_group;
+    if (options.group_packer != nullptr) {
+      tile_group = options.group_packer(tile_loads, G);
+      PARADISE_CHECK(tile_group.size() == num_dense);
+    } else {
+      // Contiguous prefix packing: close a group once it reaches its
+      // equal share of the total load.
+      tile_group.resize(num_dense);
+      const int64_t share = (total_entries + static_cast<int64_t>(G) - 1) /
+                            static_cast<int64_t>(G);
+      size_t g = 0;
+      int64_t acc = 0;
+      for (size_t d = 0; d < num_dense; ++d) {
+        tile_group[d] = static_cast<uint32_t>(g);
+        acc += tile_loads[d];
+        if (acc >= share && g + 1 < G) {
+          ++g;
+          acc = 0;
+        }
+      }
+    }
+    group_tiles.assign(G, {});
+    for (size_t d = 0; d < num_dense; ++d) {
+      PARADISE_CHECK(tile_group[d] < G);
+      group_tiles[tile_group[d]].push_back(static_cast<uint32_t>(d));
+    }
+  }
+  size_t num_tasks() const { return group_tiles.size(); }
+  template <typename Fn>
+  void ForEachUnit(size_t task, const Fn& fn) const {
+    for (uint32_t d : group_tiles[task]) fn(d);
+  }
+
+  void AddClassCensus(PbsmJoinStats* st, const SideParts& l,
+                      const SideParts& r) const {
+    int64_t* census[4] = {&st->class_a_items, &st->class_b_items,
+                          &st->class_c_items, &st->class_d_items};
+    for (size_t d = 0; d < num_dense; ++d) {
+      for (size_t c = 0; c < 4; ++c) {
+        *census[c] += static_cast<int64_t>(l.count(d * 4 + c) +
+                                           r.count(d * 4 + c));
+      }
+    }
+  }
+};
+
+/// Clears the stats sink and gathers both inputs' MBRs into column-major
+/// buffers (exec/join_kernel.h) — one `Tuple::at(col).Mbr()` per tuple,
+/// never again in the hot phases — and the union of their extents,
+/// inflated when degenerate so a grid derived from it has positive cell
+/// sizes. The sink is reset up front: one reused across queries must
+/// describe *this* join, even when an empty input short-circuits —
+/// otherwise the previous query's partition/replication stats leak into
+/// this one's report. Returns false for an empty input.
+bool GatherInputs(const TupleVec& left, size_t left_col,
+                  const TupleVec& right, size_t right_col,
+                  const ExecContext& ctx, join_kernel::MbrColumns* left_cols,
+                  join_kernel::MbrColumns* right_cols, Box* universe) {
+  if (ctx.pbsm_stats != nullptr) ctx.pbsm_stats->Clear();
+  if (left.empty() || right.empty()) return false;
+  auto gather = [universe](const TupleVec& tuples, size_t col,
+                           join_kernel::MbrColumns* cols) {
+    const size_t n = tuples.size();
+    cols->Resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      // The tuple array is walked in order but each tuple's values live
+      // behind a heap pointer the hardware prefetcher can't follow; stage
+      // the next few rows' value arrays in ahead of the Mbr() call.
+      if (i + 8 < n) __builtin_prefetch(tuples[i + 8].values.data());
+      Box b = tuples[i].at(col).Mbr();
+      cols->Set(i, b);
+      universe->ExpandToInclude(b);
+    }
+  };
+  gather(left, left_col, left_cols);
+  gather(right, right_col, right_cols);
+  if (universe->Width() <= 0 || universe->Height() <= 0) {
+    *universe = universe->Inflate(1.0);
+  }
+  return true;
 }
 
 }  // namespace
@@ -465,42 +689,14 @@ StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
                                    const TupleVec& right, size_t right_col,
                                    const ExecContext& ctx,
                                    const PbsmOptions& options) {
-  // Reset the stats sink up front: a sink reused across queries must
-  // describe *this* join, even when an empty input short-circuits below —
-  // otherwise the previous query's partition/replication stats leak into
-  // this one's report.
-  if (ctx.pbsm_stats != nullptr) ctx.pbsm_stats->Clear();
-
-  TupleVec out;
-  if (left.empty() || right.empty()) return out;
-
-  // Universe = union of both inputs' extents. The same pass gathers every
-  // tuple's MBR into column-major buffers (exec/join_kernel.h), so
-  // `Tuple::at(col).Mbr()` runs once per tuple here and never again inside
-  // the hot phases.
   join_kernel::MbrColumns left_cols, right_cols;
   Box universe;
-  auto gather_mbrs = [&universe](const TupleVec& tuples, size_t col,
-                                 join_kernel::MbrColumns* cols) {
-    const size_t n = tuples.size();
-    cols->Resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      // The tuple array is walked in order but each tuple's values live
-      // behind a heap pointer the hardware prefetcher can't follow; stage
-      // the next few rows' value arrays in ahead of the Mbr() call.
-      if (i + 8 < n) __builtin_prefetch(tuples[i + 8].values.data());
-      Box b = tuples[i].at(col).Mbr();
-      cols->Set(i, b);
-      universe.ExpandToInclude(b);
-    }
-  };
-  gather_mbrs(left, left_col, &left_cols);
-  gather_mbrs(right, right_col, &right_cols);
-  if (universe.Width() <= 0 || universe.Height() <= 0) {
-    universe = universe.Inflate(1.0);
+  if (!GatherInputs(left, left_col, right, right_col, ctx, &left_cols,
+                    &right_cols, &universe)) {
+    return TupleVec();
   }
-
   const size_t P = std::max<size_t>(1, options.num_partitions);
+  const bool aos = options.sweep_kernel == PbsmOptions::SweepKernel::kAos;
 
   if (options.cell_map == PbsmOptions::CellMap::kAdaptive) {
     const AdaptiveCellGrid* tuned = options.adaptive;
@@ -513,10 +709,11 @@ StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
     auto partition_of_cell = [tuned](size_t c) -> size_t {
       return tuned->cell_part[c];
     };
-    return PbsmJoinBody(left, left_col, right, right_col, ctx, options,
-                        left_cols, right_cols, P,
-                        std::max(grid.cells_x, grid.cells_y), grid,
-                        partition_of_cell);
+    PbsmPolicy<NonUniformGrid, decltype(partition_of_cell)> policy{
+        grid, partition_of_cell, P, std::max(grid.cells_x, grid.cells_y),
+        aos};
+    return PartitionJoin(left, left_col, right, right_col, ctx, left_cols,
+                         right_cols, &policy);
   }
 
   size_t cells_axis = options.cells_per_axis;
@@ -543,106 +740,33 @@ StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
     if (!cell_part.empty()) return cell_part[c];
     return PartitionOfCell(c, cells_axis, P, map);
   };
-  return PbsmJoinBody(left, left_col, right, right_col, ctx, options,
-                      left_cols, right_cols, P, cells_axis, grid,
-                      partition_of_cell);
+  PbsmPolicy<Grid, decltype(partition_of_cell)> policy{
+      grid, partition_of_cell, P, cells_axis, aos};
+  return PartitionJoin(left, left_col, right, right_col, ctx, left_cols,
+                       right_cols, &policy);
 }
-
-namespace {
-
-/// Uniform tile grid with core::SpatialGrid's exact arithmetic: tiles are
-/// numbered row-major from the upper-left corner and rows grow *downward*
-/// (cy = CoordToCell(ymax - y)), so an MBR's begin tile — the one holding
-/// its reference point (xmin, ymin) — is (cx0, cy1) of its cell range.
-/// The arithmetic must stay bit-identical to SpatialGrid::TilesOfBox, or
-/// a parallel two-layer join could emit a pair at a node the decluster
-/// pass never shipped the copies to (core_test pins the agreement).
-struct TileGrid {
-  double xmin, ymax;
-  double width, height;
-  uint32_t tiles;
-
-  TileGrid(const Box& universe, uint32_t tiles_per_axis)
-      : xmin(universe.xmin),
-        ymax(universe.ymax),
-        width(universe.Width()),
-        height(universe.Height()),
-        tiles(tiles_per_axis) {}
-
-  uint32_t CoordToCell(double offset, double extent) const {
-    double f = offset / extent * tiles;
-    if (f < 0) f = 0;
-    uint32_t c = static_cast<uint32_t>(f);
-    return std::min(c, tiles - 1);
-  }
-
-  /// Columns [cx0, cx1], rows [cy0, cy1]; begin tile = (cx0, cy1).
-  void Range(double bxlo, double bylo, double bxhi, double byhi,
-             uint32_t* cx0, uint32_t* cy0, uint32_t* cx1,
-             uint32_t* cy1) const {
-    *cx0 = CoordToCell(bxlo - xmin, width);
-    *cx1 = CoordToCell(bxhi - xmin, width);
-    *cy0 = CoordToCell(ymax - byhi, height);
-    *cy1 = CoordToCell(ymax - bylo, height);
-  }
-};
-
-/// The nine class pairs whose mini-joins cover every pair exactly once: at
-/// the tile holding the intersection's reference point, neither side can
-/// be x-spilled on both ends (the intersection's xmin is one side's xmin)
-/// nor y-spilled on both ends — which excludes exactly the seven
-/// combinations with B/D on the left and B/D's x-spill or C/D's y-spill
-/// repeated on the right. Note B×C and C×B are required: a wide-flat MBR
-/// crossing a tall-thin one meets it at a tile where neither is class A.
-constexpr struct {
-  TileClass l, r;
-} kMiniJoins[] = {
-    {TileClass::kA, TileClass::kA}, {TileClass::kA, TileClass::kB},
-    {TileClass::kA, TileClass::kC}, {TileClass::kA, TileClass::kD},
-    {TileClass::kB, TileClass::kA}, {TileClass::kC, TileClass::kA},
-    {TileClass::kD, TileClass::kA}, {TileClass::kB, TileClass::kC},
-    {TileClass::kC, TileClass::kB}};
-
-}  // namespace
 
 StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
                                        const TupleVec& right, size_t right_col,
                                        const ExecContext& ctx,
                                        const TwoLayerOptions& options) {
-  if (ctx.pbsm_stats != nullptr) ctx.pbsm_stats->Clear();
   PARADISE_CHECK(options.tiles_per_axis > 0);
   const uint32_t T = options.tiles_per_axis;
   const size_t num_tiles = static_cast<size_t>(T) * T;
   PARADISE_CHECK(options.owned == nullptr ||
                  options.owned->size() == num_tiles);
 
-  TupleVec out;
-  if (left.empty() || right.empty()) return out;
-
   join_kernel::MbrColumns left_cols, right_cols;
-  Box universe = options.universe;
-  const bool auto_universe = universe.IsEmpty();
-  auto gather_mbrs = [&universe, auto_universe](const TupleVec& tuples,
-                                                size_t col,
-                                                join_kernel::MbrColumns* cols) {
-    const size_t n = tuples.size();
-    cols->Resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (i + 8 < n) __builtin_prefetch(tuples[i + 8].values.data());
-      Box b = tuples[i].at(col).Mbr();
-      cols->Set(i, b);
-      if (auto_universe) universe.ExpandToInclude(b);
-    }
-  };
-  gather_mbrs(left, left_col, &left_cols);
-  gather_mbrs(right, right_col, &right_cols);
-  if (universe.Width() <= 0 || universe.Height() <= 0) {
-    universe = universe.Inflate(1.0);
+  Box universe;
+  if (!GatherInputs(left, left_col, right, right_col, ctx, &left_cols,
+                    &right_cols, &universe)) {
+    return TupleVec();
   }
-  const TileGrid grid(universe, T);
+  // A supplied universe is used as given — it is the decluster grid's,
+  // and the tiles must be exactly the ones the placement used.
+  const geom::TileGrid grid(
+      options.universe.IsEmpty() ? universe : options.universe, T);
 
-  // Dense ids for the owned tiles; everything downstream is keyed by
-  // dense_tile * 4 + class, so unowned tiles cost nothing.
   std::vector<int32_t> tile_dense(num_tiles, -1);
   size_t num_dense = 0;
   for (size_t t = 0; t < num_tiles; ++t) {
@@ -650,233 +774,10 @@ StatusOr<TupleVec> TwoLayerSpatialJoin(const TupleVec& left, size_t left_col,
       tile_dense[t] = static_cast<int32_t>(num_dense++);
     }
   }
-  if (num_dense == 0) return out;
-  const size_t K = num_dense * 4;  // (tile, class) buckets
-
-  // Distribute: each side's ordinals, walked in global (xlo, ordinal)
-  // order, are counting-sorted into per-(owned tile, class) CSR lists —
-  // stable, so every list arrives presorted for the sweeps. Unlike PBSM's
-  // cell→partition map there is no duplicate guard: a tile is visited at
-  // most once per MBR by construction.
-  const std::vector<uint32_t> left_order = join_kernel::ArgsortByXlo(left_cols);
-  const std::vector<uint32_t> right_order =
-      join_kernel::ArgsortByXlo(right_cols);
-  auto distribute = [&](const join_kernel::MbrColumns& cols,
-                        const std::vector<uint32_t>& order, SideParts* parts) {
-    const size_t n = cols.size();
-    ctx.ChargeCpuOps(static_cast<int64_t>(n), sim::cpu_cost::kTupleOverhead);
-    std::vector<uint32_t> entry_key, entry_row;
-    entry_key.reserve(n + n / 4);
-    entry_row.reserve(n + n / 4);
-    std::vector<size_t> counts(K, 0);
-    for (size_t r = 0; r < n; ++r) {
-      const uint32_t i = order[r];
-      uint32_t cx0, cy0, cx1, cy1;
-      grid.Range(cols.xlo[i], cols.ylo[i], cols.xhi[i], cols.yhi[i], &cx0,
-                 &cy0, &cx1, &cy1);
-      for (uint32_t cy = cy0; cy <= cy1; ++cy) {
-        for (uint32_t cx = cx0; cx <= cx1; ++cx) {
-          const int32_t dense = tile_dense[static_cast<size_t>(cy) * T + cx];
-          if (dense < 0) continue;
-          const uint32_t cls =
-              (cx != cx0 ? 1u : 0u) | (cy != cy1 ? 2u : 0u);
-          const uint32_t key = static_cast<uint32_t>(dense) * 4 + cls;
-          entry_key.push_back(key);
-          entry_row.push_back(i);
-          ++counts[key];
-        }
-      }
-    }
-    parts->offsets.assign(K + 1, 0);
-    for (size_t k = 0; k < K; ++k) {
-      parts->offsets[k + 1] = parts->offsets[k] + counts[k];
-    }
-    parts->rows.resize(entry_row.size());
-    std::vector<size_t> cursor(parts->offsets.begin(),
-                               parts->offsets.end() - 1);
-    for (size_t e = 0; e < entry_row.size(); ++e) {
-      parts->rows[cursor[entry_key[e]]++] = entry_row[e];
-    }
-  };
-  SideParts left_parts, right_parts;
-  distribute(left_cols, left_order, &left_parts);
-  distribute(right_cols, right_order, &right_parts);
-
-  // Pack owned tiles into sweep-task groups by combined entry load. The
-  // group count and assignment are pure functions of the data and the
-  // options — never of the thread count.
-  std::vector<int64_t> tile_loads(num_dense, 0);
-  int64_t total_entries = 0;
-  for (size_t d = 0; d < num_dense; ++d) {
-    for (size_t c = 0; c < 4; ++c) {
-      tile_loads[d] +=
-          static_cast<int64_t>(left_parts.count(d * 4 + c)) +
-          static_cast<int64_t>(right_parts.count(d * 4 + c));
-    }
-    total_entries += tile_loads[d];
-  }
-  const size_t G =
-      std::max<size_t>(1, std::min(options.num_tasks, num_dense));
-  std::vector<uint32_t> tile_group;
-  if (options.group_packer != nullptr) {
-    tile_group = options.group_packer(tile_loads, G);
-    PARADISE_CHECK(tile_group.size() == num_dense);
-  } else {
-    // Contiguous prefix packing: close a group once it reaches its equal
-    // share of the total load.
-    tile_group.resize(num_dense);
-    const int64_t share = (total_entries + static_cast<int64_t>(G) - 1) /
-                          static_cast<int64_t>(G);
-    size_t g = 0;
-    int64_t acc = 0;
-    for (size_t d = 0; d < num_dense; ++d) {
-      tile_group[d] = static_cast<uint32_t>(g);
-      acc += tile_loads[d];
-      if (acc >= share && g + 1 < G) {
-        ++g;
-        acc = 0;
-      }
-    }
-  }
-  std::vector<std::vector<uint32_t>> group_tiles(G);
-  for (size_t d = 0; d < num_dense; ++d) {
-    PARADISE_CHECK(tile_group[d] < G);
-    group_tiles[tile_group[d]].push_back(static_cast<uint32_t>(d));
-  }
-
-  if (ctx.pbsm_stats != nullptr) {
-    PbsmJoinStats& st = *ctx.pbsm_stats;
-    st.partitions = G;
-    st.cells_per_axis = T;
-    st.left_tuples = static_cast<int64_t>(left.size());
-    st.right_tuples = static_cast<int64_t>(right.size());
-    st.left_items = static_cast<int64_t>(left_parts.rows.size());
-    st.right_items = static_cast<int64_t>(right_parts.rows.size());
-    int64_t* census[4] = {&st.class_a_items, &st.class_b_items,
-                          &st.class_c_items, &st.class_d_items};
-    for (size_t d = 0; d < num_dense; ++d) {
-      for (size_t c = 0; c < 4; ++c) {
-        *census[c] += static_cast<int64_t>(left_parts.count(d * 4 + c)) +
-                      static_cast<int64_t>(right_parts.count(d * 4 + c));
-      }
-    }
-    size_t nonempty = 0;
-    for (size_t g = 0; g < G; ++g) {
-      int64_t items = 0;
-      for (uint32_t d : group_tiles[g]) items += tile_loads[d];
-      st.max_partition_items = std::max(st.max_partition_items, items);
-      if (items > 0) ++nonempty;
-    }
-    st.nonempty_partitions = static_cast<int64_t>(nonempty);
-    if (nonempty > 0) {
-      st.mean_partition_items =
-          static_cast<double>(total_entries) / static_cast<double>(nonempty);
-    }
-    st.replicated_entry_bytes =
-        (st.left_items - st.left_tuples + st.right_items - st.right_tuples) *
-        static_cast<int64_t>(4 * sizeof(double) + sizeof(uint32_t));
-    // The whole point of the class plan: these stay zero.
-    st.dedup_tests = 0;
-    st.dedup_dropped = 0;
-  }
-
-  // Sweep phase: per group task, each owned tile runs its nine class-pair
-  // mini-joins as separate sweeps over the class-contiguous presorted
-  // lists. Every MBR-overlapping candidate goes straight to the exact
-  // pass — no reference-point filter, no hit-bit bookkeeping. Charges:
-  // one sort charge per non-empty class list of a productive tile, exact
-  // tests batch by batch, then the group's pair compares as one batched
-  // charge — all on a task-local clock merged in group order.
-  struct GroupTask {
-    Status status = Status::OK();
-    TupleVec out;
-    sim::ResourceUsage usage;
-    int64_t compares = 0;
-    int64_t candidates = 0;
-    int64_t exact_tests = 0;
-  };
-  std::vector<GroupTask> tasks(G);
-  auto sweep_group = [&](size_t g) {
-    GroupTask& task = tasks[g];
-    sim::NodeClock task_clock;
-    ExecContext task_ctx = TaskContext(ctx, &task_clock);
-    SweepScratch& scratch = t_sweep_scratch;
-    for (uint32_t d : group_tiles[g]) {
-      size_t l_total = 0, r_total = 0;
-      for (size_t c = 0; c < 4; ++c) {
-        l_total += left_parts.count(d * 4 + c);
-        r_total += right_parts.count(d * 4 + c);
-      }
-      if (l_total == 0 || r_total == 0) continue;
-      double sort_charge = 0.0;
-      for (size_t c = 0; c < 4; ++c) {
-        for (const SideParts* side : {&left_parts, &right_parts}) {
-          const double n = static_cast<double>(side->count(d * 4 + c));
-          if (n > 0) sort_charge += n * std::log2(n + 1);
-        }
-      }
-      task_ctx.ChargeCpu(sort_charge * sim::cpu_cost::kCompare);
-      for (const auto& mj : kMiniJoins) {
-        const size_t lk = d * 4 + static_cast<size_t>(mj.l);
-        const size_t rk = d * 4 + static_cast<size_t>(mj.r);
-        const size_t ln = left_parts.count(lk);
-        const size_t rn = right_parts.count(rk);
-        if (ln == 0 || rn == 0) continue;
-        join_kernel::SweepSide& ls = scratch.ls;
-        join_kernel::SweepSide& rs = scratch.rs;
-        ls.GatherPresorted(left_cols, &left_parts.rows[left_parts.begin(lk)],
-                           ln);
-        rs.GatherPresorted(right_cols,
-                           &right_parts.rows[right_parts.begin(rk)], rn);
-        std::vector<join_kernel::OrdinalPair>& pairs = scratch.survivors;
-        join_kernel::CandidateBatch batch(
-            join_kernel::kCandidateBatchSize,
-            [&](const join_kernel::Candidate* cands, size_t n) {
-              task.candidates += static_cast<int64_t>(n);
-              task.exact_tests += static_cast<int64_t>(n);
-              if (!task.status.ok() || n == 0) return;
-              pairs.clear();
-              for (size_t t = 0; t < n; ++t) {
-                pairs.push_back({ls.ordinal(cands[t].left_pos),
-                                 rs.ordinal(cands[t].right_pos)});
-              }
-              task.status = join_kernel::ExactJoinBatch(
-                  left, left_col, right, right_col, pairs.data(), n, task_ctx,
-                  &task.out);
-            });
-        task.compares += join_kernel::SweepForCandidates(ls, rs, &batch);
-        batch.Flush();
-      }
-    }
-    task_ctx.ChargeCpuOps(task.compares, sim::cpu_cost::kCompare);
-    task.usage = task_clock.EndPhase();
-  };
-  const bool pooled = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-  ForEachTask(ctx.pool, G, sweep_group);
-
-  int64_t ran = 0;
-  for (size_t g = 0; g < G; ++g) {
-    PARADISE_RETURN_IF_ERROR(std::move(tasks[g].status));
-  }
-  for (size_t g = 0; g < G; ++g) {
-    GroupTask& task = tasks[g];
-    bool productive = false;
-    for (uint32_t d : group_tiles[g]) {
-      if (tile_loads[d] > 0) productive = true;
-    }
-    if (productive) ++ran;
-    ctx.ChargeUsage(task.usage);
-    if (ctx.pbsm_stats != nullptr) {
-      ctx.pbsm_stats->sweep_pair_compares += task.compares;
-      ctx.pbsm_stats->sweep_candidates += task.candidates;
-      ctx.pbsm_stats->exact_tests += task.exact_tests;
-    }
-    for (Tuple& t : task.out) out.push_back(std::move(t));
-  }
-  if (ctx.pbsm_stats != nullptr) {
-    ctx.pbsm_stats->parallel_tasks = pooled ? ran : 0;
-  }
-  return out;
+  if (num_dense == 0) return TupleVec();
+  TwoLayerPolicy policy{grid, options, tile_dense, num_dense};
+  return PartitionJoin(left, left_col, right, right_col, ctx, left_cols,
+                       right_cols, &policy);
 }
 
 void IndexProbeCharger::ChargeVisits(int64_t visited) {
@@ -893,8 +794,7 @@ StatusOr<TupleVec> IndexSpatialJoin(const TupleVec& outer, size_t outer_col,
                                     const TupleVec& inner, size_t inner_col,
                                     const index::RStarTree& inner_index,
                                     const ExecContext& ctx) {
-  TupleVec out;
-  if (outer.empty()) return out;
+  if (outer.empty()) return TupleVec();
 
   // Fixed chunk size: the decomposition (and with it every charge
   // boundary) must not depend on how many threads happen to exist.
@@ -907,25 +807,18 @@ StatusOr<TupleVec> IndexSpatialJoin(const TupleVec& outer, size_t outer_col,
   // cold-page accounting (IndexProbeCharger) cannot run concurrently
   // without making the cold/warm split schedule-dependent, so it is
   // replayed sequentially, in chunk order, at the merge below.
-  struct ChunkTask {
-    Status status = Status::OK();
-    TupleVec out;
-    sim::ResourceUsage usage;
-    std::vector<int64_t> probe_visits;  // index nodes seen, per outer tuple
-  };
+  std::vector<std::vector<int64_t>> probe_visits(num_chunks);
   // One SoA snapshot of the (immutable during the join) tree, shared
   // read-only by every chunk: probes scan flat coordinate arrays instead
   // of pointer-chasing Entry records. Same traversal, same visit counts.
   index::RStarTree::FlatView flat_index(inner_index);
 
-  std::vector<ChunkTask> tasks(num_chunks);
-  auto probe_chunk = [&](size_t c) {
-    ChunkTask& task = tasks[c];
-    sim::NodeClock task_clock;
-    ExecContext task_ctx = TaskContext(ctx, &task_clock);
+  auto probe_chunk = [&](size_t c, const ExecContext& task_ctx,
+                         TaskResult* task) {
     const size_t lo = c * kChunk;
     const size_t hi = std::min(outer.size(), lo + kChunk);
-    task.probe_visits.reserve(hi - lo);
+    std::vector<int64_t>& visits = probe_visits[c];
+    visits.reserve(hi - lo);
     // Per-tuple probe overhead for the whole chunk as one batched charge
     // (both constants are integer-valued, so the total is bit-identical
     // to the per-tuple sequence).
@@ -946,32 +839,24 @@ StatusOr<TupleVec> IndexSpatialJoin(const TupleVec& outer, size_t outer_col,
             return true;
           },
           &nodes, &stack);
-      task.probe_visits.push_back(nodes);
+      visits.push_back(nodes);
     }
     // Batched exact pass over the chunk's candidates, in probe order —
     // the same pair order and charge order the interleaved loop had.
-    task.status = join_kernel::ExactJoinBatch(outer, outer_col, inner,
-                                              inner_col, candidates.data(),
-                                              candidates.size(), task_ctx,
-                                              &task.out);
-    task.usage = task_clock.EndPhase();
+    task->status = join_kernel::ExactJoinBatch(outer, outer_col, inner,
+                                               inner_col, candidates.data(),
+                                               candidates.size(), task_ctx,
+                                               &task->out);
   };
-  ForEachTask(ctx.pool, num_chunks, probe_chunk);
+  std::vector<TaskResult> results = RunTasks(ctx, num_chunks, probe_chunk);
 
-  // Deterministic merge in chunk order: fold task charges, replay the
-  // cold/warm index charging over the recorded visit counts (identical to
-  // the serial probe sequence), concatenate outputs.
-  for (size_t c = 0; c < num_chunks; ++c) {
-    PARADISE_RETURN_IF_ERROR(std::move(tasks[c].status));
-  }
+  // The merge replays the cold/warm index charging over each chunk's
+  // recorded visit counts right after its charges fold in — identical to
+  // the serial probe sequence.
   IndexProbeCharger charger(ctx, inner_index.num_nodes());
-  for (size_t c = 0; c < num_chunks; ++c) {
-    ChunkTask& task = tasks[c];
-    ctx.ChargeUsage(task.usage);
-    for (int64_t visited : task.probe_visits) charger.ChargeVisits(visited);
-    for (Tuple& t : task.out) out.push_back(std::move(t));
-  }
-  return out;
+  return MergeTasks(ctx, &results, [&](size_t c, TaskResult&) {
+    for (int64_t visited : probe_visits[c]) charger.ChargeVisits(visited);
+  });
 }
 
 StatusOr<ClosestMatch> ExpandingCircleClosest(const Point& point,

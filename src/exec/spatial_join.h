@@ -104,13 +104,15 @@ StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
 enum class TileClass : uint8_t { kA = 0, kB = 1, kC = 2, kD = 3 };
 
 struct TwoLayerOptions {
-  /// Tile grid resolution. The grid arithmetic is bit-identical to
-  /// core::SpatialGrid, so a parallel caller can pass its decluster
+  /// Tile grid resolution. The grid arithmetic is core::SpatialGrid's
+  /// (geom::TileGrid), so a parallel caller can pass its decluster
   /// grid's geometry and the mini-joins line up with the replica
   /// placement exactly.
   uint32_t tiles_per_axis = 32;
-  /// Universe the tile grid covers; empty = union of the inputs' MBRs
-  /// (inflated when degenerate), like PbsmSpatialJoin's auto-universe.
+  /// Universe the tile grid covers, used as given even when it has zero
+  /// width or height (that axis then maps to cell 0, as in SpatialGrid);
+  /// empty = union of the inputs' MBRs (inflated when degenerate), like
+  /// PbsmSpatialJoin's auto-universe.
   geom::Box universe = geom::Box::Empty();
   /// Optional ownership filter, one byte per tile id (row-major from the
   /// upper-left corner, SpatialGrid numbering): only tiles with a nonzero

@@ -499,6 +499,58 @@ TEST(TwoLayerTableTest, PredeclusteredJoinBitIdenticalCleanAndFaulted) {
   EXPECT_EQ(fault1.stats.dedup_dropped, 0);
 }
 
+TEST(TwoLayerTableTest, ZeroExtentUniverseMatchesLegacy) {
+  // Points on one vertical (then horizontal) line: the decluster grid's
+  // universe has zero width (height). Its tile arithmetic maps that axis
+  // to cell 0; a two-layer join that re-derived its tiles from an
+  // inflated copy of the universe swept tiles the placement never used
+  // and dropped pairs. 200 x 150 points over 50 shared spots = 600 pairs.
+  constexpr int N = 4;
+  for (bool vertical : {true, false}) {
+    SCOPED_TRACE(vertical ? "x = 5" : "y = 7");
+    const Box universe = vertical ? Box(5, 0, 5, 49) : Box(0, 7, 49, 7);
+    const SpatialGrid grid(universe, /*tiles_per_axis=*/10, N);
+    auto place = [&](int n, int64_t id_base) {
+      PerNode per(N);
+      for (int i = 0; i < n; ++i) {
+        const double t = i % 50;
+        const Point p = vertical ? Point{5, t} : Point{t, 7};
+        for (uint32_t node : grid.NodesOfBox(Box(p.x, p.y, p.x, p.y))) {
+          per[node].push_back(Tuple({Value(id_base + i), Value(p)}));
+        }
+      }
+      return per;
+    };
+    const PerNode lper = place(200, 0);
+    const PerNode rper = place(150, 100000);
+    auto run = [&](bool two_layer) {
+      Cluster cluster(N, SmallClusterOptions());
+      QueryCoordinator coord(&cluster);
+      EXPECT_TRUE(coord.BeginQuery().ok());
+      ParallelSpatialJoinOptions opts;
+      opts.two_layer = two_layer;
+      opts.left_predeclustered = true;
+      opts.right_predeclustered = true;
+      opts.routing_grid = &grid;
+      opts.tiles_per_axis = grid.tiles_per_axis();
+      auto joined =
+          ParallelSpatialJoin(&coord, lper, 1, rper, 1, universe, opts);
+      EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+      std::set<std::pair<int64_t, int64_t>> keys;
+      for (const TupleVec& v : *joined) {
+        for (const Tuple& t : v) {
+          EXPECT_TRUE(keys.emplace(t.at(0).AsInt(), t.at(2).AsInt()).second)
+              << "duplicate pair across nodes";
+        }
+      }
+      return keys;
+    };
+    const auto legacy = run(false);
+    EXPECT_EQ(legacy.size(), 600u);
+    EXPECT_EQ(run(true), legacy);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(NodeCounts, ParallelEquivalenceTest,
                          ::testing::Values(2, 3, 4, 8));
 

@@ -9,6 +9,7 @@
 #include "geom/point.h"
 #include "geom/polygon.h"
 #include "geom/polyline.h"
+#include "geom/tile_grid.h"
 
 namespace paradise::geom {
 namespace {
@@ -324,6 +325,23 @@ TEST(PolygonTest, ClipToOwnMbrKeepsArea) {
     Polygon clipped = p.ClipToBox(p.Mbr());
     EXPECT_NEAR(clipped.Area(), p.Area(), 1e-6);
   }
+}
+
+TEST(TileGridTest, DegenerateInputsMapToDefinedCells) {
+  // Zero width: every x is column 0, wherever it lies; y still spreads,
+  // rows growing downward from ymax.
+  TileGrid g(Box(5, 0, 5, 10), 10);
+  for (double x : {5.0, 7.0, 3.0}) EXPECT_EQ(g.ColumnOf(x), 0u);
+  EXPECT_EQ(g.RowOf(10), 0u);
+  EXPECT_EQ(g.RowOf(4.5), 5u);
+  EXPECT_EQ(g.RowOf(0), 9u);
+  TileGrid square(Box(0, 0, 10, 10), 10);
+  // Far outside the universe clamps to the edge cell.
+  EXPECT_EQ(square.ColumnOf(1e300), 9u);
+  EXPECT_EQ(square.ColumnOf(-1e300), 0u);
+  // An empty box's ±inf corners land in tile 0.
+  TileGrid::CellRange r = square.RangeOfBox(Box());
+  EXPECT_EQ(r.cx0 + r.cx1 + r.cy0 + r.cy1, 0u);
 }
 
 }  // namespace

@@ -189,6 +189,28 @@ void ExpectUsageEq(const sim::ResourceUsage& a, const sim::ResourceUsage& b) {
   EXPECT_EQ(a.idle_seconds, b.idle_seconds);
 }
 
+/// FNV-1a over the ordered (left id, right id) keys: one literal pins the
+/// result rows and their order.
+uint64_t KeysHash(const std::vector<std::pair<int64_t, int64_t>>& keys) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& [l, r] : keys) {
+    for (int64_t v : {l, r}) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (static_cast<uint64_t>(v) >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+/// A CPU-only ResourceUsage, for pinning a join's modeled charges.
+sim::ResourceUsage CpuUsage(double cpu_ops) {
+  sim::ResourceUsage u;
+  u.cpu_ops = cpu_ops;
+  return u;
+}
+
 TEST(PbsmTest, DuplicateXminKeepsResultsDeterministicAndCorrect) {
   // Regression for the sweep sort's tie-break: many MBRs share xmin
   // exactly (geometries snapped to a 0.5 lattice), so the sort order of
@@ -341,6 +363,28 @@ TEST(PbsmTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
       EXPECT_GT(stats.parallel_tasks, 0);
     }
   }
+  // Literals recorded before PBSM and the two-layer join shared one
+  // partition-join driver: rows, order, charges and every counter but
+  // the schedule-dependent parallel_tasks must not move.
+  EXPECT_EQ(keys_1.size(), 735u);
+  EXPECT_EQ(KeysHash(keys_1), 0xbe74b506ecffb30aull);
+  ExpectUsageEq(usage_1, CpuUsage(1423446.7493247746));
+  EXPECT_EQ(stats_1, (PbsmJoinStats{.partitions = 48,
+                                    .cells_per_axis = 28,
+                                    .left_tuples = 220,
+                                    .right_tuples = 260,
+                                    .left_items = 2207,
+                                    .right_items = 1554,
+                                    .max_partition_items = 114,
+                                    .mean_partition_items = 78.354166666666671,
+                                    .nonempty_partitions = 48,
+                                    .parallel_tasks = 0,
+                                    .sweep_pair_compares = 14359,
+                                    .sweep_candidates = 4290,
+                                    .exact_tests = 1137,
+                                    .dedup_tests = 4290,
+                                    .dedup_dropped = 3153,
+                                    .replicated_entry_bytes = 118116}));
 }
 
 TEST(IndexSpatialJoinTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
@@ -677,6 +721,32 @@ TEST(TwoLayerTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
       EXPECT_GT(stats.parallel_tasks, 0);
     }
   }
+  // Literals recorded before the shared partition-join driver (see the
+  // PBSM twin above).
+  EXPECT_EQ(keys_1.size(), 739u);
+  EXPECT_EQ(KeysHash(keys_1), 0x74f7077364261bfeull);
+  ExpectUsageEq(usage_1, CpuUsage(1101973.3442390841));
+  stats_1.parallel_tasks = 0;
+  EXPECT_EQ(stats_1, (PbsmJoinStats{.partitions = 48,
+                                    .cells_per_axis = 16,
+                                    .left_tuples = 220,
+                                    .right_tuples = 260,
+                                    .left_items = 1159,
+                                    .right_items = 894,
+                                    .max_partition_items = 59,
+                                    .mean_partition_items = 47.744186046511629,
+                                    .nonempty_partitions = 43,
+                                    .parallel_tasks = 0,
+                                    .sweep_pair_compares = 1684,
+                                    .sweep_candidates = 1182,
+                                    .exact_tests = 1182,
+                                    .dedup_tests = 0,
+                                    .dedup_dropped = 0,
+                                    .class_a_items = 480,
+                                    .class_b_items = 511,
+                                    .class_c_items = 517,
+                                    .class_d_items = 545,
+                                    .replicated_entry_bytes = 56628}));
 }
 
 TEST(ExpandingCircleTest, ProbeCountGrowsWithDistance) {
