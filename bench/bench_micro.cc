@@ -1,10 +1,11 @@
 // Google-benchmark microbenches for the substrate pieces whose *real* CPU
-// cost matters in the simulation: LZW tile compression, R*-tree probes
-// (dynamic vs STR bulk-loaded), B+-tree operations, and the PBSM
-// partition sweep — followed by a query-level section that runs the
-// scan-heavy benchmark queries end to end, printing host wall-clock,
-// modeled seconds, and buffer-pool statistics. `--json <path>` writes the
-// query section as JSON (the CI perf-smoke gate consumes it).
+// cost matters in the simulation: LZW tile compression, the page
+// checksum, R*-tree probes (dynamic vs STR bulk-loaded), B+-tree
+// operations, and the PBSM partition sweep — followed by a query-level
+// section that runs the scan-heavy benchmark queries end to end, printing
+// host wall-clock, modeled seconds, and buffer-pool statistics.
+// `--json <path>` writes the query section as JSON (the CI perf-smoke gate
+// consumes it).
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 #include "opt/stats.h"
 #include "index/b_plus_tree.h"
 #include "index/r_star_tree.h"
+#include "storage/page.h"
 
 namespace {
 
@@ -84,6 +86,25 @@ void BM_LzwDecompressSmooth(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 32 * 1024);
 }
 BENCHMARK(BM_LzwDecompressSmooth);
+
+// Every page a volume writes is stamped and every page the buffer pool
+// fetches is verified, so this cost is paid once per page moved.
+void BM_PageChecksum(benchmark::State& state) {
+  Rng rng(3);
+  std::vector<paradise::storage::Page> pages(64);
+  for (paradise::storage::Page& page : pages) {
+    for (size_t i = 0; i < paradise::storage::kPageSize; ++i) {
+      page.data()[i] = static_cast<uint8_t>(rng.Next());
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pages[next++ % pages.size()].ComputeChecksum());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(paradise::storage::kPageSize));
+}
+BENCHMARK(BM_PageChecksum);
 
 Box RandomBox(Rng* rng, double extent, double side) {
   double x = rng->NextDouble(-extent, extent);

@@ -45,6 +45,12 @@ Tuple DecodeRow(const ByteBuffer& record, bool* primary) {
   return Tuple::Deserialize(&r);
 }
 
+/// Primary bit of a stored record's flag byte.
+bool RecordPrimary(const ByteBuffer& record) {
+  PARADISE_CHECK(!record.empty());
+  return (record[0] & 1) != 0;
+}
+
 /// Class bits of a stored record's flag byte.
 uint8_t RecordClass(const ByteBuffer& record) {
   PARADISE_CHECK(!record.empty());
@@ -296,14 +302,16 @@ StatusOr<TupleVec> ParallelTable::ScanFragment(Cluster* cluster, int node,
   storage::Oid oid;
   ByteBuffer record;
   while (it.Next(&oid, &record)) {
+    // Charged per stored record read, replica or not; a replica is then
+    // skipped on its flag byte without materializing the tuple.
     clock->ChargeCpu(sim::cpu_cost::kTupleOverhead +
                      sim::cpu_cost::kPerByteCopied *
                          static_cast<double>(record.size()));
+    if (primaries_only && !RecordPrimary(record)) continue;
     bool primary;
-    Tuple t = DecodeRow(record, &primary);
-    if (primaries_only && !primary) continue;
-    out.push_back(std::move(t));
+    out.push_back(DecodeRow(record, &primary));
   }
+  PARADISE_RETURN_IF_ERROR(it.status());
   return out;
 }
 
@@ -550,6 +558,7 @@ Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {
       s.record = std::move(record);
       salvaged.push_back(std::move(s));
     }
+    PARADISE_RETURN_IF_ERROR(it.status());
   }
 
   // 2. Survivors that already hold a replica must keep it instead of

@@ -189,6 +189,7 @@ Status HeapFile::ApplyUpdate(const Oid& oid, const ByteBuffer& record,
 }
 
 bool HeapFile::Iterator::Next(Oid* oid, ByteBuffer* record) {
+  if (!status_.ok()) return false;
   std::lock_guard<std::mutex> g(file_->mu_);
   while (page_index_ < file_->pages_.size()) {
     PageNo page_no = file_->pages_[page_index_];
@@ -214,7 +215,11 @@ bool HeapFile::Iterator::Next(Oid* oid, ByteBuffer* record) {
         prefetched_until_ = end;
       }
       auto guard_or = file_->pool_->Pin(PageId{file_->volume_id_, page_no});
-      PARADISE_CHECK_MSG(guard_or.ok(), guard_or.status().ToString().c_str());
+      if (!guard_or.ok()) {
+        status_ = guard_or.status();
+        guard_.Release();
+        return false;
+      }
       guard_ = std::move(guard_or).value();
       guard_index_ = page_index_;
     }

@@ -63,8 +63,11 @@ class HeapFile {
     explicit Iterator(const HeapFile* file) : file_(file) {}
     Iterator(Iterator&&) = default;
     Iterator& operator=(Iterator&&) = default;
-    /// Returns false at end of file.
+    /// Returns false at end of file or when a page cannot be pinned (e.g.
+    /// a persistent checksum mismatch); status() tells the two apart.
     bool Next(Oid* oid, ByteBuffer* record);
+    /// OK unless the scan stopped on an error, which stays here.
+    const Status& status() const { return status_; }
 
    private:
     /// Pages of upcoming readahead per batch; kept at the pool's shard-run
@@ -77,6 +80,7 @@ class HeapFile {
     PageGuard guard_;                // pin on pages_[guard_index_]
     size_t guard_index_ = SIZE_MAX;  // which page the guard covers
     size_t prefetched_until_ = 0;    // pages_[0..this) already prefetched
+    Status status_;
   };
   Iterator NewIterator() const { return Iterator(this); }
 

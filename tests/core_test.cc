@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "core/coordinator.h"
@@ -11,6 +13,7 @@
 #include "core/table.h"
 #include "datagen/datagen.h"
 #include "exec/spatial_join.h"
+#include "sim/cost_model.h"
 
 namespace paradise::core {
 namespace {
@@ -176,6 +179,96 @@ TEST(ParallelTableTest, ScanChargesDiskOnce) {
   sim::ResourceUsage u = cluster.node(0).clock()->EndPhase();
   EXPECT_GT(u.disk_bytes_read, 0);
   EXPECT_GT(u.cpu_ops, 0);
+}
+
+// ---------- Fragment scans: the modeled charge is per stored record ----------
+
+struct ChargedScan {
+  sim::ResourceUsage usage;
+  TupleVec rows;
+};
+
+/// One fragment scan from a cold pool: what it charged and what it returned.
+ChargedScan ColdScan(Cluster* cluster, const ParallelTable& table, int node,
+                     bool primaries_only) {
+  cluster->ResetForQuery();
+  auto rows = table.ScanFragment(cluster, node, primaries_only);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  ChargedScan scan;
+  scan.usage = cluster->node(node).clock()->EndPhase();
+  if (rows.ok()) scan.rows = std::move(rows).value();
+  return scan;
+}
+
+/// Ids of the fragment's primary copies, read off each stored record's
+/// flag byte (which must agree with the fragment's in-memory mirror).
+std::multiset<int64_t> StoredPrimaryIds(const ParallelTable::Fragment& frag) {
+  std::multiset<int64_t> ids;
+  for (size_t r = 0; r < frag.oids.size(); ++r) {
+    auto rec = frag.file->Get(frag.oids[r]);
+    EXPECT_TRUE(rec.ok());
+    if (!rec.ok()) continue;
+    ByteReader reader(*rec);
+    const bool primary = (reader.GetU8() & 1) != 0;
+    EXPECT_EQ(primary, frag.primary[r] != 0) << "row " << r;
+    if (primary) ids.insert(Tuple::Deserialize(&reader).at(0).AsInt());
+  }
+  return ids;
+}
+
+/// Both scan modes read every stored record and are charged for each, so
+/// they must charge bit-identical usage; the primaries-only scan returns
+/// exactly the fragment's primary copies.
+void ExpectPrimariesOnlyScanChargesEveryRecord(Cluster* cluster,
+                                               const ParallelTable& table) {
+  int64_t replicas = 0;
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    // A first pass leaves the disk head where each measured scan leaves it.
+    ColdScan(cluster, table, n, /*primaries_only=*/false);
+    ChargedScan all = ColdScan(cluster, table, n, /*primaries_only=*/false);
+    ChargedScan prim = ColdScan(cluster, table, n, /*primaries_only=*/true);
+    EXPECT_EQ(prim.usage.disk_seeks, all.usage.disk_seeks) << "node " << n;
+    EXPECT_EQ(prim.usage.disk_bytes_read, all.usage.disk_bytes_read);
+    EXPECT_EQ(prim.usage.disk_bytes_written, all.usage.disk_bytes_written);
+    EXPECT_EQ(prim.usage.net_messages, all.usage.net_messages);
+    EXPECT_EQ(prim.usage.net_bytes, all.usage.net_bytes);
+    EXPECT_EQ(prim.usage.cpu_ops, all.usage.cpu_ops) << "node " << n;
+    EXPECT_EQ(prim.usage.idle_seconds, all.usage.idle_seconds);
+    EXPECT_GT(prim.usage.disk_bytes_read, 0);
+
+    EXPECT_EQ(static_cast<int64_t>(all.rows.size()),
+              table.fragment(n).num_live());
+    EXPECT_EQ(Ids(prim.rows), StoredPrimaryIds(table.fragment(n)))
+        << "node " << n;
+    replicas += static_cast<int64_t>(all.rows.size() - prim.rows.size());
+  }
+  EXPECT_GT(replicas, 0);  // the replica skip ran
+}
+
+TEST(ParallelTableTest, PrimariesOnlyScanChargesEveryStoredRecordSpatial) {
+  Cluster cluster(4, SmallClusterOptions());
+  Rng rng(31);
+  TupleVec rows = RandomPolyTuples(&rng, 600, 50, 8);  // big: spans tiles
+  TableDef def = PolyTableDef("t", PartitioningKind::kSpatial,
+                              Box(-60, -60, 60, 60));
+  auto table = ParallelTable::Load(&cluster, def, rows, /*tiles_per_axis=*/20);
+  ASSERT_TRUE(table.ok());
+  ASSERT_GT((*table)->num_stored(), (*table)->num_rows());
+  ExpectPrimariesOnlyScanChargesEveryRecord(&cluster, **table);
+}
+
+TEST(ParallelTableTest, PrimariesOnlyScanChargesEveryStoredRecordTwoLayer) {
+  Cluster cluster(4, SmallClusterOptions());
+  Rng rng(32);
+  TupleVec rows = RandomPolyTuples(&rng, 600, 50, 8);
+  TableDef def = PolyTableDef("t2l", PartitioningKind::kTwoLayer,
+                              Box(-60, -60, 60, 60));
+  auto table = ParallelTable::Load(&cluster, def, rows, /*tiles_per_axis=*/20);
+  ASSERT_TRUE(table.ok());
+  // Replicas carry class bits next to the primary bit in the flag byte.
+  std::array<int64_t, 4> counts = (*table)->ClassCounts();
+  ASSERT_GT(counts[1] + counts[2] + counts[3], 0);
+  ExpectPrimariesOnlyScanChargesEveryRecord(&cluster, **table);
 }
 
 // ---------- Parallel operators: the result-preserving invariant ----------

@@ -308,6 +308,68 @@ TEST(RecoveryTest, RecoverNodeReportsLoserStats) {
   EXPECT_GT(n.clock()->phase_usage().disk_bytes_read, 0);
 }
 
+// ---------- Persistent page corruption under a heap scan ----------
+
+/// A round-robin table whose pages all reached disk and left the pools,
+/// so every scan below must fetch (and verify) from the volumes. Null if
+/// the load failed.
+std::unique_ptr<ParallelTable> LoadFlushedTable(Cluster* cluster) {
+  TupleVec rows;
+  for (int64_t i = 0; i < 200; ++i) {
+    rows.push_back(
+        IntStringTuple(i, std::string(200, static_cast<char>('a' + i % 26))));
+  }
+  auto table = ParallelTable::Load(cluster, IntStringDef("t"), rows);
+  if (!table.ok()) return nullptr;
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    EXPECT_TRUE(cluster->node(n).pool()->FlushAll().ok());
+    cluster->node(n).pool()->DiscardAll();
+  }
+  return std::move(table).value();
+}
+
+TEST(ChecksumTest, FragmentScanOfPersistentlyCorruptPagesReturnsCorruption) {
+  Cluster::Options copts;
+  copts.buffer_pool_frames = 64;
+  Cluster cluster(2, copts);
+  std::unique_ptr<ParallelTable> table = LoadFlushedTable(&cluster);
+  ASSERT_NE(table, nullptr);
+  ASSERT_GT(table->fragment(0).file->num_pages(), 1u);
+
+  FaultInjector inj(/*seed=*/11);
+  inj.set_torn_read_rate(1.0);  // every read of every page is torn
+  cluster.SetFaultInjector(&inj);
+  // The iterator's pin error is the scan's status, not a process abort.
+  for (bool primaries_only : {true, false}) {
+    auto scan = table->ScanFragment(&cluster, 0, primaries_only);
+    ASSERT_FALSE(scan.ok());
+    EXPECT_EQ(scan.status().code(), StatusCode::kCorruption)
+        << scan.status().ToString();
+  }
+  EXPECT_GT(cluster.node(0).pool()->stats().checksum_failures, 0);
+
+  // Once the medium reads clean again the same fragment scans in full.
+  cluster.SetFaultInjector(nullptr);
+  auto scan = table->ScanFragment(&cluster, 0, /*primaries_only=*/true);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->size(), 100u);
+}
+
+TEST(ChecksumTest, SalvageOfPersistentlyCorruptFragmentReturnsCorruption) {
+  Cluster::Options copts;
+  copts.buffer_pool_frames = 64;
+  Cluster cluster(2, copts);
+  std::unique_ptr<ParallelTable> table = LoadFlushedTable(&cluster);
+  ASSERT_NE(table, nullptr);
+
+  FaultInjector inj(/*seed=*/12);
+  inj.set_torn_read_rate(1.0);
+  cluster.SetFaultInjector(&inj);
+  cluster.MarkNodeDead(1);
+  Status st = table->RedeclusterAfterLoss(&cluster, 1);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
 // ---------- Coordinator error paths close the phase ----------
 
 TEST(CoordinatorTest, FailedPhaseDoesNotLeakUsageIntoNextPhase) {

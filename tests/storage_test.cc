@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <vector>
+
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_volume.h"
@@ -58,6 +62,99 @@ TEST(DiskVolumeTest, FreeListReuse) {
   EXPECT_EQ(vol.allocated_pages(), 1u);
   PageNo c = vol.AllocatePage();
   EXPECT_EQ(c, a);  // reused
+}
+
+// ---------- Page checksum ----------
+
+/// A stamped page with a distinct pattern in the LSN and every payload
+/// byte. Its stamp is neither 0 nor 1, so the 0 -> 1 remap cannot merge
+/// it with the sum of a one-word change and detection below is exact.
+Page PatternedStampedPage() {
+  Page page;
+  page.set_lsn(0x0123456789abcdefULL);
+  for (size_t i = 0; i < Page::kPayloadSize; ++i) {
+    page.payload()[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  page.StampChecksum();
+  return page;
+}
+
+TEST(PageChecksumTest, EverySingleBitFlipInLsnAndPayloadIsCaught) {
+  Page page = PatternedStampedPage();
+  ASSERT_TRUE(page.VerifyChecksum());
+  ASSERT_GT(page.stored_checksum(), 1u);
+  std::vector<size_t> covered;
+  for (size_t i = 0; i < Page::kChecksumOffset; ++i) covered.push_back(i);
+  for (size_t i = Page::kHeaderSize; i < kPageSize; ++i) covered.push_back(i);
+  int64_t escaped = 0;
+  for (size_t byte : covered) {
+    for (int bit = 0; bit < 8; ++bit) {
+      page.data()[byte] ^= static_cast<uint8_t>(1u << bit);
+      if (page.VerifyChecksum()) {
+        ADD_FAILURE() << "flip of byte " << byte << " bit " << bit
+                      << " verified";
+        ++escaped;
+      }
+      page.data()[byte] ^= static_cast<uint8_t>(1u << bit);
+    }
+    if (escaped > 10) break;
+  }
+  EXPECT_EQ(escaped, 0);
+  EXPECT_TRUE(page.VerifyChecksum());
+}
+
+TEST(PageChecksumTest, AnyOneReplacedPayloadWordIsCaught) {
+  Page page = PatternedStampedPage();
+  ASSERT_GT(page.stored_checksum(), 1u);
+  constexpr size_t kWords = Page::kPayloadSize / 4;
+  Rng rng(/*seed=*/20261017);
+  std::vector<size_t> positions = {0, 1, 31, 32, kWords - 1};
+  while (positions.size() < 400) positions.push_back(rng.NextUint(kWords));
+  for (size_t w : positions) {
+    uint8_t* word = page.payload() + 4 * w;
+    uint32_t original;
+    std::memcpy(&original, word, 4);
+    // Single-bit-apart, byte-rotated, all-zero, all-one and random values.
+    std::vector<uint32_t> values = {original ^ 0x80000000u,
+                                    std::rotl(original, 8), 0u, 0xffffffffu};
+    for (int k = 0; k < 8; ++k) {
+      values.push_back(static_cast<uint32_t>(rng.Next()));
+    }
+    for (uint32_t v : values) {
+      if (v == original) continue;
+      std::memcpy(word, &v, 4);
+      EXPECT_FALSE(page.VerifyChecksum())
+          << "payload word " << w << " set to " << v << " verified";
+    }
+    std::memcpy(word, &original, 4);
+  }
+  EXPECT_TRUE(page.VerifyChecksum());
+}
+
+TEST(PageChecksumTest, PadBytesAreNotCovered) {
+  Page page = PatternedStampedPage();
+  const uint32_t stamp = page.stored_checksum();
+  // Flips accumulate: any pad content verifies against the same stamp.
+  for (size_t byte = Page::kChecksumOffset + 4; byte < Page::kHeaderSize;
+       ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      page.data()[byte] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_TRUE(page.VerifyChecksum()) << "pad byte " << byte;
+      EXPECT_EQ(page.ComputeChecksum(), stamp);
+    }
+  }
+}
+
+TEST(PageChecksumTest, ZeroPageVerifiesUnstampedAndIsGuardedOnceStamped) {
+  Page page;
+  EXPECT_EQ(page.stored_checksum(), 0u);
+  EXPECT_TRUE(page.VerifyChecksum());
+  // An all-zero page still gets a nonzero stamp, which then guards it.
+  EXPECT_NE(page.ComputeChecksum(), 0u);
+  page.StampChecksum();
+  EXPECT_TRUE(page.VerifyChecksum());
+  page.payload()[100] = 1;
+  EXPECT_FALSE(page.VerifyChecksum());
 }
 
 TEST(SlottedPageTest, InsertDeleteCompact) {
