@@ -150,13 +150,12 @@ StatusOr<ByteBuffer> LocalTileSource::ReadTile(const ArrayHandle& handle,
   const TileRef& ref = handle.tiles[tile_index];
   PARADISE_ASSIGN_OR_RETURN(ByteBuffer stored, store_->Read(ref.lob));
   if (!ref.compressed) return stored;
-  PARADISE_ASSIGN_OR_RETURN(ByteBuffer raw, codec::LzwDecompress(stored));
+  PARADISE_ASSIGN_OR_RETURN(
+      ByteBuffer raw,
+      codec::LzwDecompressExact(stored.data(), stored.size(), ref.raw_bytes));
   if (clock_ != nullptr) {
     clock_->ChargeCpu(sim::cpu_cost::kPerByteDecompressed *
                       static_cast<double>(raw.size()));
-  }
-  if (raw.size() != ref.raw_bytes) {
-    return Status::Corruption("tile decompressed to unexpected size");
   }
   return raw;
 }

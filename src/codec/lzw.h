@@ -29,6 +29,14 @@ inline StatusOr<std::vector<uint8_t>> LzwDecompress(
   return LzwDecompress(in.data(), in.size());
 }
 
+/// LzwDecompress for a stream whose decoded length is known, such as a
+/// stored tile's: decodes into one buffer of `expected_size` bytes, never
+/// writes past it, and returns kCorruption if the stream is malformed or
+/// decodes to any other length.
+StatusOr<std::vector<uint8_t>> LzwDecompressExact(const uint8_t* data,
+                                                  size_t size,
+                                                  size_t expected_size);
+
 }  // namespace paradise::codec
 
 #endif  // PARADISE_CODEC_LZW_H_

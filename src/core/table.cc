@@ -939,9 +939,10 @@ Status ParallelTable::ValidateOwnership(Cluster* cluster) const {
           // Rows kept only until orphan GC carry the parked class D;
           // rows at a tile owner must carry the grid's class, and class
           // A must coincide with the primary flag.
-          const uint8_t expect = want_cls == SpatialGrid::kNoOwnedTile
-                                     ? SpatialGrid::kClassD
-                                     : want_cls;
+          const uint8_t expect =
+              want_cls == SpatialGrid::kNoOwnedTile
+                  ? static_cast<uint8_t>(SpatialGrid::kClassD)
+                  : want_cls;
           if (frag.row_class(r) != expect) {
             return Status::Internal(
                 "ownership audit: stored class disagrees with grid");

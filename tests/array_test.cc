@@ -150,6 +150,33 @@ TEST_F(ArrayTest, CompressionFlagPerTile) {
   EXPECT_EQ(*full, data);
 }
 
+TEST_F(ArrayTest, CompressedTileOfUnexpectedSizeIsCorruption) {
+  // A compressed tile whose recorded raw size is one byte short of, or one
+  // byte past, what its stream decodes to must fail the read. Under ASan
+  // the short case also shows the decode stays inside the tile buffer.
+  std::vector<uint8_t> data(256 * 256 * 2);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>((i / 64) % 5);
+  }
+  auto h =
+      StoreArray(data.data(), {256, 256}, 2, &store_, &clock_, true, 8192);
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(h->tiles[0].compressed);
+  LocalTileSource src(&store_, &clock_);
+  auto good = src.ReadTile(*h, 0);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_EQ(good->size(), h->tiles[0].raw_bytes);
+  for (int delta : {-1, +1}) {
+    ArrayHandle bad = *h;
+    bad.tiles[0].raw_bytes = static_cast<uint32_t>(
+        static_cast<int64_t>(bad.tiles[0].raw_bytes) + delta);
+    auto tile = src.ReadTile(bad, 0);
+    ASSERT_FALSE(tile.ok()) << "raw_bytes off by " << delta;
+    EXPECT_EQ(tile.status().code(), StatusCode::kCorruption)
+        << tile.status().ToString();
+  }
+}
+
 TEST_F(ArrayTest, ThreeDimensionalArray) {
   const uint32_t D = 12, H = 40, W = 50;
   std::vector<uint8_t> data = MakeData(D * H * W * 2, 7);
