@@ -9,14 +9,10 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "core/coordinator.h"
 #include "core/parallel_ops.h"
 #include "core/table.h"
 #include "exec/spatial_join.h"
-#include "opt/partition_tuner.h"
-#include "opt/stats.h"
-#include "sim/cost_model.h"
 
 namespace {
 
@@ -25,27 +21,8 @@ using paradise::catalog::PartitioningKind;
 using paradise::catalog::TableDef;
 using paradise::core::Cluster;
 using paradise::core::ParallelTable;
-using paradise::exec::ExecContext;
 using paradise::exec::PbsmJoinStats;
-using paradise::exec::PbsmOptions;
 using paradise::exec::TupleVec;
-
-/// Bottom-k sample + histogram over one column of `rows`, the same
-/// pipeline ParallelTable::Load feeds the catalog.
-paradise::opt::HistogramStats HistogramOf(const std::string& name,
-                                          const TupleVec& rows, size_t col,
-                                          const paradise::geom::Box& universe,
-                                          uint64_t seed) {
-  paradise::opt::SpatialSampler sampler(seed, 0, 4096);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    sampler.Add(i, rows[i].at(col).Mbr());
-  }
-  paradise::opt::BuildHistogramOptions hopt;
-  hopt.tiles_per_axis = 128;  // tail hotspots are smaller than a 64x64 tile
-  return paradise::opt::BuildHistogram(name, universe, sampler.Samples(),
-                                       static_cast<int64_t>(rows.size()),
-                                       hopt);
-}
 
 }  // namespace
 
@@ -94,132 +71,6 @@ int main(int argc, char** argv) {
       "\nexpected shape: max/mean skew falls toward 1.0 as tiles grow; the "
       "replication factor rises.\n");
 
-  // -- Adaptive PBSM cell map on clustered datagen --------------------------
-  // Coastline-hugging roads joined with urban point clusters: nearly all
-  // mass sits in a few filaments/hotspots, so a uniform cell grid puts
-  // whole hotspots into single cells — a load no cell→partition *map* can
-  // split. The tuner's equi-depth (SATO-style) grid makes cells carry
-  // similar mass, so block-hash assignment then balances partitions.
-  {
-    paradise::datagen::ClusteredDataOptions copt;
-    copt.seed = 29;
-    copt.count = 30'000;
-    copt.num_clusters = 4;
-    copt.skew = 0.95;
-    TupleVec roads = paradise::datagen::GenerateCoastlineRoads(copt);
-    TupleVec points = paradise::datagen::GenerateUrbanPoints(copt);
-    // "Which places sit in a road's corridor": polyline-vs-point exact
-    // intersection is a zero-measure predicate, so join the points against
-    // the road MBRs (box-contains-point) — same candidate work, real hits.
-    const size_t road_col = paradise::datagen::col::kLineShape;
-    const size_t point_col = paradise::datagen::col::kPlaceLocation;
-    TupleVec corridors;
-    corridors.reserve(roads.size());
-    for (const auto& t : roads) {
-      corridors.push_back(paradise::exec::Tuple(
-          {t.at(paradise::datagen::col::kLineId),
-           t.at(paradise::datagen::col::kLineType),
-           paradise::exec::Value(t.at(road_col).Mbr())}));
-    }
-    paradise::geom::Box universe = paradise::geom::Box::Empty();
-    for (const auto& t : corridors) {
-      universe = universe.Union(t.at(road_col).Mbr());
-    }
-    for (const auto& t : points) {
-      universe = universe.Union(t.at(point_col).Mbr());
-    }
-
-    paradise::opt::HistogramStats lhist =
-        HistogramOf("urban_points", points, point_col, universe, 29);
-    paradise::opt::HistogramStats rhist =
-        HistogramOf("road_corridors", corridors, road_col, universe, 31);
-    paradise::opt::PartitionTunerOptions topt;
-    topt.num_partitions = 64;
-    topt.skew_target = 1.25;
-    paradise::opt::TunedPartitioning tuned =
-        paradise::opt::TunePartitions(lhist, &rhist, topt);
-
-    std::printf(
-        "\n== Adaptive cell map on clustered datagen (urban points x "
-        "coastline-road corridors, %zu x %zu, partitions=64, uniform "
-        "cells=32x32, tuned cells=%zux%zu, predicted max/mean %.2f) ==\n\n",
-        points.size(), corridors.size(), tuned.grid.cells_x(),
-        tuned.grid.cells_y(), tuned.predicted_skew);
-    std::printf("%12s %12s %12s %10s %12s %12s %12s %10s %12s\n",
-                "cell map", "max items", "mean items", "max/mean",
-                "replication", "modeled (s)", "wall8 (s)", "rows",
-                "sweep pairs");
-    paradise::sim::CostModel model;
-    size_t rows_expected = 0;
-    double blockhash_skew = 0.0, adaptive_skew = 0.0;
-    struct MapCase {
-      const char* name;
-      PbsmOptions::CellMap map;
-    };
-    for (const MapCase& mc :
-         {MapCase{"modulo", PbsmOptions::CellMap::kModulo},
-          MapCase{"blockhash", PbsmOptions::CellMap::kBlockHash},
-          MapCase{"adaptive", PbsmOptions::CellMap::kAdaptive}}) {
-      PbsmOptions popts;
-      popts.num_partitions = 64;
-      popts.cells_per_axis = 32;
-      popts.cell_map = mc.map;
-      if (mc.map == PbsmOptions::CellMap::kAdaptive) {
-        popts.adaptive = &tuned.grid;
-      }
-      // Modeled seconds fold every partition's charge into one clock (the
-      // total work); the *balance* payoff shows in the threaded wall
-      // clock, whose critical path is the heaviest partition. Best of 3.
-      paradise::common::ThreadPool pool(8);
-      PbsmJoinStats stats;
-      double modeled = 0.0, wall = 1e300;
-      size_t rows = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        paradise::sim::NodeClock clock;
-        ExecContext ctx;
-        ctx.clock = &clock;
-        ctx.pool = &pool;
-        ctx.pbsm_stats = &stats;
-        auto t0 = std::chrono::steady_clock::now();
-        auto r = paradise::exec::PbsmSpatialJoin(points, point_col, corridors,
-                                                 road_col, ctx, popts);
-        auto t1 = std::chrono::steady_clock::now();
-        if (!r.ok()) {
-          std::fprintf(stderr, "adaptive ablation pbsm failed\n");
-          return 1;
-        }
-        wall = std::min(wall, std::chrono::duration<double>(t1 - t0).count());
-        modeled = model.Seconds(clock.EndPhase());
-        rows = r->size();
-      }
-      if (rows_expected == 0) {
-        rows_expected = rows;
-      } else if (rows != rows_expected) {
-        std::fprintf(stderr, "cell map changed the join result!\n");
-        return 1;
-      }
-      double skew = stats.mean_partition_items == 0.0
-                        ? 0.0
-                        : static_cast<double>(stats.max_partition_items) /
-                              stats.mean_partition_items;
-      if (mc.map == PbsmOptions::CellMap::kBlockHash) blockhash_skew = skew;
-      if (mc.map == PbsmOptions::CellMap::kAdaptive) adaptive_skew = skew;
-      std::printf(
-          "%12s %12lld %12.1f %10.2f %12.3f %12.4f %12.4f %10zu %12lld\n",
-          mc.name, static_cast<long long>(stats.max_partition_items),
-          stats.mean_partition_items, skew, stats.replication(), modeled,
-          wall, rows, static_cast<long long>(stats.sweep_pair_compares));
-    }
-    std::printf(
-        "\nexpected shape: identical rows for every map; adaptive's "
-        "max/mean beats blockhash's %.2f by >=2x (%.2fx here) and cuts "
-        "modulo's modeled seconds severalfold; blockhash stays the total-"
-        "work floor because its scattered uniform cells replicate wide "
-        "corridors the least.\n",
-        blockhash_skew,
-        adaptive_skew == 0.0 ? 0.0 : blockhash_skew / adaptive_skew);
-  }
-
   // -- Two-layer declustering vs replicate-and-dedup ------------------------
   // Same clustered datagen, now through the parallel join: the legacy mode
   // replicates per-node PBSM entries across its internal cells and pays a
@@ -260,7 +111,6 @@ int main(int argc, char** argv) {
                 "dedup tests", "dedup drops", "repl bytes", "sweep pairs",
                 "modeled (s)", "wall8 (s)", "rows");
 
-    paradise::sim::CostModel model;
     uint64_t fp_expected = 0;
     size_t rows_expected = 0;
     double legacy_wall = 0.0, two_wall = 0.0;

@@ -2,8 +2,7 @@
 // vs PBSM for spatial joins, sweeping the outer cardinality. Small outers
 // should favor index probes; large outers favor the scan-based PBSM.
 // Followed by the intra-node parallelism sweep (partition-to-threads wall
-// clock vs thread count, with modeled time held bit-identical) and the
-// cell→partition map skew comparison (modulo vs block-hash).
+// clock vs thread count, with modeled time held bit-identical).
 
 #include <chrono>
 #include <cstdio>
@@ -20,7 +19,6 @@ namespace {
 using paradise::Rng;
 using paradise::common::ThreadPool;
 using paradise::exec::ExecContext;
-using paradise::exec::PbsmJoinStats;
 using paradise::exec::PbsmOptions;
 using paradise::exec::Tuple;
 using paradise::exec::TupleVec;
@@ -40,33 +38,6 @@ TupleVec MakeLines(Rng* rng, int n, double extent) {
       heading += rng->NextDouble(-0.5, 0.5);
       x += 0.5 * std::cos(heading);
       y += 0.5 * std::sin(heading);
-    }
-    out.push_back(Tuple({Value(static_cast<int64_t>(i)),
-                         Value(Polyline(std::move(pts)))}));
-  }
-  return out;
-}
-
-/// Clustered polylines: most tuples pile into a few Gaussian-ish hotspots,
-/// the skew shape that defeats a columnar `cell % P` partition map.
-TupleVec MakeClusteredLines(Rng* rng, int n, double extent, int clusters) {
-  TupleVec out;
-  std::vector<Point> centers;
-  for (int c = 0; c < clusters; ++c) {
-    centers.push_back(Point{rng->NextDouble(-extent, extent),
-                            rng->NextDouble(-extent, extent)});
-  }
-  for (int i = 0; i < n; ++i) {
-    const Point& c = centers[static_cast<size_t>(i) % centers.size()];
-    double x = c.x + rng->NextDouble(-extent / 10, extent / 10);
-    double y = c.y + rng->NextDouble(-extent / 10, extent / 10);
-    std::vector<Point> pts;
-    double heading = rng->NextDouble(0, 6.28);
-    for (int k = 0; k < 8; ++k) {
-      pts.push_back(Point{x, y});
-      heading += rng->NextDouble(-0.5, 0.5);
-      x += 0.1 * std::cos(heading);
-      y += 0.1 * std::sin(heading);
     }
     out.push_back(Tuple({Value(static_cast<int64_t>(i)),
                          Value(Polyline(std::move(pts)))}));
@@ -219,119 +190,6 @@ int main(int argc, char** argv) {
     std::printf(
         "\nmodeled seconds and result digests are bit-identical across "
         "thread counts; only wall clock moves.\n");
-  }
-
-  // -- Sweep kernel: SoA vs AoS -------------------------------------------
-  // The same join with the struct-of-arrays kernel (default) and the
-  // array-of-structs control (PbsmOptions::SweepKernel::kAos). Both must
-  // produce bit-identical results, modeled seconds, and sweep counters —
-  // the ablation isolates the memory layout's wall-clock effect. Best of 3
-  // runs per kernel: the kernels differ by fractions of a millisecond per
-  // join, which single cold runs on a loaded host would bury in noise.
-  {
-    Rng rng4(17);
-    TupleVec sj_left = MakeLines(&rng4, 30000, 100);
-    TupleVec sj_right = MakeLines(&rng4, 30000, 100);
-    const size_t right_id_col = 2;
-    std::printf(
-        "\n== Sweep kernel: SoA vs AoS (30k x 30k polylines, partitions=64, "
-        "1 thread, best of 3) ==\n\n");
-    std::printf("%8s %12s %12s %10s %14s %14s\n", "kernel", "wall (s)",
-                "modeled (s)", "rows", "sweep pairs", "exact tests");
-    double soa_wall = 0.0, soa_modeled = 0.0;
-    uint64_t soa_digest = 0;
-    for (auto kernel : {PbsmOptions::SweepKernel::kSoa,
-                        PbsmOptions::SweepKernel::kAos}) {
-      PbsmOptions popts;
-      popts.num_partitions = 64;
-      popts.sweep_kernel = kernel;
-      double wall = 1e300, modeled = 0.0;
-      uint64_t digest = 0;
-      size_t rows = 0;
-      PbsmJoinStats stats;
-      for (int rep = 0; rep < 3; ++rep) {
-        paradise::sim::NodeClock clock;
-        ExecContext ctx;
-        ctx.clock = &clock;
-        ctx.pbsm_stats = &stats;
-        auto t0 = std::chrono::steady_clock::now();
-        auto r = paradise::exec::PbsmSpatialJoin(sj_left, 1, sj_right, 1, ctx,
-                                                 popts);
-        auto t1 = std::chrono::steady_clock::now();
-        if (!r.ok()) {
-          std::fprintf(stderr, "kernel ablation pbsm failed\n");
-          return 1;
-        }
-        wall = std::min(wall, std::chrono::duration<double>(t1 - t0).count());
-        modeled = ModeledSeconds(model, &clock);
-        digest = ResultDigest(*r, right_id_col);
-        rows = r->size();
-      }
-      const bool soa = kernel == PbsmOptions::SweepKernel::kSoa;
-      if (soa) {
-        soa_wall = wall;
-        soa_modeled = modeled;
-        soa_digest = digest;
-      } else if (modeled != soa_modeled || digest != soa_digest) {
-        std::fprintf(stderr, "kernel ablation determinism violation\n");
-        return 1;
-      }
-      std::printf("%8s %12.4f %12.4f %10zu %14lld %14lld\n",
-                  soa ? "soa" : "aos", wall, modeled, rows,
-                  static_cast<long long>(stats.sweep_pair_compares),
-                  static_cast<long long>(stats.exact_tests));
-      if (!soa) {
-        std::printf("\nsoa speedup over aos: %.2fx (identical results, "
-                    "charges, and counters)\n", wall / soa_wall);
-      }
-    }
-  }
-
-  // -- Cell→partition map skew --------------------------------------------
-  // Clustered inputs: `cell % P` piles whole grid columns (and with them
-  // every hotspot that shares them) into few partitions; the block-hash
-  // map spreads the same cells over all P. max/mean partition items is
-  // the load-balance figure a partition-to-threads sweep inherits.
-  {
-    Rng rng3(23);
-    TupleVec cl_left = MakeClusteredLines(&rng3, 40000, 100, 5);
-    TupleVec cl_right = MakeClusteredLines(&rng3, 40000, 100, 5);
-    // 64 cells/axis with P=64 is modulo's degenerate case: P divides the
-    // row width, so `cell % P` collapses to `cx % P` and every grid
-    // column lands whole in one partition.
-    std::printf(
-        "\n== Cell map skew on clustered inputs (5 hotspots, 40k x 40k, "
-        "partitions=64, cells=64x64) ==\n\n");
-    std::printf("%12s %12s %12s %10s %12s\n", "cell map", "max items",
-                "mean items", "max/mean", "replication");
-    for (auto map : {PbsmOptions::CellMap::kModulo,
-                     PbsmOptions::CellMap::kBlockHash}) {
-      PbsmOptions popts;
-      popts.num_partitions = 64;
-      popts.cells_per_axis = 64;
-      popts.cell_map = map;
-      PbsmJoinStats stats;
-      ExecContext ctx;
-      ctx.pbsm_stats = &stats;
-      auto r = paradise::exec::PbsmSpatialJoin(cl_left, 1, cl_right, 1, ctx,
-                                               popts);
-      if (!r.ok()) {
-        std::fprintf(stderr, "skew pbsm failed\n");
-        return 1;
-      }
-      std::printf("%12s %12lld %12.1f %10.2f %12.3f\n",
-                  map == PbsmOptions::CellMap::kModulo ? "modulo" : "blockhash",
-                  static_cast<long long>(stats.max_partition_items),
-                  stats.mean_partition_items,
-                  stats.mean_partition_items == 0.0
-                      ? 0.0
-                      : static_cast<double>(stats.max_partition_items) /
-                            stats.mean_partition_items,
-                  stats.replication());
-    }
-    std::printf(
-        "\nexpected shape: blockhash's max/mean stays near 1; modulo's "
-        "grows with clustering.\n");
   }
   return 0;
 }

@@ -16,11 +16,8 @@
 #include "codec/lzw.h"
 #include "common/rng.h"
 #include "core/coordinator.h"
-#include "core/parallel_ops.h"
 #include "common/thread_pool.h"
-#include "datagen/datagen.h"
 #include "exec/spatial_join.h"
-#include "opt/stats.h"
 #include "index/b_plus_tree.h"
 #include "index/r_star_tree.h"
 #include "storage/page.h"
@@ -382,140 +379,6 @@ std::vector<paradise::bench::QueryPerfSample> RunSpatialJoinSection() {
   return samples;
 }
 
-// ---------- Adaptive spatial join (advisor decisions) ----------
-
-/// The adaptive join path end to end on the clustered datagen workload:
-/// two forced runs (PBSM, index nested loops) seed the advisor's
-/// cost-feedback store, then the advisor chooses. Each run prints its
-/// decision — method, grid resolution, feedback provenance, predicted vs
-/// observed modeled seconds — and the advisor-chosen run is the gated
-/// "adaptive_join" JSON row.
-std::vector<paradise::bench::QueryPerfSample> RunAdaptiveJoinSection() {
-  using Clock = std::chrono::steady_clock;
-  constexpr int kNodes = 4;
-  paradise::datagen::ClusteredDataOptions copt;
-  copt.seed = 29;
-  copt.count = 12'000;
-  copt.num_clusters = 4;
-  copt.skew = 0.95;
-  TupleVec roads = paradise::datagen::GenerateCoastlineRoads(copt);
-  TupleVec points = paradise::datagen::GenerateUrbanPoints(copt);
-  const size_t point_col = paradise::datagen::col::kPlaceLocation;
-  // Join the points against road corridor boxes (MBRs): box-contains-point
-  // has real hits where polyline-vs-point exact intersection is
-  // zero-measure.
-  TupleVec corridors;
-  corridors.reserve(roads.size());
-  for (const Tuple& t : roads) {
-    corridors.push_back(
-        Tuple({t.at(paradise::datagen::col::kLineId),
-               t.at(paradise::datagen::col::kLineType),
-               Value(t.at(paradise::datagen::col::kLineShape).Mbr())}));
-  }
-  const size_t corridor_col = 2;
-  Box universe = Box::Empty();
-  for (const Tuple& t : corridors) {
-    universe = universe.Union(t.at(corridor_col).Mbr());
-  }
-  for (const Tuple& t : points) {
-    universe = universe.Union(t.at(point_col).Mbr());
-  }
-
-  paradise::core::Cluster cluster(kNodes);
-  // Publish sampled histograms under the names the join options cite —
-  // the same pipeline ParallelTable::Load feeds the catalog.
-  auto publish = [&cluster, &universe](const std::string& name,
-                                       const TupleVec& rows, size_t col,
-                                       uint64_t seed) {
-    paradise::opt::SpatialSampler sampler(seed, 0, 4096);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      sampler.Add(i, rows[i].at(col).Mbr());
-    }
-    paradise::opt::BuildHistogramOptions hopt;
-    hopt.tiles_per_axis = 128;
-    cluster.catalog()->PutTableStats(paradise::opt::BuildHistogram(
-        name, universe, sampler.Samples(), static_cast<int64_t>(rows.size()),
-        hopt));
-  };
-  publish("urban_points", points, point_col, 29);
-  publish("road_corridors", corridors, corridor_col, 31);
-
-  paradise::core::PerNode lper(kNodes), rper(kNodes);
-  for (size_t i = 0; i < points.size(); ++i) {
-    lper[i % kNodes].push_back(points[i]);
-  }
-  for (size_t i = 0; i < corridors.size(); ++i) {
-    rper[i % kNodes].push_back(corridors[i]);
-  }
-
-  std::printf(
-      "\nadaptive-join section (urban points x road corridors, "
-      "%zu x %zu, %d nodes):\n",
-      points.size(), corridors.size(), kNodes);
-  std::printf("%-12s %-10s %6s %10s %12s %12s %12s %10s\n", "run", "method",
-              "cells", "feedback", "tuned_skew", "predicted_s", "observed_s",
-              "wall_ms");
-
-  size_t rows_expected = 0;
-  std::vector<paradise::bench::QueryPerfSample> samples;
-  auto run = [&](const char* label, const paradise::opt::JoinDecision* force,
-                 bool gate) {
-    paradise::core::QueryCoordinator coord(&cluster);
-    if (!coord.BeginQuery().ok()) {
-      std::fprintf(stderr, "adaptive_join BeginQuery failed\n");
-      std::exit(1);
-    }
-    paradise::core::ParallelSpatialJoinOptions opts;
-    opts.adaptive = true;
-    opts.left_stats_table = "urban_points";
-    opts.right_stats_table = "road_corridors";
-    opts.pbsm.num_partitions = 64;
-    opts.override_decision = force;
-    paradise::core::AdaptiveJoinReport rep;
-    opts.report = &rep;
-    Clock::time_point t0 = Clock::now();
-    auto r = paradise::core::ParallelSpatialJoin(&coord, lper, point_col,
-                                                 rper, corridor_col, universe,
-                                                 opts);
-    double wall = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (!r.ok()) {
-      std::fprintf(stderr, "adaptive_join (%s) failed\n", label);
-      std::exit(1);
-    }
-    size_t rows = 0;
-    for (const TupleVec& v : *r) rows += v.size();
-    if (rows_expected == 0) {
-      rows_expected = rows;
-    } else if (rows != rows_expected) {
-      std::fprintf(stderr, "adaptive_join: method changed the result!\n");
-      std::exit(1);
-    }
-    char tuned[32];
-    if (rep.used_tuned_grid) {
-      std::snprintf(tuned, sizeof(tuned), "%.2f", rep.predicted_skew);
-    } else {
-      std::snprintf(tuned, sizeof(tuned), "%s", "-");
-    }
-    std::printf("%-12s %-10s %6zu %10s %12s %12.6f %12.6f %10.1f\n", label,
-                rep.decision.method == paradise::opt::JoinMethod::kPbsm
-                    ? "pbsm"
-                    : "index-nl",
-                rep.cells_per_axis,
-                rep.decision.from_feedback ? "learned" : "heuristic", tuned,
-                rep.decision.predicted_seconds, rep.observed_seconds,
-                wall * 1e3);
-    if (gate) samples.push_back({"adaptive_join", wall, rep.observed_seconds});
-  };
-  paradise::opt::JoinDecision force_pbsm;
-  force_pbsm.method = paradise::opt::JoinMethod::kPbsm;
-  paradise::opt::JoinDecision force_inl;
-  force_inl.method = paradise::opt::JoinMethod::kIndexNestedLoops;
-  run("seed:pbsm", &force_pbsm, false);
-  run("seed:index", &force_inl, false);
-  run("advisor", nullptr, true);
-  return samples;
-}
-
 // ---------- Buffer-pool sizing sweep (--pool-mb) ----------
 
 /// Re-runs the query section's workload at several per-node pool sizes,
@@ -636,9 +499,6 @@ int main(int argc, char** argv) {
   std::vector<paradise::bench::QueryPerfSample> samples = RunQuerySection();
   std::vector<paradise::bench::QueryPerfSample> joins = RunSpatialJoinSection();
   samples.insert(samples.end(), joins.begin(), joins.end());
-  std::vector<paradise::bench::QueryPerfSample> adaptive =
-      RunAdaptiveJoinSection();
-  samples.insert(samples.end(), adaptive.begin(), adaptive.end());
   if (!pool_mbs.empty()) {
     std::vector<paradise::bench::QueryPerfSample> sweep =
         RunPoolSweep(pool_mbs);

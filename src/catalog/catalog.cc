@@ -33,19 +33,4 @@ std::vector<std::string> Catalog::TableNames() const {
   return names;
 }
 
-void Catalog::PutTableStats(opt::HistogramStats stats) {
-  stats.version = ++stats_versions_;
-  stats_[stats.table] = std::move(stats);
-}
-
-const opt::HistogramStats* Catalog::FindTableStats(
-    const std::string& name) const {
-  auto it = stats_.find(name);
-  return it == stats_.end() ? nullptr : &it->second;
-}
-
-void Catalog::InvalidateTableStats(const std::string& name) {
-  stats_.erase(name);
-}
-
 }  // namespace paradise::catalog

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "exec/tuple.h"
 #include "geom/box.h"
-#include "opt/stats.h"
 
 namespace paradise::catalog {
 
@@ -57,15 +56,7 @@ struct TableDef {
   }
 };
 
-/// The system catalog: table name -> definition, plus the optimizer's
-/// sampled per-table statistics (opt::HistogramStats).
-///
-/// Stats lifecycle: the loader (ParallelTable::Load) publishes stats when
-/// a table is declustered; anything that changes the table's contents or
-/// physical layout — a mutating query (NoteTableMutation), a redecluster
-/// after node loss, a tile-migration cutover — invalidates them. A
-/// consumer holding no stats (never built, or invalidated) must fall back
-/// to fixed heuristics, never to stale estimates.
+/// The system catalog: table name -> definition.
 class Catalog {
  public:
   Status CreateTable(TableDef def);
@@ -74,25 +65,8 @@ class Catalog {
   Status DropTable(const std::string& name);
   std::vector<std::string> TableNames() const;
 
-  /// Publishes `stats` for `stats.table`, stamping a fresh version
-  /// (monotone across all tables, so any rebuild is distinguishable from
-  /// what it replaced).
-  void PutTableStats(opt::HistogramStats stats);
-
-  /// The current stats for `name`, or null when absent/invalidated.
-  const opt::HistogramStats* FindTableStats(const std::string& name) const;
-
-  /// Drops `name`'s stats (table mutated, redeclustered, or migrated).
-  /// No-op when none exist.
-  void InvalidateTableStats(const std::string& name);
-
-  /// Total stats versions ever published (tests assert rebuild counts).
-  uint64_t stats_versions() const { return stats_versions_; }
-
  private:
   std::map<std::string, TableDef> tables_;
-  std::map<std::string, opt::HistogramStats> stats_;
-  uint64_t stats_versions_ = 0;
 };
 
 }  // namespace paradise::catalog

@@ -9,10 +9,8 @@
 #include <vector>
 
 #include "array/chunked_array.h"
-#include "catalog/catalog.h"
 #include "common/thread_pool.h"
 #include "exec/exec_context.h"
-#include "opt/join_advisor.h"
 #include "sim/cost_model.h"
 #include "sim/fault_injector.h"
 #include "sim/node_clock.h"
@@ -185,17 +183,6 @@ class Cluster {
   /// debug, then N to check the executor is deterministic).
   void SetNumThreads(int n);
 
-  /// The cluster's system catalog: table stats published at load time
-  /// (ParallelTable::Load) and invalidated on mutation / redecluster /
-  /// migration cutover. Driven from the coordinator thread, like the
-  /// topology manager.
-  catalog::Catalog* catalog() { return &catalog_; }
-
-  /// The cost-feedback join chooser fed by ParallelSpatialJoin's adaptive
-  /// mode. Observations are recorded at deterministic merge points, so
-  /// its advice is bit-identical at any PARADISE_THREADS.
-  opt::JoinAdvisor* join_advisor() { return &join_advisor_; }
-
   /// Attaches (or, with nullptr, detaches) the admission/scheduling
   /// session for a concurrent workload. While attached, QueryCoordinators
   /// constructed on bound stream threads run in workload mode. Ownership
@@ -214,8 +201,6 @@ class Cluster {
   sim::NodeClock coordinator_clock_;
   std::unique_ptr<common::ThreadPool> thread_pool_;
 
-  catalog::Catalog catalog_;
-  opt::JoinAdvisor join_advisor_;
   sim::FaultInjector* fault_injector_ = nullptr;
   sim::RetryPolicy retry_policy_;
   NodeLossHandler node_loss_handler_;

@@ -504,9 +504,6 @@ exec::PbsmJoinStats QueryCoordinator::pbsm_stats() const {
 }
 
 void QueryCoordinator::NoteTableMutation(const std::string& table) {
-  // Sampled histograms describe the pre-mutation contents; drop them so
-  // the optimizer falls back to heuristics until stats are rebuilt.
-  cluster_->catalog()->InvalidateTableStats(table);
   if (session_ != nullptr) {
     session_->InvalidateCachedResults(table);
   }

@@ -368,99 +368,8 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
         right_placed, Redistribute(coord, right, route_spatial(right_col)));
   }
 
-  // Adaptive mode: derive plan-time features from catalog stats, ask the
-  // advisor (or honor a forced decision), and build a tuned kAdaptive
-  // cell grid when stats exist. All inputs to these decisions are pure
-  // data (histograms, feedback store) — nothing here depends on thread
-  // schedule.
-  exec::PbsmOptions pbsm = opts.pbsm;
-  opt::JoinFeatures features;
-  opt::JoinDecision decision;  // default = today's fixed heuristic
-  exec::AdaptiveCellGrid tuned;
-  double tuned_skew = 0.0;
-  bool use_inl = false;
-  if (opts.adaptive) {
-    auto count_rows = [](const PerNode& side) {
-      int64_t n = 0;
-      for (const TupleVec& v : side) n += static_cast<int64_t>(v.size());
-      return static_cast<double>(n);
-    };
-    const opt::HistogramStats* lstats =
-        cluster->catalog()->FindTableStats(opts.left_stats_table);
-    const opt::HistogramStats* rstats =
-        cluster->catalog()->FindTableStats(opts.right_stats_table);
-    features.left_rows = lstats != nullptr
-                             ? static_cast<double>(lstats->total_rows)
-                             : count_rows(left);
-    features.right_rows = rstats != nullptr
-                              ? static_cast<double>(rstats->total_rows)
-                              : count_rows(right);
-    features.left_skew = lstats != nullptr ? lstats->DensitySkew() : 1.0;
-    features.right_skew = rstats != nullptr ? rstats->DensitySkew() : 1.0;
-    decision = opts.override_decision != nullptr
-                   ? *opts.override_decision
-                   : cluster->join_advisor()->Choose(features, opts.two_layer);
-    if (opts.two_layer && decision.method != opt::JoinMethod::kPbsm) {
-      // The class mini-join plan is a property of the partition join;
-      // index nested loops cannot exploit it, so two-layer always runs
-      // the partition plan.
-      decision.method = opt::JoinMethod::kPbsm;
-    }
-    if (decision.method == opt::JoinMethod::kPbsm) {
-      if (decision.cells_per_axis > 0) {
-        pbsm.cells_per_axis = decision.cells_per_axis;
-      }
-      if (lstats != nullptr || rstats != nullptr) {
-        opt::PartitionTunerOptions tuner;
-        tuner.num_partitions = std::max<size_t>(1, pbsm.num_partitions);
-        tuner.skew_target = opts.tuner_skew_target;
-        tuner.min_cells_per_axis = decision.cells_per_axis;
-        opt::TunedPartitioning tp =
-            lstats != nullptr ? opt::TunePartitions(*lstats, rstats, tuner)
-                              : opt::TunePartitions(*rstats, nullptr, tuner);
-        if (tp.grid.Valid(tuner.num_partitions)) {
-          tuned = std::move(tp.grid);
-          tuned_skew = tp.predicted_skew;
-          pbsm.cell_map = exec::PbsmOptions::CellMap::kAdaptive;
-          pbsm.adaptive = &tuned;
-        }
-      }
-    } else {
-      use_inl = true;
-    }
-  }
-
-  // Phase 2: local join + cross-node duplicate elimination by the
-  // reference-point rule. Both methods emit [left ⊕ right] tuples, so
-  // one dedup filter serves either.
+  // Phase 2: local join.
   PerNode out(N);
-  size_t left_width = 0;
-  for (const TupleVec& v : left) {
-    if (!v.empty()) {
-      left_width = v[0].size();
-      break;
-    }
-  }
-  auto dedup_into = [&](int n, TupleVec joined) {
-    // Every cross-node joined tuple pays a reference-point test; the
-    // per-node sink tallies them (and the duplicates they drop) so the
-    // replicate-and-dedup cost is observable next to the two-layer path's
-    // guaranteed zeros.
-    exec::PbsmJoinStats* sink = coord->node_pbsm_stats(n);
-    sink->dedup_tests += static_cast<int64_t>(joined.size());
-    for (Tuple& t : joined) {
-      Box lb = t.at(left_col).Mbr();
-      Box rb = t.at(left_width + right_col).Mbr();
-      Point rp = grid.ClampToUniverse(
-          Point{std::max(lb.xmin, rb.xmin), std::max(lb.ymin, rb.ymin)});
-      if (grid.NodeOfPoint(rp) != static_cast<uint32_t>(n)) {
-        ++sink->dedup_dropped;
-        continue;
-      }
-      out[n].push_back(std::move(t));
-    }
-  };
-  const size_t phases_before = coord->phases().size();
   if (opts.two_layer) {
     // Two-layer class mini-join plan: each node sweeps only the tiles it
     // owns, every pair is emitted exactly once at the tile holding the
@@ -479,7 +388,7 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
           two.tiles_per_axis = grid.tiles_per_axis();
           two.universe = grid.universe();
           two.owned = &owned;
-          two.num_tasks = std::max<size_t>(1, pbsm.num_partitions);
+          two.num_tasks = std::max<size_t>(1, opts.pbsm.num_partitions);
           two.group_packer = &opt::PackTileGroups;
           PARADISE_ASSIGN_OR_RETURN(
               out[n],
@@ -488,67 +397,45 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
                                         two));
           return Status::OK();
         }));
-  } else if (!use_inl) {
+  } else {
+    // Replicate-and-dedup: PBSM per node, then cross-node duplicate
+    // elimination by the reference-point rule. Every joined tuple pays a
+    // reference-point test; the per-node sink tallies them (and the
+    // duplicates they drop) so the replicate-and-dedup cost is observable
+    // next to the two-layer path's guaranteed zeros.
+    size_t left_width = 0;
+    for (const TupleVec& v : left) {
+      if (!v.empty()) {
+        left_width = v[0].size();
+        break;
+      }
+    }
     PARADISE_RETURN_IF_ERROR(
         coord->RunPhase("pbsm join", [&](int n) -> Status {
           NodeExecContext nc = MakeNodeContext(cluster, n);
           // Each node fills only its own per-query sink (the RunPhase
           // contract); the coordinator aggregates them for the report.
-          nc.ctx.pbsm_stats = coord->node_pbsm_stats(n);
+          exec::PbsmJoinStats* sink = coord->node_pbsm_stats(n);
+          nc.ctx.pbsm_stats = sink;
           PARADISE_ASSIGN_OR_RETURN(
               TupleVec joined,
               exec::PbsmSpatialJoin(left_placed[n], left_col,
                                     right_placed[n], right_col, nc.ctx,
-                                    pbsm));
-          dedup_into(n, std::move(joined));
+                                    opts.pbsm));
+          sink->dedup_tests += static_cast<int64_t>(joined.size());
+          for (Tuple& t : joined) {
+            Box lb = t.at(left_col).Mbr();
+            Box rb = t.at(left_width + right_col).Mbr();
+            Point rp = grid.ClampToUniverse(
+                Point{std::max(lb.xmin, rb.xmin), std::max(lb.ymin, rb.ymin)});
+            if (grid.NodeOfPoint(rp) != static_cast<uint32_t>(n)) {
+              ++sink->dedup_dropped;
+              continue;
+            }
+            out[n].push_back(std::move(t));
+          }
           return Status::OK();
         }));
-  } else {
-    PARADISE_RETURN_IF_ERROR(
-        coord->RunPhase("index join", [&](int n) -> Status {
-          NodeExecContext nc = MakeNodeContext(cluster, n);
-          // Build-on-the-fly local R*-tree on the inner, then probe with
-          // every outer tuple — Query 12's step-3 pattern reused as a
-          // full join method.
-          std::unique_ptr<index::RStarTree> tree =
-              exec::BuildRTreeOnColumn(right_placed[n], right_col, nc.ctx);
-          PARADISE_ASSIGN_OR_RETURN(
-              TupleVec joined,
-              exec::IndexSpatialJoin(left_placed[n], left_col,
-                                     right_placed[n], right_col, *tree,
-                                     nc.ctx));
-          dedup_into(n, std::move(joined));
-          return Status::OK();
-        }));
-  }
-
-  // Cost feedback: record what ran and what it cost in modeled seconds,
-  // once, at the coordinator after the phase barrier — a deterministic
-  // merge point, so the advisor's store (and thus future advice) is
-  // bit-identical at any thread count.
-  if (opts.adaptive) {
-    double observed = 0.0;
-    for (size_t i = phases_before; i < coord->phases().size(); ++i) {
-      observed += coord->phases()[i].seconds;
-    }
-    opt::JoinObservation obs;
-    obs.features = features;
-    obs.method = decision.method;
-    obs.two_layer = opts.two_layer;
-    obs.modeled_seconds = observed;
-    if (!use_inl) {
-      obs.stats = coord->pbsm_stats();
-      obs.cells_per_axis = obs.stats.cells_per_axis;
-    }
-    cluster->join_advisor()->Record(obs);
-    if (opts.report != nullptr) {
-      opts.report->features = features;
-      opts.report->decision = decision;
-      opts.report->used_tuned_grid = pbsm.adaptive != nullptr;
-      opts.report->predicted_skew = tuned_skew;
-      opts.report->observed_seconds = observed;
-      opts.report->cells_per_axis = obs.cells_per_axis;
-    }
   }
   return out;
 }

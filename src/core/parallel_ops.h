@@ -13,7 +13,6 @@
 #include "exec/expr.h"
 #include "exec/operators.h"
 #include "exec/spatial_join.h"
-#include "opt/join_advisor.h"
 
 namespace paradise::core {
 
@@ -84,23 +83,6 @@ StatusOr<PerNode> Broadcast(QueryCoordinator* coord, const PerNode& input);
 /// back to the client).
 StatusOr<exec::TupleVec> Gather(QueryCoordinator* coord, const PerNode& input);
 
-/// What the adaptive join mode chose and observed for one query — the
-/// advisor-visibility record benches surface (predicted vs observed
-/// modeled seconds, tuned-grid use).
-struct AdaptiveJoinReport {
-  opt::JoinFeatures features;
-  opt::JoinDecision decision;
-  /// True when the partition tuner supplied a kAdaptive cell grid.
-  bool used_tuned_grid = false;
-  /// The tuner's predicted max/mean partition load (0 when untuned).
-  double predicted_skew = 0.0;
-  /// Modeled seconds of the join phase that actually ran (what gets
-  /// recorded into the advisor's feedback store).
-  double observed_seconds = 0.0;
-  /// Grid resolution the executed PBSM used (0 for index nested loops).
-  size_t cells_per_axis = 0;
-};
-
 struct ParallelSpatialJoinOptions {
   uint32_t tiles_per_axis = SpatialGrid::kDefaultTilesPerAxis;
   exec::PbsmOptions pbsm;
@@ -120,33 +102,8 @@ struct ParallelSpatialJoinOptions {
   /// — no reference-point duplicate elimination anywhere (the per-node
   /// dedup_tests/dedup_dropped counters stay 0) and no cross-node result
   /// filter. Results are bit-identical to the legacy replicate-and-dedup
-  /// path on the same grid. Two-layer joins always run the partition plan;
-  /// an adaptive decision for index nested loops falls back to it.
+  /// path on the same grid.
   bool two_layer = false;
-
-  // -- Adaptive mode (off by default: the fixed path is the
-  //    paper-reproduction ablation control and stays bit-identical) ------
-
-  /// Consult the cluster catalog's sampled statistics and the
-  /// cost-feedback JoinAdvisor: pick PBSM vs index nested loops and the
-  /// grid per query, run a tuner-built kAdaptive cell map when stats
-  /// exist, and record the observed outcome back into the advisor at the
-  /// phase merge (a deterministic point — advice stays bit-identical at
-  /// any PARADISE_THREADS).
-  bool adaptive = false;
-  /// Catalog stats keys for the inputs (usually the base table names).
-  /// Empty or invalidated stats degrade to input-cardinality features
-  /// and the untuned grid.
-  std::string left_stats_table;
-  std::string right_stats_table;
-  /// Skew bound handed to the partition tuner.
-  double tuner_skew_target = 1.5;
-  /// Forces a decision instead of asking the advisor (benches use this to
-  /// seed the feedback store with both methods); the outcome is still
-  /// recorded. Not owned.
-  const opt::JoinDecision* override_decision = nullptr;
-  /// When non-null, filled with what adaptive mode chose and observed.
-  AdaptiveJoinReport* report = nullptr;
 };
 
 /// Parallel spatial join (Section 2.7.2): spatially redecluster both

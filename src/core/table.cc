@@ -65,24 +65,6 @@ std::string RecordKey(const ByteBuffer& record) {
   return std::string(record.begin() + 1, record.end());
 }
 
-/// Sampler seed for a table's statistics: a pure hash of the table name
-/// (FNV-1a), so sampling decisions depend on nothing but (table, ordinal)
-/// — never on thread schedule or load order.
-uint64_t StatsSeedFor(const std::string& table) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : table) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Reservoir size: ~1.5% of the table, clamped — SATO found ~1% samples
-/// suffice to place near-balanced partition boundaries.
-size_t StatsSampleCapacity(size_t rows) {
-  return std::clamp<size_t>(rows / 64, 256, 4096);
-}
-
 }  // namespace
 
 StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
@@ -219,52 +201,8 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
     }
   }
 
-  // Publish optimizer statistics for spatially declustered tables: a
-  // deterministic bottom-k sample of the (already in-memory) load rows
-  // folded into a density histogram. Keyed by (table name, row ordinal)
-  // pure hashes, so the histogram is bit-identical at any thread count.
-  // Deliberately uncharged — the rows are in hand during load, so
-  // sampling them costs no modeled I/O and leaves load times of the
-  // paper-reproduction tables untouched.
-  if (catalog::IsSpatialPartitioning(def.partitioning) && !rows.empty()) {
-    opt::SpatialSampler sampler(StatsSeedFor(def.name), /*salt=*/0,
-                                StatsSampleCapacity(rows.size()));
-    for (size_t i = 0; i < rows.size(); ++i) {
-      sampler.Add(i, rows[i].at(def.partition_column).Mbr());
-    }
-    cluster->catalog()->PutTableStats(
-        opt::BuildHistogram(def.name, def.universe, sampler.Samples(),
-                            static_cast<int64_t>(rows.size())));
-  }
-
   table->def_ = std::move(def);
   return table;
-}
-
-Status ParallelTable::RebuildStats(Cluster* cluster) {
-  if (!catalog::IsSpatialPartitioning(def_.partitioning)) {
-    return Status::OK();
-  }
-  // Charged fragment scans (primaries only — replicas would double-count
-  // boundary features), folded through per-fragment samplers exactly as a
-  // single global pass would: bottom-k reservoirs merge losslessly.
-  opt::SpatialSampler sampler(StatsSeedFor(def_.name), /*salt=*/0,
-                              StatsSampleCapacity(
-                                  static_cast<size_t>(num_rows())));
-  uint64_t ordinal = 0;
-  for (int n = 0; n < num_fragments(); ++n) {
-    if (!cluster->alive(n)) continue;
-    PARADISE_ASSIGN_OR_RETURN(TupleVec frag_rows,
-                              ScanFragment(cluster, n,
-                                           /*primaries_only=*/true));
-    for (const Tuple& row : frag_rows) {
-      sampler.Add(ordinal++, row.at(def_.partition_column).Mbr());
-    }
-  }
-  cluster->catalog()->PutTableStats(
-      opt::BuildHistogram(def_.name, def_.universe, sampler.Samples(),
-                          static_cast<int64_t>(ordinal)));
-  return Status::OK();
 }
 
 int64_t ParallelTable::num_rows() const {
@@ -649,10 +587,6 @@ Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {
   dead.string_indexes.clear();
   dead.int_indexes.clear();
   dead.contents.reset();
-
-  // The physical layout (and for spatial tables the density per node)
-  // just changed; stale histograms must not steer the optimizer.
-  cluster->catalog()->InvalidateTableStats(def_.name);
   return Status::OK();
 }
 

@@ -77,13 +77,6 @@ class ParallelTable {
       uint32_t tiles_per_axis = SpatialGrid::kDefaultTilesPerAxis,
       const std::vector<uint32_t>* explicit_owners = nullptr);
 
-  /// Rebuilds and republishes this table's optimizer statistics
-  /// (opt::HistogramStats in the cluster catalog) from charged fragment
-  /// scans — the honest path after the load-time stats were invalidated
-  /// by mutation, redecluster, or migration. No-op for non-spatial
-  /// tables.
-  Status RebuildStats(Cluster* cluster);
-
   /// Degraded-mode repair after a permanent node loss (the node must
   /// already be dead in `cluster`). This is now a *degenerate topology
   /// change* — a zero-throttle migration with a dead source — delegated

@@ -599,10 +599,8 @@ StatusOr<TopologyManager::MoveOutcome> TopologyManager::ExecuteMove(
       gc_.push_back(std::move(e));
     }
     if (!st.empty()) {
-      // The physical layout under any cached result or sampled histogram
-      // computed from this table just changed — same rule as
-      // NoteTableMutation.
-      cluster_->catalog()->InvalidateTableStats(t->def().name);
+      // The physical layout under any cached result computed from this
+      // table just changed — same rule as NoteTableMutation.
       if (session != nullptr) {
         session->InvalidateCachedResults(t->def().name);
         ++stats_.cache_invalidations;

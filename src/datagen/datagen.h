@@ -96,10 +96,11 @@ exec::Schema RasterSchema();
 /// Generates the data set; deterministic in `options.seed`.
 GlobalDataSet GenerateGlobalDataSet(const DataSetOptions& options);
 
-/// Adversarially clustered workloads for the adaptive-partitioning
-/// ablation (skew studies, not paper reproduction): nearly all features
-/// concentrate in a few hotspots, so uniform PBSM cell maps overload the
-/// partitions that happen to own them.
+/// Adversarially clustered workloads for skew studies (not paper
+/// reproduction): nearly all features concentrate in a few hotspots, so a
+/// cell→partition map that keeps neighbouring cells together overloads
+/// the partitions that own them. The partition-count and two-layer
+/// ablations and the PBSM stats tests use them.
 struct ClusteredDataOptions {
   uint64_t seed = 7;
   /// Feature count before any polyline splitting.

@@ -38,7 +38,7 @@ struct PbsmJoinStats {
   // Sweep-kernel counters (summed over partitions, in partition order):
   // pair compares the sweeps performed, MBR-overlapping candidates they
   // emitted, and candidates that survived reference-point dedup into the
-  // exact-geometry pass. Identical for the SoA and AoS kernels.
+  // exact-geometry pass.
   int64_t sweep_pair_compares = 0;
   int64_t sweep_candidates = 0;
   int64_t exact_tests = 0;

@@ -169,41 +169,6 @@ int64_t SweepForCandidates(const SweepSide& left, const SweepSide& right,
   return compares;
 }
 
-void SortAosByXmin(std::vector<AosItem>* items) {
-  std::sort(items->begin(), items->end(),
-            [](const AosItem& a, const AosItem& b) {
-              if (a.box.xmin != b.box.xmin) return a.box.xmin < b.box.xmin;
-              return a.ordinal < b.ordinal;
-            });
-}
-
-int64_t SweepForCandidatesAos(const std::vector<AosItem>& left,
-                              const std::vector<AosItem>& right,
-                              CandidateBatch* batch) {
-  int64_t compares = 0;
-  size_t i = 0, j = 0;
-  while (i < left.size() && j < right.size()) {
-    if (left[i].box.xmin <= right[j].box.xmin) {
-      for (size_t k = j;
-           k < right.size() && right[k].box.xmin <= left[i].box.xmax; ++k) {
-        ++compares;
-        batch->Push(static_cast<uint32_t>(i), static_cast<uint32_t>(k),
-                    left[i].box.Intersects(right[k].box));
-      }
-      ++i;
-    } else {
-      for (size_t k = i;
-           k < left.size() && left[k].box.xmin <= right[j].box.xmax; ++k) {
-        ++compares;
-        batch->Push(static_cast<uint32_t>(k), static_cast<uint32_t>(j),
-                    left[k].box.Intersects(right[j].box));
-      }
-      ++j;
-    }
-  }
-  return compares;
-}
-
 Status ExactJoinBatch(const TupleVec& left, size_t left_col,
                       const TupleVec& right, size_t right_col,
                       const OrdinalPair* pairs, size_t count,

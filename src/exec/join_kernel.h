@@ -24,9 +24,10 @@ namespace paradise::exec::join_kernel {
 
 /// Column-major MBR storage for one join side: four contiguous coordinate
 /// arrays plus nothing else, so a sweep touches 32 sequential bytes per
-/// item instead of a 40-byte Item record. Coordinates stay `double` — the
-/// candidate set and the reference-point duplicate-elimination decisions
-/// must match the Box-based path bit-for-bit, so no narrowing to float.
+/// item instead of a 40-byte box-plus-ordinal record. Coordinates stay
+/// `double` — the candidate set and the reference-point
+/// duplicate-elimination decisions must agree with Box::Intersects
+/// bit-for-bit, so no narrowing to float.
 struct MbrColumns {
   std::vector<double> xlo, xhi, ylo, yhi;
 
@@ -143,8 +144,8 @@ inline constexpr size_t kCandidateBatchSize = 4096;
 
 /// Forward plane sweep over two sorted sides. Emits every pair whose MBRs
 /// intersect into `batch` (via Push) and returns the number of x-encounter
-/// pair compares performed — exactly the count the AoS sweep charged
-/// kCompare for, so the caller can charge `compares * kCompare` in one op.
+/// pair compares performed, so the caller can charge `compares * kCompare`
+/// in one op.
 ///
 /// The inner scan is y-only flat-array compares: the sweep order already
 /// guarantees x-overlap for every pair the scan visits, and the +inf
@@ -154,23 +155,6 @@ inline constexpr size_t kCandidateBatchSize = 4096;
 /// fail every y test.
 int64_t SweepForCandidates(const SweepSide& left, const SweepSide& right,
                            CandidateBatch* batch);
-
-/// AoS variant kept for ablation (PbsmOptions::SweepKernel::kAos): the
-/// pre-kernel Item layout and Box::Intersects per encounter, but the same
-/// candidate-batch structure, so its results and charges are bit-identical
-/// to the SoA path — only the memory layout differs.
-struct AosItem {
-  geom::Box box;
-  uint32_t ordinal;
-};
-
-/// Sorts `items` by (box.xmin, ordinal) — the AoS mirror of GatherSorted.
-void SortAosByXmin(std::vector<AosItem>* items);
-
-/// AoS mirror of SweepForCandidates over pre-sorted item vectors.
-int64_t SweepForCandidatesAos(const std::vector<AosItem>& left,
-                              const std::vector<AosItem>& right,
-                              CandidateBatch* batch);
 
 /// A surviving candidate pair, as source-row ordinals.
 struct OrdinalPair {

@@ -30,17 +30,15 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-/// Cells per block side for CellMap::kBlockHash. Small enough that one
+/// Cells per block side of the block-hash cell map. Small enough that one
 /// clustered query region still spans several blocks, large enough that
 /// the round-robin inside a block covers many partitions.
 constexpr size_t kCellBlock = 4;
 
-/// Cell→partition map. Must be a pure function of (cell, P) — the
-/// distribute phase and the reference-point duplicate-elimination rule
-/// both evaluate it and must agree.
-size_t PartitionOfCell(size_t cell, size_t cells_axis, size_t P,
-                       PbsmOptions::CellMap map) {
-  if (map == PbsmOptions::CellMap::kModulo) return cell % P;
+/// Block-hash cell→partition map (see PbsmSpatialJoin). Must be a pure
+/// function of (cell, P) — the distribute phase and the reference-point
+/// duplicate-elimination rule both evaluate it and must agree.
+size_t PartitionOfCell(size_t cell, size_t cells_axis, size_t P) {
   size_t cx = cell % cells_axis;
   size_t cy = cell / cells_axis;
   uint64_t block =
@@ -149,36 +147,6 @@ struct Grid {
   }
 };
 
-/// Non-uniform grid over tuned cell boundaries (CellMap::kAdaptive).
-/// Same contract as Grid — out-of-range and ±inf coordinates clamp to the
-/// edge cells (an empty box still yields an inverted, i.e. empty, cell
-/// range) — but cell lookup is a binary search over the tuned edges
-/// instead of one multiply.
-struct NonUniformGrid {
-  const std::vector<double>& x_edges;
-  const std::vector<double>& y_edges;
-  size_t cells_x;
-  size_t cells_y;
-
-  explicit NonUniformGrid(const AdaptiveCellGrid& g)
-      : x_edges(g.x_edges),
-        y_edges(g.y_edges),
-        cells_x(g.cells_x()),
-        cells_y(g.cells_y()) {}
-
-  static size_t CellOnAxis(const std::vector<double>& edges, size_t cells,
-                           double v) {
-    size_t i = static_cast<size_t>(
-        std::upper_bound(edges.begin(), edges.end(), v) - edges.begin());
-    if (i == 0) return 0;
-    --i;
-    return i >= cells ? cells - 1 : i;
-  }
-
-  size_t CellX(double x) const { return CellOnAxis(x_edges, cells_x, x); }
-  size_t CellY(double y) const { return CellOnAxis(y_edges, cells_y, y); }
-};
-
 /// One side's bucket assignment in CSR form: `rows` holds tuple ordinals
 /// grouped by bucket (replicas included), `offsets[k] .. offsets[k+1]`
 /// delimits bucket k. Built by a stable counting sort over a side
@@ -197,7 +165,6 @@ struct SideParts {
 /// traffic, never results or charges.
 struct SweepScratch {
   join_kernel::SweepSide ls, rs;
-  std::vector<join_kernel::AosItem> l_items, r_items;
   std::vector<join_kernel::OrdinalPair> survivors;
 };
 thread_local SweepScratch t_sweep_scratch;
@@ -223,7 +190,7 @@ struct BucketPair {
 //   num_buckets, kBucketsPerUnit, kPairs     the bucket layout;
 //   FormTasks, num_tasks, ForEachUnit        how units group into tasks;
 //   kRefPointFilter, OwnsRefPoint            the candidate filter, if any;
-//   aos, cells_per_axis, AddClassCensus      kernel and extra counters.
+//   cells_per_axis, AddClassCensus           extra counters.
 // Every hook is a template or inline call: nothing per MBR or per
 // candidate goes through a std::function.
 
@@ -294,114 +261,67 @@ StatusOr<TupleVec> PartitionJoin(const TupleVec& left, size_t left_col,
   auto sweep_task = [&](size_t t, const ExecContext& task_ctx,
                         TaskResult* task) {
     SweepScratch& scratch = t_sweep_scratch;
+    join_kernel::SweepSide& ls = scratch.ls;
+    join_kernel::SweepSide& rs = scratch.rs;
     std::vector<join_kernel::OrdinalPair>& survivors = scratch.survivors;
     size_t unit = 0;  // the unit being swept; the filter tests against it
 
-    // The accessors map a sweep position to that side's MBR lower-left
-    // corner and source ordinal, so both kernels share one flush.
-    auto make_flush = [&](auto lxlo_at, auto lylo_at, auto lord_at,
-                          auto rxlo_at, auto rylo_at, auto rord_at) {
-      return [&, lxlo_at, lylo_at, lord_at, rxlo_at, rylo_at,
-              rord_at](const join_kernel::Candidate* cands, size_t n) {
-        task->candidates += static_cast<int64_t>(n);
-        survivors.clear();
-        for (size_t c = 0; c < n; ++c) {
-          const uint32_t l = cands[c].left_pos;
-          const uint32_t r = cands[c].right_pos;
-          if constexpr (Policy::kRefPointFilter) {
-            if (!policy->OwnsRefPoint(unit, std::max(lxlo_at(l), rxlo_at(r)),
-                                      std::max(lylo_at(l), rylo_at(r)))) {
-              continue;
-            }
-          }
-          survivors.push_back({lord_at(l), rord_at(r)});
-        }
-        task->dedup_dropped +=
-            static_cast<int64_t>(n) - static_cast<int64_t>(survivors.size());
-        task->exact_tests += static_cast<int64_t>(survivors.size());
-        if (!task->status.ok() || survivors.empty()) return;
-        task->status = join_kernel::ExactJoinBatch(
-            left, left_col, right, right_col, survivors.data(),
-            survivors.size(), task_ctx, &task->out);
-      };
-    };
-
-    // `sweep(lk, rk, batch)` gathers buckets lk and rk into the kernel's
-    // layout and sweeps them; the batch is built once per task, on the
-    // first sweep, and drained after every sweep so its flush boundaries
-    // are those of a fresh batch per sweep.
-    auto run_units = [&](auto flush, auto sweep) {
-      std::optional<join_kernel::CandidateBatch> batch;
-      policy->ForEachUnit(t, [&](size_t u) {
-        size_t l_total = 0, r_total = 0;
-        for (size_t c = 0; c < B; ++c) {
-          l_total += lp.count(u * B + c);
-          r_total += rp.count(u * B + c);
-        }
-        if (l_total == 0 || r_total == 0) return;
-        double sort_charge = 0.0;
-        for (size_t c = 0; c < B; ++c) {
-          for (const SideParts* side : {&lp, &rp}) {
-            const double n = static_cast<double>(side->count(u * B + c));
-            if (n > 0) sort_charge += n * std::log2(n + 1);
+    auto flush = [&](const join_kernel::Candidate* cands, size_t n) {
+      task->candidates += static_cast<int64_t>(n);
+      survivors.clear();
+      for (size_t c = 0; c < n; ++c) {
+        const uint32_t l = cands[c].left_pos;
+        const uint32_t r = cands[c].right_pos;
+        if constexpr (Policy::kRefPointFilter) {
+          if (!policy->OwnsRefPoint(unit, std::max(ls.xlo()[l], rs.xlo()[r]),
+                                    std::max(ls.ylo()[l], rs.ylo()[r]))) {
+            continue;
           }
         }
-        task_ctx.ChargeCpu(sort_charge * sim::cpu_cost::kCompare);
-        unit = u;
-        for (const BucketPair& pair : Policy::kPairs) {
-          const size_t lk = u * B + pair.l;
-          const size_t rk = u * B + pair.r;
-          if (lp.count(lk) == 0 || rp.count(rk) == 0) continue;
-          if (!batch) batch.emplace(join_kernel::kCandidateBatchSize, flush);
-          task->compares += sweep(lk, rk, &*batch);
-          batch->Flush();
-          task->swept = true;
-        }
-      });
-      task_ctx.ChargeCpuOps(task->compares, sim::cpu_cost::kCompare);
+        survivors.push_back({ls.ordinal(l), rs.ordinal(r)});
+      }
+      task->dedup_dropped +=
+          static_cast<int64_t>(n) - static_cast<int64_t>(survivors.size());
+      task->exact_tests += static_cast<int64_t>(survivors.size());
+      if (!task->status.ok() || survivors.empty()) return;
+      task->status = join_kernel::ExactJoinBatch(
+          left, left_col, right, right_col, survivors.data(),
+          survivors.size(), task_ctx, &task->out);
     };
 
-    if (!policy->aos) {
-      join_kernel::SweepSide& ls = scratch.ls;
-      join_kernel::SweepSide& rs = scratch.rs;
-      run_units(make_flush([&](uint32_t i) { return ls.xlo()[i]; },
-                           [&](uint32_t i) { return ls.ylo()[i]; },
-                           [&](uint32_t i) { return ls.ordinal(i); },
-                           [&](uint32_t i) { return rs.xlo()[i]; },
-                           [&](uint32_t i) { return rs.ylo()[i]; },
-                           [&](uint32_t i) { return rs.ordinal(i); }),
-                [&](size_t lk, size_t rk, join_kernel::CandidateBatch* b) {
-                  ls.GatherPresorted(left_cols, &lp.rows[lp.begin(lk)],
-                                     lp.count(lk));
-                  rs.GatherPresorted(right_cols, &rp.rows[rp.begin(rk)],
-                                     rp.count(rk));
-                  return join_kernel::SweepForCandidates(ls, rs, b);
-                });
-    } else {
-      std::vector<join_kernel::AosItem>& L = scratch.l_items;
-      std::vector<join_kernel::AosItem>& R = scratch.r_items;
-      auto gather_aos = [](const join_kernel::MbrColumns& cols,
-                           const SideParts& parts, size_t k,
-                           std::vector<join_kernel::AosItem>* items) {
-        items->resize(parts.count(k));
-        for (size_t i = 0; i < items->size(); ++i) {
-          const uint32_t row = parts.rows[parts.begin(k) + i];
-          (*items)[i] = {cols.BoxAt(row), row};
+    // The batch is built once per task, on the first sweep, and drained
+    // after every sweep so its flush boundaries are those of a fresh batch
+    // per sweep.
+    std::optional<join_kernel::CandidateBatch> batch;
+    policy->ForEachUnit(t, [&](size_t u) {
+      size_t l_total = 0, r_total = 0;
+      for (size_t c = 0; c < B; ++c) {
+        l_total += lp.count(u * B + c);
+        r_total += rp.count(u * B + c);
+      }
+      if (l_total == 0 || r_total == 0) return;
+      double sort_charge = 0.0;
+      for (size_t c = 0; c < B; ++c) {
+        for (const SideParts* side : {&lp, &rp}) {
+          const double n = static_cast<double>(side->count(u * B + c));
+          if (n > 0) sort_charge += n * std::log2(n + 1);
         }
-        join_kernel::SortAosByXmin(items);
-      };
-      run_units(make_flush([&](uint32_t i) { return L[i].box.xmin; },
-                           [&](uint32_t i) { return L[i].box.ymin; },
-                           [&](uint32_t i) { return L[i].ordinal; },
-                           [&](uint32_t i) { return R[i].box.xmin; },
-                           [&](uint32_t i) { return R[i].box.ymin; },
-                           [&](uint32_t i) { return R[i].ordinal; }),
-                [&](size_t lk, size_t rk, join_kernel::CandidateBatch* b) {
-                  gather_aos(left_cols, lp, lk, &L);
-                  gather_aos(right_cols, rp, rk, &R);
-                  return join_kernel::SweepForCandidatesAos(L, R, b);
-                });
-    }
+      }
+      task_ctx.ChargeCpu(sort_charge * sim::cpu_cost::kCompare);
+      unit = u;
+      for (const BucketPair& pair : Policy::kPairs) {
+        const size_t lk = u * B + pair.l;
+        const size_t rk = u * B + pair.r;
+        if (lp.count(lk) == 0 || rp.count(rk) == 0) continue;
+        if (!batch) batch.emplace(join_kernel::kCandidateBatchSize, flush);
+        ls.GatherPresorted(left_cols, &lp.rows[lp.begin(lk)], lp.count(lk));
+        rs.GatherPresorted(right_cols, &rp.rows[rp.begin(rk)], rp.count(rk));
+        task->compares += join_kernel::SweepForCandidates(ls, rs, &*batch);
+        batch->Flush();
+        task->swept = true;
+      }
+    });
+    task_ctx.ChargeCpuOps(task->compares, sim::cpu_cost::kCompare);
   };
   std::vector<TaskResult> results = RunTasks(ctx, num_tasks, sweep_task);
 
@@ -454,20 +374,22 @@ StatusOr<TupleVec> PartitionJoin(const TupleVec& left, size_t left_col,
 /// PBSM [Pate96]: bucket = join partition. An MBR lands in the partition
 /// of every cell it overlaps, once per partition; a task sweeps one
 /// partition and keeps a candidate only where the partition owns the cell
-/// holding the intersection's lower-left corner. `GridT` is Grid (uniform)
-/// or NonUniformGrid (tuned boundaries); the distribute and the filter
-/// both map coordinates through its CellX/CellY, so they agree.
-template <typename GridT, typename PartFn>
+/// holding the intersection's lower-left corner. The distribute and the
+/// filter both map coordinates through `grid` and cells through
+/// PartitionOf, so they agree.
 struct PbsmPolicy {
   static constexpr size_t kBucketsPerUnit = 1;
   static constexpr BucketPair kPairs[] = {{0, 0}};
   static constexpr bool kRefPointFilter = true;
 
-  const GridT& grid;
-  const PartFn& partition_of_cell;
+  const Grid& grid;
   size_t P;
-  size_t cells_per_axis;  // reported in stats only
-  bool aos;
+  size_t cells_per_axis;
+  // PartitionOfCell per cell, precomputed for small grids: the distribute
+  // loop and the reference-point filter map a cell per visit, and a table
+  // lookup beats re-running the block hash. Empty = hash on every call.
+  // Same pure function either way.
+  std::vector<uint32_t> cell_part;
   // Duplicate guard for a multi-cell MBR: bumping the epoch retires every
   // stamp at once, instead of an O(P) refill per tuple. A single-cell MBR
   // maps to exactly one partition and skips it.
@@ -476,19 +398,24 @@ struct PbsmPolicy {
 
   size_t num_buckets() const { return P; }
 
+  size_t PartitionOf(size_t cell) const {
+    if (!cell_part.empty()) return cell_part[cell];
+    return PartitionOfCell(cell, cells_per_axis, P);
+  }
+
   template <typename Emit>
   void ForEachBucket(double xlo, double ylo, double xhi, double yhi,
                      const Emit& emit) {
     const size_t cx0 = grid.CellX(xlo), cx1 = grid.CellX(xhi);
     const size_t cy0 = grid.CellY(ylo), cy1 = grid.CellY(yhi);
     if (cx0 == cx1 && cy0 == cy1) {
-      emit(partition_of_cell(cy0 * grid.cells_x + cx0));
+      emit(PartitionOf(cy0 * grid.cells_x + cx0));
       return;
     }
     ++epoch;
     for (size_t cy = cy0; cy <= cy1; ++cy) {
       for (size_t cx = cx0; cx <= cx1; ++cx) {
-        const size_t p = partition_of_cell(cy * grid.cells_x + cx);
+        const size_t p = PartitionOf(cy * grid.cells_x + cx);
         if (seen_epoch[p] != epoch) {
           seen_epoch[p] = epoch;
           emit(p);
@@ -505,7 +432,7 @@ struct PbsmPolicy {
   }
 
   bool OwnsRefPoint(size_t partition, double x, double y) const {
-    return partition_of_cell(grid.CellY(y) * grid.cells_x + grid.CellX(x)) ==
+    return PartitionOf(grid.CellY(y) * grid.cells_x + grid.CellX(x)) ==
            partition;
   }
 
@@ -542,7 +469,6 @@ struct TwoLayerPolicy {
       Classes(TileClass::kB, TileClass::kC),
       Classes(TileClass::kC, TileClass::kB)};
   static constexpr bool kRefPointFilter = false;
-  static constexpr bool aos = false;
 
   const geom::TileGrid& grid;
   const TwoLayerOptions& options;
@@ -670,21 +596,6 @@ bool GatherInputs(const TupleVec& left, size_t left_col,
 
 }  // namespace
 
-bool AdaptiveCellGrid::Valid(size_t num_partitions) const {
-  if (x_edges.size() < 2 || y_edges.size() < 2) return false;
-  for (size_t i = 1; i < x_edges.size(); ++i) {
-    if (!(x_edges[i] > x_edges[i - 1])) return false;
-  }
-  for (size_t i = 1; i < y_edges.size(); ++i) {
-    if (!(y_edges[i] > y_edges[i - 1])) return false;
-  }
-  if (cell_part.size() != cells_x() * cells_y()) return false;
-  for (uint32_t p : cell_part) {
-    if (p >= num_partitions) return false;
-  }
-  return true;
-}
-
 StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
                                    const TupleVec& right, size_t right_col,
                                    const ExecContext& ctx,
@@ -696,52 +607,20 @@ StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
     return TupleVec();
   }
   const size_t P = std::max<size_t>(1, options.num_partitions);
-  const bool aos = options.sweep_kernel == PbsmOptions::SweepKernel::kAos;
-
-  if (options.cell_map == PbsmOptions::CellMap::kAdaptive) {
-    const AdaptiveCellGrid* tuned = options.adaptive;
-    if (tuned == nullptr || !tuned->Valid(P)) {
-      return Status::InvalidArgument(
-          "PbsmSpatialJoin: CellMap::kAdaptive needs a valid "
-          "PbsmOptions::adaptive grid");
-    }
-    NonUniformGrid grid(*tuned);
-    auto partition_of_cell = [tuned](size_t c) -> size_t {
-      return tuned->cell_part[c];
-    };
-    PbsmPolicy<NonUniformGrid, decltype(partition_of_cell)> policy{
-        grid, partition_of_cell, P, std::max(grid.cells_x, grid.cells_y),
-        aos};
-    return PartitionJoin(left, left_col, right, right_col, ctx, left_cols,
-                         right_cols, &policy);
-  }
-
   size_t cells_axis = options.cells_per_axis;
   if (cells_axis == 0) {
     cells_axis = std::max<size_t>(
         1, static_cast<size_t>(std::ceil(std::sqrt(16.0 * P))));
   }
   Grid grid(universe, cells_axis, cells_axis);
-  // Small grids get the cell->partition map precomputed: the distribute
-  // loop and the reference-point filter call it per cell visit, and a
-  // table lookup beats re-running the block hash every time. Same pure
-  // function either way.
   std::vector<uint32_t> cell_part;
   if (cells_axis * cells_axis <= (1u << 16)) {
     cell_part.resize(cells_axis * cells_axis);
     for (size_t c = 0; c < cell_part.size(); ++c) {
-      cell_part[c] =
-          static_cast<uint32_t>(PartitionOfCell(c, cells_axis, P,
-                                                options.cell_map));
+      cell_part[c] = static_cast<uint32_t>(PartitionOfCell(c, cells_axis, P));
     }
   }
-  auto partition_of_cell = [&cell_part, cells_axis, P,
-                            map = options.cell_map](size_t c) -> size_t {
-    if (!cell_part.empty()) return cell_part[c];
-    return PartitionOfCell(c, cells_axis, P, map);
-  };
-  PbsmPolicy<Grid, decltype(partition_of_cell)> policy{
-      grid, partition_of_cell, P, cells_axis, aos};
+  PbsmPolicy policy{grid, P, cells_axis, std::move(cell_part)};
   return PartitionJoin(left, left_col, right, right_col, ctx, left_cols,
                        right_cols, &policy);
 }
@@ -873,7 +752,8 @@ StatusOr<ClosestMatch> ExpandingCircleClosest(const Point& point,
   double universe_radius = std::sqrt(universe_area);  // generous cover bound
   Value point_value(point);
 
-  while (true) {
+  // A zero (or NaN) start radius would never grow: scan instead.
+  while (radius > 0) {
     ++best.probes;
     ctx.ChargeCpu(sim::cpu_cost::kIndexProbe);
     int64_t nodes = 0;
@@ -904,7 +784,8 @@ StatusOr<ClosestMatch> ExpandingCircleClosest(const Point& point,
     radius *= std::sqrt(2.0);  // double the circle's area
   }
 
-  // Fall back to a full scan (the circle escaped the universe).
+  // Fall back to a full scan (the circle escaped the universe, or the
+  // universe has no area to start one in).
   double best_d = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < targets.size(); ++i) {
     ctx.ChargeCpu(sim::cpu_cost::kTupleOverhead);

@@ -10,72 +10,12 @@
 
 namespace paradise::exec {
 
-/// Non-uniform PBSM grid produced by the optimizer's partition tuner
-/// (opt::PartitionTuner): monotone cell boundaries per axis plus an
-/// explicit cell→partition assignment. Defined here (not in opt/) so the
-/// executor can consume tuned plans without depending on the optimizer.
-struct AdaptiveCellGrid {
-  /// Cell boundaries, strictly increasing; cell i spans
-  /// [x_edges[i], x_edges[i+1]). Sizes are cells+1.
-  std::vector<double> x_edges;
-  std::vector<double> y_edges;
-  /// Row-major cell→partition map, size (x_edges-1) * (y_edges-1);
-  /// entries in [0, num_partitions).
-  std::vector<uint32_t> cell_part;
-
-  size_t cells_x() const { return x_edges.empty() ? 0 : x_edges.size() - 1; }
-  size_t cells_y() const { return y_edges.empty() ? 0 : y_edges.size() - 1; }
-  bool Valid(size_t num_partitions) const;
-
-  friend bool operator==(const AdaptiveCellGrid&,
-                         const AdaptiveCellGrid&) = default;
-};
-
 struct PbsmOptions {
-  /// How grid cells map to join partitions.
-  enum class CellMap {
-    /// `cell % P` on the row-major cell index. Simple, but whenever P
-    /// divides the cell row width the modulus collapses to `cx % P` and
-    /// whole grid *columns* land in one partition — a clustered input
-    /// then piles into few partitions (the skew that two-layer
-    /// space-oriented partitioning warns about).
-    kModulo,
-    /// Block-interleaved: cells are tiled into small blocks, each block's
-    /// coordinates are mixed through a 64-bit finalizer, and the cells
-    /// inside a block are assigned round-robin starting at the block's
-    /// hash. Adjacent cells always hit distinct partitions and distinct
-    /// blocks are decorrelated, so hot regions spread over all P.
-    kBlockHash,
-    /// Tuned non-uniform grid: cell boundaries and the cell→partition map
-    /// come from `PbsmOptions::adaptive` (built by opt::PartitionTuner
-    /// from sampled density histograms). Requires `adaptive` to be set
-    /// and valid; `cells_per_axis`/auto-sizing are ignored.
-    kAdaptive,
-  };
-
-  /// Which per-partition sweep kernel runs the candidate generation.
-  enum class SweepKernel {
-    /// Struct-of-arrays MBR buffers + branch-light forward sweep
-    /// (exec/join_kernel.h). The default: same candidates, charges, and
-    /// output order as kAos, several times faster on the wall clock.
-    kSoa,
-    /// Array-of-structs Item records with Box::Intersects per encounter —
-    /// the pre-kernel layout, kept for ablation only.
-    kAos,
-  };
-
   /// Join partitions per node. [Pate96] uses many more partitions than
   /// would fit-by-size to smooth skew.
   size_t num_partitions = 32;
   /// Grid resolution; 0 = auto (~16 cells per partition).
   size_t cells_per_axis = 0;
-  /// Cell→partition map; kModulo is kept for ablation only.
-  CellMap cell_map = CellMap::kBlockHash;
-  /// Sweep memory layout; kAos is kept for ablation only.
-  SweepKernel sweep_kernel = SweepKernel::kSoa;
-  /// Tuned grid consumed when `cell_map == kAdaptive`. Not owned; must
-  /// outlive the join call.
-  const AdaptiveCellGrid* adaptive = nullptr;
 };
 
 /// Partition Based Spatial-Merge join [Pate96]: grid-partition both
@@ -83,6 +23,13 @@ struct PbsmOptions {
 /// pairs, drop duplicates by the reference-point rule, and run the exact
 /// geometry test on survivors. This is the local (single-node) algorithm
 /// used in phase two of the parallel spatial join (Section 2.7.2).
+///
+/// Cells map to partitions block-interleaved: cells are tiled into small
+/// blocks, each block's coordinates are mixed through a 64-bit finalizer,
+/// and the cells inside a block are assigned round-robin starting at the
+/// block's hash. Adjacent cells always hit distinct partitions and
+/// distinct blocks are decorrelated, so hot regions spread over all
+/// partitions.
 ///
 /// When `ctx.pool` has more than one thread, the per-partition sweeps run
 /// as pool tasks (partition-to-threads, the winning in-memory strategy of
@@ -185,7 +132,9 @@ StatusOr<TupleVec> IndexSpatialJoin(const TupleVec& outer, size_t outer_col,
 /// `point` by expanding-circle index probes (Section 2.7.3 / Query 12's
 /// join-with-aggregate operator). The initial circle has one millionth of
 /// `universe_area`; each miss doubles the area; past the universe bound it
-/// degenerates to a full scan.
+/// degenerates to a full scan. A `universe_area` that gives no positive
+/// start radius (zero, as for a zero-width or zero-height universe, or
+/// NaN) goes straight to the scan: such a circle could never grow.
 struct ClosestMatch {
   bool found = false;
   size_t row = 0;

@@ -1,234 +1,9 @@
 #include "opt/partition_tuner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace paradise::opt {
-
-namespace {
-
-/// Fine 1-D resolution the histogram marginals are rasterized onto before
-/// quantile extraction. Finer than any tuned grid the tuner can emit, so
-/// edge placement is never limited by this intermediate step.
-constexpr size_t kMarginalBins = 1024;
-
-/// Spreads one histogram's tile masses onto fine marginal bins over
-/// `lo..hi` (the combined universe's extent on this axis), proportionally
-/// to span overlap. Iteration order is fixed, so the result is a pure
-/// function of the histogram.
-void AccumulateMarginal(const HistogramStats& h, bool x_axis, double lo,
-                        double hi, std::vector<double>* bins) {
-  if (h.empty() || hi <= lo) return;
-  const double inv_span = static_cast<double>(bins->size()) / (hi - lo);
-  const size_t n_axis = x_axis ? h.nx : h.ny;
-  const double axis_lo = x_axis ? h.universe.xmin : h.universe.ymin;
-  const double step = (x_axis ? h.universe.Width() : h.universe.Height()) /
-                      static_cast<double>(n_axis);
-  for (size_t i = 0; i < n_axis; ++i) {
-    double mass = 0;
-    if (x_axis) {
-      for (size_t y = 0; y < h.ny; ++y) mass += h.tile_at(i, y);
-    } else {
-      for (size_t x = 0; x < h.nx; ++x) mass += h.tile_at(x, i);
-    }
-    if (mass <= 0) continue;
-    double t0 = axis_lo + static_cast<double>(i) * step;
-    double t1 = t0 + step;
-    double b0 = std::clamp((t0 - lo) * inv_span, 0.0,
-                           static_cast<double>(bins->size()));
-    double b1 = std::clamp((t1 - lo) * inv_span, 0.0,
-                           static_cast<double>(bins->size()));
-    if (b1 <= b0) {
-      size_t b = std::min(static_cast<size_t>(b0), bins->size() - 1);
-      (*bins)[b] += mass;
-      continue;
-    }
-    double per_unit = mass / (b1 - b0);
-    size_t first = static_cast<size_t>(b0);
-    size_t last = std::min(static_cast<size_t>(std::ceil(b1)), bins->size());
-    for (size_t b = first; b < last; ++b) {
-      double cover = std::min(b1, static_cast<double>(b + 1)) -
-                     std::max(b0, static_cast<double>(b));
-      if (cover > 0) (*bins)[b] += per_unit * cover;
-    }
-  }
-}
-
-/// Recursive weighted-median split of the marginal's bin range into
-/// `cells` equal-mass spans; emits interior edge positions (interpolated
-/// inside the bin the split lands in). `cells` is a power of two.
-void MedianSplit(const std::vector<double>& bins, size_t bin_lo,
-                 size_t bin_hi, double mass, size_t cells, double lo,
-                 double bin_width, std::vector<double>* edges) {
-  if (cells <= 1 || bin_hi <= bin_lo) return;
-  double half = mass / 2.0;
-  double acc = 0;
-  size_t b = bin_lo;
-  double cut = static_cast<double>(bin_lo);
-  for (; b < bin_hi; ++b) {
-    if (acc + bins[b] >= half) {
-      double need = half - acc;
-      double frac = bins[b] > 0 ? need / bins[b] : 0.0;
-      cut = static_cast<double>(b) + frac;
-      break;
-    }
-    acc += bins[b];
-  }
-  if (b == bin_hi) {  // degenerate: all mass below; cut at range midpoint
-    cut = (static_cast<double>(bin_lo) + static_cast<double>(bin_hi)) / 2.0;
-    b = (bin_lo + bin_hi) / 2;
-    acc = half;
-  }
-  size_t mid = std::clamp<size_t>(static_cast<size_t>(std::ceil(cut)),
-                                  bin_lo + 1, bin_hi - (bin_hi > bin_lo + 1));
-  // Mass actually left of the bin boundary `mid` (recursion uses whole
-  // bins; the emitted edge keeps the fractional position).
-  double left_mass = 0;
-  for (size_t i = bin_lo; i < mid; ++i) left_mass += bins[i];
-  MedianSplit(bins, bin_lo, mid, left_mass, cells / 2, lo, bin_width, edges);
-  edges->push_back(lo + cut * bin_width);
-  MedianSplit(bins, mid, bin_hi, mass - left_mass, cells / 2, lo, bin_width,
-              edges);
-}
-
-/// Equi-depth edges over [lo, hi]: strictly increasing values with lo/hi
-/// endpoints, at most `cells+1` of them. Falls back to uniform spacing on
-/// zero mass; coincident quantiles (hot single bins) are merged away
-/// rather than nudged, so a pathological marginal yields fewer, wider
-/// cells instead of degenerate slivers.
-std::vector<double> EquiDepthEdges(const std::vector<double>& bins,
-                                   double lo, double hi, size_t cells) {
-  std::vector<double> edges;
-  edges.reserve(cells + 1);
-  edges.push_back(lo);
-  double mass = std::accumulate(bins.begin(), bins.end(), 0.0);
-  double bin_width = (hi - lo) / static_cast<double>(bins.size());
-  if (mass > 0) {
-    MedianSplit(bins, 0, bins.size(), mass, cells, lo, bin_width, &edges);
-  } else {
-    for (size_t i = 1; i < cells; ++i) {
-      edges.push_back(lo + (hi - lo) * static_cast<double>(i) /
-                               static_cast<double>(cells));
-    }
-  }
-  edges.push_back(hi);
-  double min_w = (hi - lo) * 1e-9;
-  std::vector<double> kept;
-  kept.reserve(edges.size());
-  kept.push_back(edges.front());
-  for (size_t i = 1; i + 1 < edges.size(); ++i) {
-    if (edges[i] >= kept.back() + min_w && edges[i] + min_w <= hi) {
-      kept.push_back(edges[i]);
-    }
-  }
-  kept.push_back(hi);
-  return kept;
-}
-
-size_t NextPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-TunedPartitioning TunePartitions(const HistogramStats& left,
-                                 const HistogramStats* right,
-                                 const PartitionTunerOptions& options) {
-  TunedPartitioning best;
-  geom::Box uni = left.universe;
-  double rows = static_cast<double>(left.total_rows);
-  if (right != nullptr) {
-    uni.ExpandToInclude(right->universe);
-    rows += static_cast<double>(right->total_rows);
-  }
-  if (uni.IsEmpty() || uni.Width() <= 0 || uni.Height() <= 0 || rows <= 0) {
-    return best;
-  }
-  const size_t P = std::max<size_t>(1, options.num_partitions);
-
-  std::vector<double> mx(kMarginalBins, 0.0), my(kMarginalBins, 0.0);
-  AccumulateMarginal(left, /*x_axis=*/true, uni.xmin, uni.xmax, &mx);
-  AccumulateMarginal(left, /*x_axis=*/false, uni.ymin, uni.ymax, &my);
-  if (right != nullptr) {
-    AccumulateMarginal(*right, true, uni.xmin, uni.xmax, &mx);
-    AccumulateMarginal(*right, false, uni.ymin, uni.ymax, &my);
-  }
-
-  size_t cells = options.min_cells_per_axis;
-  if (cells == 0) {
-    // Start coarser than the uniform grid's 16-cells-per-partition rule:
-    // equi-depth cells carry near-equal mass, so ~4 per partition already
-    // balance, and wider cells replicate fewer spanning features. The
-    // loop below doubles the resolution whenever the target is missed.
-    cells = std::max<size_t>(
-        1, static_cast<size_t>(std::ceil(std::sqrt(4.0 * P))));
-  }
-  cells = NextPow2(cells);  // the median splitter halves recursively
-  const size_t max_cells = std::max(cells, options.max_cells_per_axis);
-
-  for (;; cells *= 2) {
-    exec::AdaptiveCellGrid grid;
-    grid.x_edges = EquiDepthEdges(mx, uni.xmin, uni.xmax, cells);
-    grid.y_edges = EquiDepthEdges(my, uni.ymin, uni.ymax, cells);
-    const size_t cx = grid.cells_x();
-    const size_t cy = grid.cells_y();
-
-    // Estimated load per tuned cell (both inputs), then LPT bin packing:
-    // heaviest cell first into the least-loaded partition. Ties break on
-    // lowest cell index / lowest partition index, so the map is a pure
-    // function of the histograms.
-    std::vector<double> load(cx * cy, 0.0);
-    for (size_t y = 0; y < cy; ++y) {
-      for (size_t x = 0; x < cx; ++x) {
-        geom::Box cell = geom::Box(grid.x_edges[x], grid.y_edges[y],
-                                       grid.x_edges[x + 1],
-                                       grid.y_edges[y + 1]);
-        double l = left.EstimateRows(cell);
-        if (right != nullptr) l += right->EstimateRows(cell);
-        load[y * cx + x] = l;
-      }
-    }
-    std::vector<uint32_t> order(load.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&load](uint32_t a, uint32_t b) {
-      if (load[a] != load[b]) return load[a] > load[b];
-      return a < b;
-    });
-    grid.cell_part.assign(load.size(), 0);
-    std::vector<double> part_load(P, 0.0);
-    for (uint32_t c : order) {
-      size_t target = 0;
-      for (size_t p = 1; p < P; ++p) {
-        if (part_load[p] < part_load[target]) target = p;
-      }
-      grid.cell_part[c] = static_cast<uint32_t>(target);
-      part_load[target] += load[c];
-    }
-
-    double max_load = 0, sum_load = 0;
-    size_t nonempty = 0;
-    for (double l : part_load) {
-      if (l <= 0) continue;
-      ++nonempty;
-      sum_load += l;
-      max_load = std::max(max_load, l);
-    }
-    double skew = nonempty == 0
-                      ? 1.0
-                      : max_load / (sum_load / static_cast<double>(nonempty));
-
-    if (best.grid.cell_part.empty() || skew < best.predicted_skew) {
-      best.grid = std::move(grid);
-      best.predicted_skew = skew;
-      best.predicted_rows = sum_load;
-    }
-    if (skew <= options.skew_target || cells >= max_cells) break;
-  }
-  return best;
-}
 
 std::vector<uint32_t> PackTileGroups(const std::vector<int64_t>& loads,
                                      size_t num_groups) {

@@ -2,68 +2,16 @@
 #define PARADISE_OPT_PARTITION_TUNER_H_
 
 #include <cstddef>
-
-#include "exec/spatial_join.h"
-#include "opt/stats.h"
+#include <cstdint>
+#include <vector>
 
 namespace paradise::opt {
 
-struct PartitionTunerOptions {
-  /// Join partitions the tuned map targets (PbsmOptions::num_partitions).
-  size_t num_partitions = 32;
-  /// Stop refining once predicted max/mean partition load is below this.
-  double skew_target = 1.5;
-  /// Starting grid resolution; 0 = the PBSM auto rule (~16 cells per
-  /// partition), same as PbsmOptions::cells_per_axis == 0.
-  size_t min_cells_per_axis = 0;
-  /// Refinement cap: resolution doubles until the skew target is met or
-  /// this bound is hit (then the best grid found is returned).
-  size_t max_cells_per_axis = 256;
-};
-
-/// A tuned PBSM partitioning plus the tuner's own prediction of how well
-/// it balances — comparable against the observed PbsmJoinStats
-/// max/mean to judge histogram quality.
-struct TunedPartitioning {
-  exec::AdaptiveCellGrid grid;
-  /// Predicted max/mean partition load of `grid` under the input
-  /// histograms (1.0 = perfectly even).
-  double predicted_skew = 0.0;
-  /// Estimated rows the prediction is based on (left + right).
-  double predicted_rows = 0.0;
-};
-
-/// SATO-style partition tuning: derives non-uniform PBSM cell boundaries
-/// and a density-aware cell→partition map from sampled density
-/// histograms.
-///
-///  1. Both inputs' histograms are projected onto marginal density
-///     profiles over the combined universe.
-///  2. Cell edges per axis are recursive weighted-median (equi-depth)
-///     splits of the marginals, so each grid column/row carries roughly
-///     equal estimated load — hot regions get narrow cells, empty ones
-///     wide cells.
-///  3. Cells are packed into partitions by longest-processing-time
-///     greedy assignment on their estimated loads (heaviest cell to the
-///     least-loaded partition, deterministic tie-breaks).
-///  4. If the predicted max/mean load still exceeds `skew_target`, the
-///     resolution doubles and the tuner retries up to
-///     `max_cells_per_axis`, returning the best grid seen.
-///
-/// Pure function of its inputs — bit-identical at any thread count.
-/// `right` may be null (single-input tuning). Returns an empty grid
-/// (Valid() == false) when both histograms are empty.
-TunedPartitioning TunePartitions(const HistogramStats& left,
-                                 const HistogramStats* right,
-                                 const PartitionTunerOptions& options = {});
-
 /// LPT packing of two-layer tiles into sweep-task groups: heaviest tile
 /// into the least-loaded group, ties to the lowest tile / lowest group
-/// index — the same deterministic bin packing TunePartitions uses for its
-/// cell→partition map, exposed for
-/// exec::TwoLayerOptions::group_packer. `loads[i]` is the combined
-/// left+right entry count of (dense) tile i; returns one group id in
-/// [0, num_groups) per tile. Pure function of its arguments.
+/// index — exposed for exec::TwoLayerOptions::group_packer. `loads[i]` is
+/// the combined left+right entry count of (dense) tile i; returns one
+/// group id in [0, num_groups) per tile. Pure function of its arguments.
 std::vector<uint32_t> PackTileGroups(const std::vector<int64_t>& loads,
                                      size_t num_groups);
 

@@ -433,6 +433,49 @@ TEST_P(ParallelEquivalenceTest, ClosestJoinMatchesBruteForce) {
   }
 }
 
+TEST(ClosestJoinTest, ZeroHeightUniverseMatchesBruteForce) {
+  // Points and features all on y = 0: the universe has zero height, so
+  // its area is 0 and the expanding-circle search has no circle to grow.
+  // Every point must still get its closest feature, by scanning.
+  constexpr int N = 2;
+  const Box universe(0, 0, 100, 0);
+  TupleVec points;
+  for (double x : {10.0, 30.0, 50.0, 70.0}) {
+    points.push_back(
+        Tuple({Value(static_cast<int64_t>(x)), Value(Point{x, 0})}));
+  }
+  TupleVec features;
+  int64_t id = 0;
+  for (const auto& [x0, x1] : {std::pair{20.0, 25.0}, std::pair{45.0, 48.0},
+                               std::pair{80.0, 90.0}}) {
+    features.push_back(
+        Tuple({Value(id++), Value(Polyline({{x0, 0}, {x1, 0}}))}));
+  }
+
+  Cluster cluster(N, SmallClusterOptions());
+  QueryCoordinator coord(&cluster);
+  ASSERT_TRUE(coord.BeginQuery().ok());
+  PerNode pper(N), fper(N);
+  for (size_t i = 0; i < points.size(); ++i) pper[i % N].push_back(points[i]);
+  for (size_t i = 0; i < features.size(); ++i) {
+    fper[i % N].push_back(features[i]);
+  }
+  auto result = SpatialJoinWithClosest(&coord, pper, 1, fper, 1, universe,
+                                       /*tiles_per_axis=*/10);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), points.size());
+  std::set<double> seen;
+  for (const Tuple& t : *result) {
+    const Point& p = t.at(0).AsPoint();
+    double best = 1e300;
+    for (const Tuple& ft : features) {
+      best = std::min(best, ft.at(1).AsPolyline()->DistanceTo(p));
+    }
+    EXPECT_NEAR(t.at(2).AsDouble(), best, 1e-9) << "point x = " << p.x;
+    EXPECT_TRUE(seen.insert(p.x).second) << "point x = " << p.x;
+  }
+}
+
 TEST_P(ParallelEquivalenceTest, TwoLayerJoinMatchesLegacyWithZeroDedup) {
   int N = GetParam();
   Rng rng(19);

@@ -1,33 +1,29 @@
-// The adaptive optimizer: partition-tuner load bounds on adversarial
-// clustered inputs, result equivalence of the tuned cell map, the
-// cost-feedback join advisor (cold-start fallback and learning), the
-// adaptive parallel join's determinism contract, and the coordinator's
-// PbsmJoinStats aggregation.
+// The optimizer's tile packer (opt::PackTileGroups, the two-layer join's
+// load-aware task grouping) and the PBSM partition-shape counters:
+// PbsmJoinStats population and the coordinator's aggregation of per-node
+// sinks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
-#include <string>
+#include <cstdint>
+#include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cluster.h"
 #include "core/coordinator.h"
 #include "core/parallel_ops.h"
 #include "datagen/datagen.h"
 #include "exec/spatial_join.h"
 #include "geom/box.h"
-#include "opt/join_advisor.h"
 #include "opt/partition_tuner.h"
-#include "opt/stats.h"
 
 namespace paradise {
 namespace {
 
-using core::AdaptiveJoinReport;
 using core::Cluster;
 using core::ParallelSpatialJoin;
 using core::ParallelSpatialJoinOptions;
@@ -35,20 +31,11 @@ using core::PerNode;
 using core::QueryCoordinator;
 using exec::ExecContext;
 using exec::PbsmJoinStats;
-using exec::PbsmOptions;
 using exec::Tuple;
 using exec::TupleVec;
 using exec::Value;
 using geom::Box;
-using opt::HistogramStats;
-using opt::JoinAdvisor;
-using opt::JoinDecision;
-using opt::JoinFeatures;
-using opt::JoinMethod;
-using opt::JoinObservation;
-using opt::PartitionTunerOptions;
-using opt::TunedPartitioning;
-using opt::TunePartitions;
+using opt::PackTileGroups;
 
 #define ASSERT_OK(expr)                    \
   do {                                     \
@@ -62,9 +49,8 @@ Cluster::Options SmallClusterOptions() {
   return o;
 }
 
-/// Urban point clusters and coastline-road corridor boxes — the clustered
-/// workload the tuner exists for. Corridors are road MBRs so the exact
-/// box-contains-point predicate has real hits.
+/// Urban point clusters and coastline-road corridor boxes. Corridors are
+/// road MBRs so the exact box-contains-point predicate has real hits.
 struct ClusteredJoinInput {
   TupleVec points;     // PlacesSchema; shape at col kPlaceLocation
   TupleVec corridors;  // (id, type, box); shape at col 2
@@ -94,380 +80,81 @@ ClusteredJoinInput MakeClusteredInput(uint64_t seed, int64_t count) {
   return in;
 }
 
-HistogramStats HistogramOf(const std::string& name, const TupleVec& rows,
-                           size_t col, const Box& universe, uint64_t seed) {
-  opt::SpatialSampler sampler(seed, /*salt=*/0, /*capacity=*/4096);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    sampler.Add(i, rows[i].at(col).Mbr());
-  }
-  opt::BuildHistogramOptions hopt;
-  hopt.tiles_per_axis = 128;
-  return opt::BuildHistogram(name, universe, sampler.Samples(),
-                             static_cast<int64_t>(rows.size()), hopt);
-}
-
-// ---------- Partition tuner ----------
-
-TEST(PartitionTunerTest, BoundsPredictedLoadOnAdversarialClusters) {
-  for (uint64_t seed : {7u, 29u, 101u}) {
-    ClusteredJoinInput in = MakeClusteredInput(seed, 8000);
-    HistogramStats lhist = HistogramOf("points", in.points,
-                                       datagen::col::kPlaceLocation,
-                                       in.universe, seed);
-    HistogramStats rhist =
-        HistogramOf("corridors", in.corridors, 2, in.universe, seed + 1);
-    PartitionTunerOptions topt;
-    topt.num_partitions = 64;
-    topt.skew_target = 1.25;
-    TunedPartitioning tuned = TunePartitions(lhist, &rhist, topt);
-
-    ASSERT_TRUE(tuned.grid.Valid(64)) << "seed " << seed;
-    EXPECT_LE(tuned.predicted_skew, topt.skew_target) << "seed " << seed;
-    // Edges strictly increase (no degenerate sliver cells) and every cell
-    // maps to a real partition.
-    for (size_t i = 0; i + 1 < tuned.grid.x_edges.size(); ++i) {
-      EXPECT_LT(tuned.grid.x_edges[i], tuned.grid.x_edges[i + 1]);
-    }
-    for (size_t i = 0; i + 1 < tuned.grid.y_edges.size(); ++i) {
-      EXPECT_LT(tuned.grid.y_edges[i], tuned.grid.y_edges[i + 1]);
-    }
-    EXPECT_EQ(tuned.grid.cell_part.size(),
-              tuned.grid.cells_x() * tuned.grid.cells_y());
-    for (uint32_t p : tuned.grid.cell_part) EXPECT_LT(p, 64u);
-  }
-}
-
-TEST(PartitionTunerTest, PathologicalSingleHotBinMergesInsteadOfSlivers) {
-  // Every sample at one point: all quantiles coincide; the tuner must
-  // merge them into fewer, wider cells, never emit zero-width ones.
-  std::vector<Box> samples(500, Box(10, 10, 10.001, 10.001));
-  HistogramStats h =
-      opt::BuildHistogram("hot", Box(0, 0, 100, 100), samples, 500);
-  PartitionTunerOptions topt;
-  topt.num_partitions = 16;
-  TunedPartitioning tuned = TunePartitions(h, nullptr, topt);
-  ASSERT_TRUE(tuned.grid.Valid(16));
-  for (size_t i = 0; i + 1 < tuned.grid.x_edges.size(); ++i) {
-    EXPECT_LT(tuned.grid.x_edges[i], tuned.grid.x_edges[i + 1]);
-  }
-  for (size_t i = 0; i + 1 < tuned.grid.y_edges.size(); ++i) {
-    EXPECT_LT(tuned.grid.y_edges[i], tuned.grid.y_edges[i + 1]);
-  }
-}
-
-TEST(PartitionTunerTest, EmptyStatsYieldInvalidGrid) {
-  HistogramStats empty;
-  TunedPartitioning tuned = TunePartitions(empty, nullptr, {});
-  EXPECT_FALSE(tuned.grid.Valid(32));
-}
-
-// ---------- Adaptive cell map in the executor ----------
-
-std::vector<std::string> RenderJoin(const TupleVec& rows) {
-  std::vector<std::string> out;
-  out.reserve(rows.size());
-  for (const Tuple& t : rows) {
-    std::string s;
-    for (size_t i = 0; i < t.size(); ++i) {
-      s += t.at(i).ToString();
-      s += "|";
-    }
-    out.push_back(std::move(s));
-  }
-  std::sort(out.begin(), out.end());
+/// Summed load per group of a packing.
+std::vector<int64_t> GroupLoads(const std::vector<int64_t>& loads,
+                                const std::vector<uint32_t>& group,
+                                size_t num_groups) {
+  std::vector<int64_t> out(num_groups, 0);
+  for (size_t t = 0; t < loads.size(); ++t) out[group[t]] += loads[t];
   return out;
 }
 
-TEST(AdaptiveCellMapTest, MatchesBlockHashResultsAndCutsPartitionSkew) {
-  ClusteredJoinInput in = MakeClusteredInput(29, 6000);
-  HistogramStats lhist = HistogramOf("points", in.points,
-                                     datagen::col::kPlaceLocation,
-                                     in.universe, 29);
-  HistogramStats rhist =
-      HistogramOf("corridors", in.corridors, 2, in.universe, 31);
-  PartitionTunerOptions topt;
-  topt.num_partitions = 64;
-  topt.skew_target = 1.25;
-  TunedPartitioning tuned = TunePartitions(lhist, &rhist, topt);
-  ASSERT_TRUE(tuned.grid.Valid(64));
+// ---------- Tile packer ----------
 
-  auto run = [&](PbsmOptions::CellMap map, PbsmJoinStats* stats) {
-    PbsmOptions popts;
-    popts.num_partitions = 64;
-    popts.cells_per_axis = 32;
-    popts.cell_map = map;
-    if (map == PbsmOptions::CellMap::kAdaptive) popts.adaptive = &tuned.grid;
-    ExecContext ctx;
-    ctx.pbsm_stats = stats;
-    auto r = exec::PbsmSpatialJoin(in.points, datagen::col::kPlaceLocation,
-                                   in.corridors, 2, ctx, popts);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return RenderJoin(*r);
-  };
-
-  PbsmJoinStats block_stats, adaptive_stats;
-  std::vector<std::string> block =
-      run(PbsmOptions::CellMap::kBlockHash, &block_stats);
-  std::vector<std::string> adaptive =
-      run(PbsmOptions::CellMap::kAdaptive, &adaptive_stats);
-
-  EXPECT_FALSE(block.empty());
-  EXPECT_EQ(adaptive, block) << "the cell map must never change the result";
-
-  double block_skew = static_cast<double>(block_stats.max_partition_items) /
-                      block_stats.mean_partition_items;
-  double adaptive_skew =
-      static_cast<double>(adaptive_stats.max_partition_items) /
-      adaptive_stats.mean_partition_items;
-  EXPECT_LT(adaptive_skew, block_skew)
-      << "tuned cells should balance the clustered load";
-}
-
-// ---------- Join advisor ----------
-
-JoinFeatures SomeFeatures() {
-  JoinFeatures f;
-  f.left_rows = 10'000;
-  f.right_rows = 12'000;
-  f.left_skew = 4.0;
-  f.right_skew = 2.5;
-  return f;
-}
-
-TEST(JoinAdvisorTest, ColdStartFallsBackToFixedHeuristic) {
-  JoinAdvisor advisor;
-  JoinDecision d = advisor.Choose(SomeFeatures());
-  EXPECT_EQ(d.method, JoinMethod::kPbsm);
-  EXPECT_EQ(d.cells_per_axis, 0u) << "cold start uses the executor's auto rule";
-  EXPECT_FALSE(d.from_feedback);
-  EXPECT_EQ(d.predicted_seconds, 0.0);
-}
-
-TEST(JoinAdvisorTest, LearnsTheCheaperMethodFromFeedback) {
-  opt::JoinAdvisorOptions aopt;
-  aopt.k = 1;  // single nearest neighbour: predictions are exact echoes
-  JoinAdvisor advisor(aopt);
-  JoinFeatures f = SomeFeatures();
-  JoinObservation pbsm;
-  pbsm.features = f;
-  pbsm.method = JoinMethod::kPbsm;
-  pbsm.cells_per_axis = 32;
-  pbsm.modeled_seconds = 2.0;
-  JoinObservation inl;
-  inl.features = f;
-  inl.method = JoinMethod::kIndexNestedLoops;
-  inl.modeled_seconds = 0.5;
-  advisor.Record(pbsm);
-  advisor.Record(inl);
-
-  JoinDecision d = advisor.Choose(f);
-  EXPECT_TRUE(d.from_feedback);
-  EXPECT_EQ(d.method, JoinMethod::kIndexNestedLoops);
-  EXPECT_NEAR(d.predicted_seconds, 0.5, 1e-9);
-
-  // A cheaper PBSM observation at nearby features flips the choice for
-  // queries nearest to it and carries its resolution along. (Same-feature
-  // ties break to the older observation, so nudge the features.)
-  JoinFeatures g = f;
-  g.left_rows *= 1.2;
-  JoinObservation fast_pbsm = pbsm;
-  fast_pbsm.features = g;
-  fast_pbsm.cells_per_axis = 64;
-  fast_pbsm.modeled_seconds = 0.1;
-  advisor.Record(fast_pbsm);
-  d = advisor.Choose(g);
-  EXPECT_TRUE(d.from_feedback);
-  EXPECT_EQ(d.method, JoinMethod::kPbsm);
-  EXPECT_EQ(d.cells_per_axis, 64u);
-  EXPECT_NEAR(d.predicted_seconds, 0.1, 1e-9);
-}
-
-TEST(JoinAdvisorTest, FarAwayObservationsDoNotCount) {
-  JoinAdvisor advisor;
-  JoinObservation pbsm;
-  pbsm.features = SomeFeatures();
-  pbsm.method = JoinMethod::kPbsm;
-  pbsm.modeled_seconds = 2.0;
-  JoinObservation inl = pbsm;
-  inl.method = JoinMethod::kIndexNestedLoops;
-  inl.modeled_seconds = 0.5;
-  advisor.Record(pbsm);
-  advisor.Record(inl);
-
-  JoinFeatures far;
-  far.left_rows = 10.0;  // orders of magnitude off in log-feature space
-  far.right_rows = 20.0;
-  far.left_skew = 1.0;
-  far.right_skew = 1.0;
-  JoinDecision d = advisor.Choose(far);
-  EXPECT_FALSE(d.from_feedback);
-  EXPECT_EQ(d.method, JoinMethod::kPbsm);
-}
-
-TEST(JoinAdvisorTest, StoreIsBoundedByCapacity) {
-  opt::JoinAdvisorOptions aopt;
-  aopt.capacity = 4;
-  JoinAdvisor advisor(aopt);
-  for (int i = 0; i < 10; ++i) {
-    JoinObservation obs;
-    obs.features = SomeFeatures();
-    obs.modeled_seconds = 1.0 + i;
-    advisor.Record(obs);
+TEST(PackTileGroupsTest, IdsInRangeAndDeterministic) {
+  Rng rng(7);
+  for (size_t num_groups : {2u, 3u, 8u, 32u}) {
+    std::vector<int64_t> loads(50);
+    for (int64_t& l : loads) l = rng.NextInt(0, 40);  // many ties
+    const std::vector<uint32_t> group = PackTileGroups(loads, num_groups);
+    ASSERT_EQ(group.size(), loads.size());
+    for (uint32_t g : group) EXPECT_LT(g, num_groups);
+    EXPECT_EQ(PackTileGroups(loads, num_groups), group)
+        << "same input, same packing";
   }
-  EXPECT_EQ(advisor.observations(), 4u);
 }
 
-// ---------- Adaptive ParallelSpatialJoin ----------
-
-/// One full adaptive run: forced PBSM and forced index-NL seed the
-/// feedback store, then the advisor chooses. Everything observable is
-/// captured for bit-identity comparison across thread counts.
-struct AdaptiveRun {
-  std::vector<std::string> rows;         // advisor-chosen run's result
-  std::vector<double> phase_seconds;     // all three queries, in order
-  std::vector<double> recorded_seconds;  // advisor store after the runs
-  PbsmJoinStats last_stats;
-  AdaptiveJoinReport report;             // of the advisor-chosen run
-};
-
-AdaptiveRun RunAdaptive(int num_threads) {
-  constexpr int kNodes = 4;
-  ClusteredJoinInput in = MakeClusteredInput(29, 3000);
-  AdaptiveRun out;
-
-  Cluster cluster(kNodes, SmallClusterOptions());
-  cluster.SetNumThreads(num_threads);
-  cluster.catalog()->PutTableStats(HistogramOf(
-      "points", in.points, datagen::col::kPlaceLocation, in.universe, 29));
-  cluster.catalog()->PutTableStats(
-      HistogramOf("corridors", in.corridors, 2, in.universe, 31));
-
-  PerNode lper(kNodes), rper(kNodes);
-  for (size_t i = 0; i < in.points.size(); ++i) {
-    lper[i % kNodes].push_back(in.points[i]);
-  }
-  for (size_t i = 0; i < in.corridors.size(); ++i) {
-    rper[i % kNodes].push_back(in.corridors[i]);
-  }
-
-  JoinDecision force_pbsm;
-  force_pbsm.method = JoinMethod::kPbsm;
-  JoinDecision force_inl;
-  force_inl.method = JoinMethod::kIndexNestedLoops;
-  const JoinDecision* forces[] = {&force_pbsm, &force_inl, nullptr};
-  for (const JoinDecision* force : forces) {
-    QueryCoordinator coord(&cluster);
-    EXPECT_TRUE(coord.BeginQuery().ok());
-    ParallelSpatialJoinOptions opts;
-    opts.adaptive = true;
-    opts.left_stats_table = "points";
-    opts.right_stats_table = "corridors";
-    opts.pbsm.num_partitions = 64;
-    opts.override_decision = force;
-    AdaptiveJoinReport rep;
-    opts.report = &rep;
-    auto r = ParallelSpatialJoin(&coord, lper, datagen::col::kPlaceLocation,
-                                 rper, 2, in.universe, opts);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    out.phase_seconds.push_back(coord.query_seconds());
-    if (force == nullptr) {
-      TupleVec flat;
-      for (TupleVec& v : *r) {
-        for (Tuple& t : v) flat.push_back(std::move(t));
-      }
-      out.rows = RenderJoin(flat);
-      out.last_stats = coord.pbsm_stats();
-      out.report = rep;
-    }
-  }
-  for (const JoinObservation& obs : cluster.join_advisor()->store()) {
-    out.recorded_seconds.push_back(obs.modeled_seconds);
-  }
-  return out;
+TEST(PackTileGroupsTest, HeaviestFirstTiesToLowerTileThenLowestGroup) {
+  // Order: tile 1 (7), tile 4 (7), tile 0 (5), tile 2 (5), tile 3 (2).
+  // Tile 1 takes group 0; tile 4 the lowest empty group, 1; tile 0 group
+  // 2; tile 2 the least-loaded group, 2 (5 < 7); tile 3 ties groups 0 and
+  // 1 at 7 and takes the lower, 0.
+  EXPECT_EQ(PackTileGroups({5, 7, 5, 2, 7}, 3),
+            std::vector<uint32_t>({2, 0, 2, 0, 1}));
 }
 
-TEST(AdaptiveParallelJoinTest, BitIdenticalAcrossThreadCounts) {
-  AdaptiveRun one = RunAdaptive(1);
-  AdaptiveRun eight = RunAdaptive(8);
-
-  EXPECT_FALSE(one.rows.empty());
-  EXPECT_EQ(one.rows, eight.rows);
-  EXPECT_EQ(one.phase_seconds, eight.phase_seconds);
-  EXPECT_EQ(one.recorded_seconds, eight.recorded_seconds);
-  // parallel_tasks counts pool submissions, which legitimately change
-  // with the thread count (0 when partitions run inline); every other
-  // field is part of the determinism contract.
-  PbsmJoinStats a = one.last_stats, b = eight.last_stats;
-  a.parallel_tasks = 0;
-  b.parallel_tasks = 0;
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(one.report.decision.method, eight.report.decision.method);
-  EXPECT_EQ(one.report.decision.predicted_seconds,
-            eight.report.decision.predicted_seconds);
-  EXPECT_EQ(one.report.observed_seconds, eight.report.observed_seconds);
+TEST(PackTileGroupsTest, SingleGroupOrEmptyLoadsUseGroupZero) {
+  const std::vector<int64_t> loads = {4, 9, 1};
+  EXPECT_EQ(PackTileGroups(loads, 0), std::vector<uint32_t>(3, 0));
+  EXPECT_EQ(PackTileGroups(loads, 1), std::vector<uint32_t>(3, 0));
+  EXPECT_TRUE(PackTileGroups({}, 4).empty());
 }
 
-TEST(AdaptiveParallelJoinTest, AdvisorPicksTheObservedCheaperMethod) {
-  AdaptiveRun run = RunAdaptive(1);
-  ASSERT_EQ(run.recorded_seconds.size(), 3u);
-  // Seeds: PBSM then index-NL; the advisor's pick must match whichever
-  // observed method was cheaper and predict its cost exactly (same
-  // features, k=1 effective).
-  const double pbsm_s = run.recorded_seconds[0];
-  const double inl_s = run.recorded_seconds[1];
-  EXPECT_TRUE(run.report.decision.from_feedback);
-  EXPECT_EQ(run.report.decision.method,
-            pbsm_s <= inl_s ? JoinMethod::kPbsm
-                            : JoinMethod::kIndexNestedLoops);
-  EXPECT_NEAR(run.report.decision.predicted_seconds,
-              std::min(pbsm_s, inl_s), 1e-12);
-  EXPECT_EQ(run.report.observed_seconds, run.recorded_seconds[2]);
-  EXPECT_TRUE(run.report.used_tuned_grid ||
-              run.report.decision.method == JoinMethod::kIndexNestedLoops);
+TEST(PackTileGroupsTest, MoreGroupsThanTilesGivesEachLoadedTileItsOwnGroup) {
+  const std::vector<int64_t> loads = {3, 8, 1, 5};
+  const std::vector<uint32_t> group = PackTileGroups(loads, 6);
+  EXPECT_EQ(group, std::vector<uint32_t>({2, 0, 3, 1}));
+  EXPECT_EQ(std::set<uint32_t>(group.begin(), group.end()).size(),
+            loads.size());
 }
 
-TEST(AdaptiveParallelJoinTest, MatchesNonAdaptiveResults) {
-  constexpr int kNodes = 3;
-  ClusteredJoinInput in = MakeClusteredInput(11, 2000);
-  auto run = [&](bool adaptive) {
-    Cluster cluster(kNodes, SmallClusterOptions());
-    cluster.SetNumThreads(1);
-    if (adaptive) {
-      cluster.catalog()->PutTableStats(
-          HistogramOf("points", in.points, datagen::col::kPlaceLocation,
-                      in.universe, 11));
-      cluster.catalog()->PutTableStats(
-          HistogramOf("corridors", in.corridors, 2, in.universe, 12));
+TEST(PackTileGroupsTest, MaxGroupLoadWithinMeanPlusLargestTile) {
+  // The longest-processing-time bound: the fullest group was the least
+  // loaded when it took its last tile, so it ends at most one tile above
+  // the mean. Checked in integers as max * G <= total + G * largest.
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    Rng rng(seed);
+    const size_t num_tiles = static_cast<size_t>(rng.NextInt(1, 300));
+    const size_t num_groups = static_cast<size_t>(rng.NextInt(2, 40));
+    std::vector<int64_t> loads(num_tiles);
+    for (int64_t& l : loads) {
+      // Mostly light tiles with an occasional hotspot.
+      l = rng.NextBool(0.05) ? rng.NextInt(500, 5000) : rng.NextInt(0, 100);
     }
-    PerNode lper(kNodes), rper(kNodes);
-    for (size_t i = 0; i < in.points.size(); ++i) {
-      lper[i % kNodes].push_back(in.points[i]);
+    const std::vector<int64_t> group_loads =
+        GroupLoads(loads, PackTileGroups(loads, num_groups), num_groups);
+    int64_t total = 0, largest = 0;
+    for (int64_t l : loads) {
+      total += l;
+      largest = std::max(largest, l);
     }
-    for (size_t i = 0; i < in.corridors.size(); ++i) {
-      rper[i % kNodes].push_back(in.corridors[i]);
-    }
-    QueryCoordinator coord(&cluster);
-    EXPECT_TRUE(coord.BeginQuery().ok());
-    ParallelSpatialJoinOptions opts;
-    opts.adaptive = adaptive;
-    if (adaptive) {
-      opts.left_stats_table = "points";
-      opts.right_stats_table = "corridors";
-    }
-    auto r = ParallelSpatialJoin(&coord, lper, datagen::col::kPlaceLocation,
-                                 rper, 2, in.universe, opts);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    TupleVec flat;
-    for (TupleVec& v : *r) {
-      for (Tuple& t : v) flat.push_back(std::move(t));
-    }
-    return RenderJoin(flat);
-  };
-  std::vector<std::string> fixed = run(false);
-  std::vector<std::string> adaptive = run(true);
-  EXPECT_FALSE(fixed.empty());
-  EXPECT_EQ(adaptive, fixed)
-      << "adaptive mode may change the plan, never the answer";
+    const int64_t max_group =
+        *std::max_element(group_loads.begin(), group_loads.end());
+    const int64_t G = static_cast<int64_t>(num_groups);
+    EXPECT_LE(max_group * G, total + G * largest)
+        << "seed " << seed << ": " << num_tiles << " tiles, " << num_groups
+        << " groups";
+  }
 }
 
 // ---------- PbsmJoinStats population regressions ----------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -158,15 +159,11 @@ TEST(PbsmTest, DegenerateMbrsOnCellBoundariesNoDuplicates) {
   PbsmOptions opts;
   opts.num_partitions = 16;
   opts.cells_per_axis = 8;
-  for (auto map :
-       {PbsmOptions::CellMap::kModulo, PbsmOptions::CellMap::kBlockHash}) {
-    opts.cell_map = map;
-    auto pbsm = PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
-    ASSERT_TRUE(pbsm.ok());
-    auto nl = NestedLoopsJoin(left, right, Overlaps(Col(1), Col(3)), ctx);
-    ASSERT_TRUE(nl.ok());
-    EXPECT_EQ(JoinKeys(*pbsm, 0, 2), JoinKeys(*nl, 0, 2));
-  }
+  auto pbsm = PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
+  ASSERT_TRUE(pbsm.ok());
+  auto nl = NestedLoopsJoin(left, right, Overlaps(Col(1), Col(3)), ctx);
+  ASSERT_TRUE(nl.ok());
+  EXPECT_EQ(JoinKeys(*pbsm, 0, 2), JoinKeys(*nl, 0, 2));
 }
 
 /// Ordered (left id, right id) pairs — position-sensitive, unlike JoinKeys.
@@ -243,46 +240,6 @@ TEST(PbsmTest, DuplicateXminKeepsResultsDeterministicAndCorrect) {
   auto nl = NestedLoopsJoin(left, right, Overlaps(Col(1), Col(3)), ctx);
   ASSERT_TRUE(nl.ok());
   EXPECT_EQ(JoinKeys(*r1, 0, 2), JoinKeys(*nl, 0, 2));
-}
-
-TEST(PbsmTest, AosKernelBitIdenticalToSoa) {
-  // The AoS sweep is kept for ablation only, but it must stay a true
-  // control: same result rows in the same order, same modeled charges,
-  // and the same sweep counters as the SoA kernel.
-  Rng rng(43);
-  TupleVec left = PolygonTuples(&rng, 180, 45, 5);
-  TupleVec right = PolylineTuples(&rng, 200, 45);
-  PbsmOptions opts;
-  opts.num_partitions = 24;
-
-  std::vector<std::pair<int64_t, int64_t>> keys_soa;
-  sim::ResourceUsage usage_soa;
-  PbsmJoinStats stats_soa;
-  for (auto kernel :
-       {PbsmOptions::SweepKernel::kSoa, PbsmOptions::SweepKernel::kAos}) {
-    opts.sweep_kernel = kernel;
-    sim::NodeClock clock;
-    PbsmJoinStats stats;
-    ExecContext ctx;
-    ctx.clock = &clock;
-    ctx.pbsm_stats = &stats;
-    auto r = PbsmSpatialJoin(left, 1, right, 1, ctx, opts);
-    ASSERT_TRUE(r.ok());
-    sim::ResourceUsage usage = clock.EndPhase();
-    if (kernel == PbsmOptions::SweepKernel::kSoa) {
-      keys_soa = OrderedKeys(*r, 0, 2);
-      usage_soa = usage;
-      stats_soa = stats;
-      EXPECT_GT(stats.sweep_pair_compares, 0);
-      EXPECT_GT(stats.sweep_candidates, 0);
-      EXPECT_GT(stats.exact_tests, 0);
-      EXPECT_GE(stats.sweep_candidates, stats.exact_tests);
-    } else {
-      EXPECT_EQ(OrderedKeys(*r, 0, 2), keys_soa) << "kernels diverged";
-      ExpectUsageEq(usage, usage_soa);
-      EXPECT_EQ(stats, stats_soa);
-    }
-  }
 }
 
 TEST(PbsmTest, ZeroWidthUniverseInflates) {
@@ -418,9 +375,9 @@ TEST(IndexSpatialJoinTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
 }
 
 TEST(PbsmTest, BlockHashMapBalancesClusteredDataBetterThanModulo) {
-  // Clustered inputs on modulo's degenerate grid (P divides the cell row
-  // width, so `cell % P` collapses to `cx % P`): the block-hash map must
-  // cut the largest partition.
+  // Clustered inputs on the grid where a modulo map degenerates (P
+  // divides the cell row width, so `cell % P` collapses to `cx % P`): the
+  // block-hash map must cut the largest partition.
   Rng rng(37);
   TupleVec left, right;
   for (int i = 0; i < 600; ++i) {
@@ -443,19 +400,18 @@ TEST(PbsmTest, BlockHashMapBalancesClusteredDataBetterThanModulo) {
   opts.num_partitions = 32;
   opts.cells_per_axis = 32;
   ExecContext ctx;
-  PbsmJoinStats modulo_stats, hash_stats;
-
-  opts.cell_map = PbsmOptions::CellMap::kModulo;
-  ctx.pbsm_stats = &modulo_stats;
-  ASSERT_TRUE(PbsmSpatialJoin(left, 1, right, 1, ctx, opts).ok());
-
-  opts.cell_map = PbsmOptions::CellMap::kBlockHash;
+  PbsmJoinStats hash_stats;
   ctx.pbsm_stats = &hash_stats;
   ASSERT_TRUE(PbsmSpatialJoin(left, 1, right, 1, ctx, opts).ok());
 
-  EXPECT_LT(hash_stats.max_partition_items, modulo_stats.max_partition_items);
-  EXPECT_EQ(hash_stats.left_tuples, modulo_stats.left_tuples);
-  EXPECT_GT(modulo_stats.replication(), 0.99);
+  // The `cell % P` map's largest partition on this input, recorded before
+  // that map was deleted: it piled the three hotspot columns into 4 of the
+  // 32 partitions.
+  constexpr int64_t kModuloMaxPartitionItems = 1200;
+  EXPECT_LT(hash_stats.max_partition_items, kModuloMaxPartitionItems);
+  EXPECT_EQ(hash_stats.max_partition_items, 182);
+  EXPECT_EQ(hash_stats.nonempty_partitions, 17);
+  EXPECT_EQ(hash_stats.left_tuples, 602);
 }
 
 TEST(IndexSpatialJoinTest, MatchesNestedLoops) {
@@ -747,6 +703,42 @@ TEST(TwoLayerTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
                                     .class_c_items = 517,
                                     .class_d_items = 545,
                                     .replicated_entry_bytes = 56628}));
+}
+
+TEST(ExpandingCircleTest, ZeroAreaUniverseFallsBackToScan) {
+  // A zero-height universe has Area() == 0, and so does an empty one: the
+  // start radius sqrt(0) = 0 stays 0 however often the area doubles, so
+  // the search must go straight to the full scan instead of spinning. A
+  // NaN area gives a NaN radius and must scan as well.
+  ExecContext ctx = NullCtx();
+  TupleVec targets;
+  int64_t id = 0;
+  for (const auto& [x0, x1] : {std::pair{0.0, 20.0}, std::pair{30.0, 40.0},
+                               std::pair{60.0, 90.0}}) {
+    targets.push_back(
+        Tuple({Value(id++), Value(Polyline({{x0, 0}, {x1, 0}}))}));
+  }
+  auto tree = BuildRTreeOnColumn(targets, 1, ctx);
+  for (double area : {Box(0, 0, 100, 0).Area(), Box::Empty().Area(),
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    for (const Point& p : {Point{5, 10}, Point{35, -3}, Point{100, 0}}) {
+      auto match = ExpandingCircleClosest(p, targets, 1, *tree, area, ctx);
+      ASSERT_TRUE(match.ok());
+      ASSERT_TRUE(match->found);
+      EXPECT_EQ(match->probes, 0) << "no circle to probe with";
+      double best = 1e300;
+      size_t best_row = 0;
+      for (size_t i = 0; i < targets.size(); ++i) {
+        double d = targets[i].at(1).AsPolyline()->DistanceTo(p);
+        if (d < best) {
+          best = d;
+          best_row = i;
+        }
+      }
+      EXPECT_EQ(match->row, best_row);
+      EXPECT_EQ(match->distance, best);
+    }
+  }
 }
 
 TEST(ExpandingCircleTest, ProbeCountGrowsWithDistance) {
