@@ -1,11 +1,9 @@
 #ifndef PARADISE_CATALOG_CATALOG_H_
 #define PARADISE_CATALOG_CATALOG_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "exec/tuple.h"
 #include "geom/box.h"
 
@@ -54,19 +52,6 @@ struct TableDef {
     }
     return nullptr;
   }
-};
-
-/// The system catalog: table name -> definition.
-class Catalog {
- public:
-  Status CreateTable(TableDef def);
-  StatusOr<TableDef*> GetTable(const std::string& name);
-  const TableDef* FindTable(const std::string& name) const;
-  Status DropTable(const std::string& name);
-  std::vector<std::string> TableNames() const;
-
- private:
-  std::map<std::string, TableDef> tables_;
 };
 
 }  // namespace paradise::catalog

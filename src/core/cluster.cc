@@ -12,14 +12,13 @@ constexpr uint32_t kLobVolumeOffset = 100;
 constexpr uint32_t kTempVolumeOffset = 101;
 }  // namespace
 
-Node::Node(uint32_t id, size_t buffer_pool_frames, int data_volumes,
-           int pool_shards)
+Node::Node(uint32_t id, size_t buffer_pool_frames, int pool_shards)
     : id_(id),
       pool_(std::make_unique<storage::BufferPool>(buffer_pool_frames,
                                                   pool_shards)),
       log_(std::make_unique<storage::LogManager>(&clock_)) {
   txn_manager_ = std::make_unique<storage::TransactionManager>(log_.get());
-  for (int i = 0; i < data_volumes; ++i) {
+  for (int i = 0; i < kDataVolumes; ++i) {
     volumes_.push_back(std::make_unique<storage::DiskVolume>(
         static_cast<uint32_t>(i), &clock_));
   }
@@ -53,7 +52,6 @@ Cluster::Cluster(int num_nodes, Options options) : options_(options) {
   for (int i = 0; i < num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(static_cast<uint32_t>(i),
                                             options.buffer_pool_frames,
-                                            options.data_volumes_per_node,
                                             options.pool_shards));
   }
   alive_.assign(nodes_.size(), true);
@@ -66,7 +64,6 @@ int Cluster::AddNode() {
   int id = static_cast<int>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(static_cast<uint32_t>(id),
                                           options_.buffer_pool_frames,
-                                          options_.data_volumes_per_node,
                                           options_.pool_shards));
   alive_.push_back(true);
   Node& n = *nodes_.back();
@@ -75,9 +72,14 @@ int Cluster::AddNode() {
   return id;
 }
 
+namespace {
+// Tuples travel in 8 KB message batches.
+int64_t BatchMessages(int64_t bytes) { return (bytes + 8191) / 8192; }
+}  // namespace
+
 void Cluster::ChargeTransfer(uint32_t from, uint32_t to, int64_t bytes) {
   if (from == to || bytes <= 0) return;  // shared-memory transport
-  int64_t messages = (bytes + 8191) / 8192;
+  int64_t messages = BatchMessages(bytes);
   nodes_[from]->clock()->ChargeNet(messages, bytes);
   nodes_[to]->clock()->ChargeNet(messages, bytes);
   if (fault_injector_ == nullptr) return;
@@ -100,6 +102,13 @@ void Cluster::ChargeTransfer(uint32_t from, uint32_t to, int64_t bytes) {
     nodes_[to]->clock()->ChargeNet(messages, bytes);
     nodes_[to]->clock()->ChargeCpu(sim::cpu_cost::kTupleOverhead);
   }
+}
+
+void Cluster::ChargeToCoordinator(int from, int64_t bytes) {
+  if (bytes <= 0) return;
+  int64_t messages = BatchMessages(bytes);
+  nodes_[from]->clock()->ChargeNet(messages, bytes);
+  coordinator_clock_.ChargeNet(messages, bytes);
 }
 
 void Cluster::SetFaultInjector(sim::FaultInjector* injector) {

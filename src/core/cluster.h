@@ -31,8 +31,11 @@ class WorkloadSession;
 /// operators run "on" a node by charging its clock.
 class Node {
  public:
-  Node(uint32_t id, size_t buffer_pool_frames, int data_volumes,
-       int pool_shards = 0);
+  /// Data volumes per node: the paper's testbed had 4 data disks per node
+  /// (plus a log disk). The LOB and temp volumes come on top of these.
+  static constexpr int kDataVolumes = 4;
+
+  Node(uint32_t id, size_t buffer_pool_frames, int pool_shards = 0);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -46,8 +49,8 @@ class Node {
   /// Per-query temporary storage (deleted between queries conceptually).
   storage::LargeObjectStore* temp_store() { return temp_store_.get(); }
 
+  /// Data volume `i`, for 0 <= i < kDataVolumes.
   storage::DiskVolume* data_volume(int i) { return volumes_[i].get(); }
-  int num_data_volumes() const { return static_cast<int>(volumes_.size()); }
 
   /// Reads tiles stored on this node, charging this node's clock.
   array::LocalTileSource* local_tile_source() { return local_source_.get(); }
@@ -84,7 +87,6 @@ class Cluster {
   struct Options {
     /// 32 MB buffer pool per node, as configured in Section 3.2.
     size_t buffer_pool_frames = (32 << 20) / storage::kPageSize;
-    int data_volumes_per_node = 4;
     /// Buffer-pool shards per node; 0 = auto (PARADISE_POOL_SHARDS env or
     /// 2 x hardware_concurrency, power of two). Benches force this to
     /// compare contention profiles.
@@ -109,6 +111,11 @@ class Cluster {
   /// the ack timeout, both links carry the retransmission) or duplicated
   /// (receiver pays to receive and discard the extra copy).
   void ChargeTransfer(uint32_t from, uint32_t to, int64_t bytes);
+
+  /// Charges node `from` shipping `bytes` of results to the coordinator,
+  /// batched like ChargeTransfer; the sender's link and the coordinator's
+  /// both carry it. No faults are injected on this path.
+  void ChargeToCoordinator(int from, int64_t bytes);
 
   /// Wires a fault injector into every node's volumes and this cluster's
   /// transfer path. Pass nullptr to unwire. Configure the injector before

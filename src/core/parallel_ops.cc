@@ -317,11 +317,7 @@ StatusOr<TupleVec> Gather(QueryCoordinator* coord, const PerNode& input) {
         bytes += static_cast<int64_t>(t.WireBytes());
         out.push_back(t);
       }
-      if (bytes > 0) {
-        int64_t messages = (bytes + 8191) / 8192;
-        cluster->node(n).clock()->ChargeNet(messages, bytes);
-        cluster->coordinator_clock()->ChargeNet(messages, bytes);
-      }
+      cluster->ChargeToCoordinator(n, bytes);
     }
     return Status::OK();
   }));
@@ -467,11 +463,7 @@ StatusOr<TupleVec> ParallelAggregate(QueryCoordinator* coord,
             bytes += static_cast<int64_t>(t.WireBytes());
             all.push_back(t);
           }
-          if (bytes > 0) {
-            int64_t messages = (bytes + 8191) / 8192;
-            cluster->node(n).clock()->ChargeNet(messages, bytes);
-            cluster->coordinator_clock()->ChargeNet(messages, bytes);
-          }
+          cluster->ChargeToCoordinator(n, bytes);
         }
         NodeExecContext cc = MakeCoordinatorContext(cluster);
         PARADISE_ASSIGN_OR_RETURN(
@@ -615,40 +607,13 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
               best[key] = t;
             }
           }
-          if (bytes > 0) {
-            int64_t messages = (bytes + 8191) / 8192;
-            cluster->node(n).clock()->ChargeNet(messages, bytes);
-            cluster->coordinator_clock()->ChargeNet(messages, bytes);
-          }
+          cluster->ChargeToCoordinator(n, bytes);
         }
         for (auto& [key, t] : best) result.push_back(std::move(t));
         return Status::OK();
       }));
   return result;
 }
-
-namespace {
-
-/// Deep copy of a raster's tiles onto `dest_node` (copy-on-insert).
-StatusOr<array::Raster> CopyRasterTo(Cluster* cluster, int dest_node,
-                                     const array::Raster& raster) {
-  PullTileSource pull(cluster, static_cast<uint32_t>(dest_node));
-  PARADISE_ASSIGN_OR_RETURN(ByteBuffer data,
-                            array::ReadFull(raster.handle, &pull));
-  Node& dest = cluster->node(dest_node);
-  array::Raster copy;
-  copy.geo = raster.geo;
-  PARADISE_ASSIGN_OR_RETURN(
-      copy.handle,
-      array::StoreArray(data.data(), raster.handle.dims,
-                        raster.handle.elem_size, dest.lob_store(),
-                        dest.clock(), /*compress=*/true,
-                        array::kDefaultTileBytes,
-                        static_cast<uint32_t>(dest_node)));
-  return copy;
-}
-
-}  // namespace
 
 StatusOr<std::unique_ptr<ParallelTable>> StoreResult(QueryCoordinator* coord,
                                                      const PerNode& input,
@@ -694,7 +659,7 @@ StatusOr<std::unique_ptr<ParallelTable>> StoreResult(QueryCoordinator* coord,
               if (v.type() == ValueType::kRaster) {
                 PARADISE_ASSIGN_OR_RETURN(
                     array::Raster moved,
-                    CopyRasterTo(cluster, dest, *v.AsRaster()));
+                    CopyRasterToNode(cluster, dest, *v.AsRaster()));
                 v = Value(std::move(moved));
               }
             }

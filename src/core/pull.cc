@@ -34,4 +34,22 @@ StatusOr<ByteBuffer> PullTileSource::ReadTile(const array::ArrayHandle& handle,
   return tile;
 }
 
+StatusOr<array::Raster> CopyRasterToNode(Cluster* cluster, int dest_node,
+                                         const array::Raster& raster) {
+  PullTileSource pull(cluster, static_cast<uint32_t>(dest_node));
+  PARADISE_ASSIGN_OR_RETURN(ByteBuffer data,
+                            array::ReadFull(raster.handle, &pull));
+  Node& dest = cluster->node(dest_node);
+  array::Raster copy;
+  copy.geo = raster.geo;
+  PARADISE_ASSIGN_OR_RETURN(
+      copy.handle,
+      array::StoreArray(data.data(), raster.handle.dims,
+                        raster.handle.elem_size, dest.lob_store(),
+                        dest.clock(), /*compress=*/true,
+                        array::kDefaultTileBytes,
+                        static_cast<uint32_t>(dest_node)));
+  return copy;
+}
+
 }  // namespace paradise::core

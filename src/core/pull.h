@@ -2,6 +2,7 @@
 #define PARADISE_CORE_PULL_H_
 
 #include "array/chunked_array.h"
+#include "array/raster.h"
 #include "core/cluster.h"
 
 namespace paradise::core {
@@ -33,6 +34,13 @@ class PullTileSource : public array::TileSource {
   int64_t tiles_pulled_ = 0;
   int64_t bytes_pulled_ = 0;
 };
+
+/// Deep-copies a raster's tiles onto `dest_node` (copy-on-insert and row
+/// migration): every tile is pulled from its owner, then stored compressed
+/// in the destination's LOB store. Charges the owner's read, both links
+/// and the destination's write.
+StatusOr<array::Raster> CopyRasterToNode(Cluster* cluster, int dest_node,
+                                         const array::Raster& raster);
 
 /// CPU cost of starting a pull operator on the remote node; pulls are
 /// "expensive because each pull requires that a separate operator be

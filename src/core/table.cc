@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "array/chunked_array.h"
 #include "array/raster.h"
 #include "common/logging.h"
 #include "core/pull.h"
@@ -84,22 +83,7 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
                                static_cast<uint32_t>(num_nodes));
   }
 
-  for (int n = 0; n < num_nodes; ++n) {
-    auto frag = std::make_unique<Fragment>();
-    // Fragments stripe over the node's data volumes; use volume 0 as the
-    // anchor (the volume layer already amortizes seeks for sequential
-    // access, which is the dominant pattern).
-    frag->file = std::make_unique<storage::HeapFile>(
-        next_file_id_++, cluster->node(n).pool(),
-        cluster->node(n).data_volume(n % cluster->node(n).num_data_volumes())
-            ->volume_id(),
-        cluster->node(n).log());
-    // Registering with the node's transaction manager makes the fragment
-    // recoverable after a crash (bulk-load inserts pass a null txn and
-    // stay unlogged; only transactional updates hit the WAL).
-    cluster->node(n).txn_manager()->RegisterFile(frag->file.get());
-    table->fragments_.push_back(std::move(frag));
-  }
+  PARADISE_RETURN_IF_ERROR(table->EnsureFragments(cluster));
 
   double total_bytes = 0.0;
   std::vector<uint32_t> destinations;
@@ -252,30 +236,6 @@ StatusOr<TupleVec> ParallelTable::ScanFragment(Cluster* cluster, int node,
   PARADISE_RETURN_IF_ERROR(it.status());
   return out;
 }
-
-namespace {
-
-/// Deep-copies a raster's tiles to `dest_node` (pull from the owner:
-/// owner read + both links + destination write, all charged).
-StatusOr<array::Raster> CopyRasterToNode(Cluster* cluster, int dest_node,
-                                         const array::Raster& raster) {
-  PullTileSource pull(cluster, static_cast<uint32_t>(dest_node));
-  PARADISE_ASSIGN_OR_RETURN(ByteBuffer data,
-                            array::ReadFull(raster.handle, &pull));
-  Node& dest = cluster->node(dest_node);
-  array::Raster copy;
-  copy.geo = raster.geo;
-  PARADISE_ASSIGN_OR_RETURN(
-      copy.handle,
-      array::StoreArray(data.data(), raster.handle.dims,
-                        raster.handle.elem_size, dest.lob_store(),
-                        dest.clock(), /*compress=*/true,
-                        array::kDefaultTileBytes,
-                        static_cast<uint32_t>(dest_node)));
-  return copy;
-}
-
-}  // namespace
 
 namespace {
 
@@ -594,11 +554,16 @@ Status ParallelTable::EnsureFragments(Cluster* cluster) {
   while (static_cast<int>(fragments_.size()) < cluster->num_nodes()) {
     const int n = static_cast<int>(fragments_.size());
     auto frag = std::make_unique<Fragment>();
+    // The fragment's heap file anchors on one of the node's data volumes,
+    // never its LOB or temp volume (the volume layer already amortizes
+    // seeks for sequential access, which is the dominant pattern).
     frag->file = std::make_unique<storage::HeapFile>(
         next_file_id_++, cluster->node(n).pool(),
-        cluster->node(n).data_volume(n % cluster->node(n).num_data_volumes())
-            ->volume_id(),
+        cluster->node(n).data_volume(n % Node::kDataVolumes)->volume_id(),
         cluster->node(n).log());
+    // Registering with the node's transaction manager makes the fragment
+    // recoverable after a crash (bulk-load inserts pass a null txn and
+    // stay unlogged; only transactional updates hit the WAL).
     cluster->node(n).txn_manager()->RegisterFile(frag->file.get());
     fragments_.push_back(std::move(frag));
   }

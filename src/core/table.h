@@ -131,7 +131,7 @@ class ParallelTable {
   };
 
   /// Grows the fragment vector to cluster->num_nodes() with empty,
-  /// registered heap files (scale-out onto added nodes).
+  /// registered heap files (at load, and on scale-out onto added nodes).
   Status EnsureFragments(Cluster* cluster);
 
   /// Ships every live row at `source` overlapping grid tile `tile` to
@@ -208,10 +208,6 @@ class ParallelTable {
   /// page read.
   StatusOr<exec::Tuple> FetchRow(Cluster* cluster, int node,
                                  uint64_t row) const;
-
-  bool IsPrimary(int node, uint64_t row) const {
-    return fragments_[node]->primary[row] != 0;
-  }
 
   /// The shared replica-dedup predicate: true iff this node's copy is the
   /// one a "count each logical row once" operation must keep. Every

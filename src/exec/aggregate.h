@@ -14,9 +14,9 @@ namespace paradise::exec {
 /// Extensible aggregate defined by a *local* and a *global* function
 /// (Section 2.4): the local function folds tuples into a partial state on
 /// each node during phase one; the global function merges partial states
-/// during phase two. New ADTs register new aggregates (e.g. `closest`)
-/// without touching the scheduler or execution engine — see
-/// catalog::AggregateRegistry.
+/// during phase two. A new aggregate (e.g. `closest` for the point ADT) is
+/// one more subclass: the scheduler and execution engine only ever call
+/// these functions, so neither changes.
 ///
 /// Partial states must cross node boundaries, so every aggregate can
 /// round-trip its state through plain Values (SaveState/LoadState).

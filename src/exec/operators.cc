@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "sim/cost_model.h"
-#include "storage/page.h"
 
 namespace paradise::exec {
 
@@ -70,81 +68,6 @@ StatusOr<TupleVec> NestedLoopsJoin(const TupleVec& left, const TupleVec& right,
       PARADISE_ASSIGN_OR_RETURN(bool keep,
                                 EvalPredicate(predicate, joined, ctx));
       if (keep) out.push_back(std::move(joined));
-    }
-  }
-  return out;
-}
-
-StatusOr<TupleVec> GraceHashJoin(const TupleVec& left, size_t left_key,
-                                 const TupleVec& right, size_t right_key,
-                                 const ExecContext& ctx,
-                                 const HashJoinOptions& options) {
-  // Build side = the smaller input.
-  const bool build_left = left.size() <= right.size();
-  const TupleVec& build = build_left ? left : right;
-  const TupleVec& probe = build_left ? right : left;
-  const size_t build_key = build_left ? left_key : right_key;
-  const size_t probe_key = build_left ? right_key : left_key;
-
-  // Grace spill accounting: if the build side exceeds memory, both inputs
-  // are written out into partitions and read back (one sequential pass
-  // each way).
-  size_t build_bytes = 0;
-  for (const Tuple& t : build) build_bytes += t.WireBytes();
-  if (build_bytes > options.memory_budget && ctx.clock != nullptr) {
-    size_t probe_bytes = 0;
-    for (const Tuple& t : probe) probe_bytes += t.WireBytes();
-    int64_t total = static_cast<int64_t>(build_bytes + probe_bytes);
-    int64_t seeks = static_cast<int64_t>(2 * options.num_partitions);
-    ctx.clock->ChargeDiskWrite(total, seeks);
-    ctx.clock->ChargeDiskRead(total, seeks);
-  }
-
-  std::unordered_multimap<uint64_t, size_t> table;
-  table.reserve(build.size());
-  for (size_t i = 0; i < build.size(); ++i) {
-    ctx.ChargeCpu(sim::cpu_cost::kTupleOverhead + sim::cpu_cost::kHash);
-    table.emplace(build[i].at(build_key).Hash(), i);
-  }
-  TupleVec out;
-  for (const Tuple& p : probe) {
-    ctx.ChargeCpu(sim::cpu_cost::kTupleOverhead + sim::cpu_cost::kHash);
-    auto [lo, hi] = table.equal_range(p.at(probe_key).Hash());
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& b = build[it->second];
-      ctx.ChargeCpu(sim::cpu_cost::kCompare);
-      if (!b.at(build_key).Equals(p.at(probe_key))) continue;
-      Tuple joined;
-      const Tuple& l = build_left ? b : p;
-      const Tuple& r = build_left ? p : b;
-      joined.values = l.values;
-      joined.values.insert(joined.values.end(), r.values.begin(),
-                           r.values.end());
-      out.push_back(std::move(joined));
-    }
-  }
-  return out;
-}
-
-StatusOr<TupleVec> IndexNestedLoopsJoin(
-    const TupleVec& left, size_t left_key, const TupleVec& right,
-    const index::BPlusTree<std::string>& right_index, const ExecContext& ctx) {
-  TupleVec out;
-  for (const Tuple& l : left) {
-    ctx.ChargeCpu(sim::cpu_cost::kTupleOverhead + sim::cpu_cost::kIndexProbe);
-    if (ctx.clock != nullptr) {
-      // Cold index probe: one random page per level.
-      ctx.clock->ChargeDiskRead(
-          static_cast<int64_t>(right_index.height() * storage::kPageSize),
-          static_cast<int64_t>(right_index.height()));
-    }
-    for (uint64_t row : right_index.Find(l.at(left_key).AsString())) {
-      const Tuple& r = right[row];
-      Tuple joined;
-      joined.values = l.values;
-      joined.values.insert(joined.values.end(), r.values.begin(),
-                           r.values.end());
-      out.push_back(std::move(joined));
     }
   }
   return out;

@@ -6,7 +6,6 @@
 #include "exec/exec_context.h"
 #include "exec/expr.h"
 #include "exec/tuple.h"
-#include "index/b_plus_tree.h"
 
 namespace paradise::exec {
 
@@ -33,27 +32,6 @@ void SortTuples(TupleVec* tuples, const std::vector<SortKey>& keys,
 StatusOr<TupleVec> NestedLoopsJoin(const TupleVec& left, const TupleVec& right,
                                    const ExprPtr& predicate,
                                    const ExecContext& ctx);
-
-struct HashJoinOptions {
-  /// Bytes of build-side memory before Grace partitioning spills to disk
-  /// (charged, not physically spilled).
-  size_t memory_budget = 4 << 20;
-  size_t num_partitions = 16;
-};
-
-/// Dynamic-memory Grace hash join [Kits89] on scalar key equality.
-/// When the build side exceeds the budget, both inputs are charged the
-/// partition write+read I/O of the Grace algorithm.
-StatusOr<TupleVec> GraceHashJoin(const TupleVec& left, size_t left_key,
-                                 const TupleVec& right, size_t right_key,
-                                 const ExecContext& ctx,
-                                 const HashJoinOptions& options = {});
-
-/// Index nested loops over a B+-tree keyed on the right input's `right_key`
-/// column values -> right row index.
-StatusOr<TupleVec> IndexNestedLoopsJoin(
-    const TupleVec& left, size_t left_key, const TupleVec& right,
-    const index::BPlusTree<std::string>& right_index, const ExecContext& ctx);
 
 }  // namespace paradise::exec
 

@@ -1,5 +1,8 @@
 #include "sql/engine.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/logging.h"
 #include "sql/lexer.h"
 
@@ -13,6 +16,50 @@ using exec::ValueType;
 using geom::Point;
 
 namespace {
+
+/// A bound expression with the type it evaluates to. Every expression the
+/// dialect can build has a static type (a column's schema type, a
+/// literal's, or an operator's fixed result type), so operand types are
+/// checked while binding and evaluation never meets a mismatch.
+struct Bound {
+  ExprPtr expr;
+  ValueType type;
+  std::optional<size_t> column = std::nullopt;  // a bare column reference
+};
+
+bool IsNumeric(ValueType t) {
+  return t == ValueType::kInt || t == ValueType::kDouble;
+}
+
+/// Types with an MBR: the operands of OVERLAPS, distance() and closest().
+bool IsSpatial(ValueType t) {
+  switch (t) {
+    case ValueType::kPoint:
+    case ValueType::kBox:
+    case ValueType::kCircle:
+    case ValueType::kPolygon:
+    case ValueType::kPolyline:
+    case ValueType::kSwissCheese:
+    case ValueType::kRaster:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Types Value::Compare orders: sort and group keys, min/max inputs.
+bool IsOrdered(ValueType t) {
+  return IsNumeric(t) || t == ValueType::kString || t == ValueType::kDate ||
+         t == ValueType::kPoint;
+}
+
+/// Comparison operands: two numbers (ints and doubles mix), or two values
+/// of one ordered type.
+bool Comparable(ValueType a, ValueType b) {
+  return (IsNumeric(a) && IsNumeric(b)) || (a == b && IsOrdered(a));
+}
+
+std::string TypeName(ValueType t) { return exec::ValueTypeName(t); }
 
 /// Recursive-descent parser + binder: expressions are bound against the
 /// target table's schema as they are parsed.
@@ -50,14 +97,14 @@ class Parser {
     size_t group_col = 0;
     if (AcceptKeyword("group")) {
       PARADISE_RETURN_IF_ERROR(ExpectKeyword("by"));
-      PARADISE_ASSIGN_OR_RETURN(group_col, ParseColumnRef());
+      PARADISE_ASSIGN_OR_RETURN(group_col, ParseOrderedColumn("GROUP BY"));
       has_group_by = true;
     }
 
     std::optional<exec::SortKey> order;
     if (AcceptKeyword("order")) {
       PARADISE_RETURN_IF_ERROR(ExpectKeyword("by"));
-      PARADISE_ASSIGN_OR_RETURN(size_t col, ParseColumnRef());
+      PARADISE_ASSIGN_OR_RETURN(size_t col, ParseOrderedColumn("ORDER BY"));
       bool ascending = true;
       if (AcceptKeyword("desc")) {
         ascending = false;
@@ -74,7 +121,7 @@ class Parser {
     end_limit_ = select_end;
     PARADISE_ASSIGN_OR_RETURN(query,
                               ParseSelectList(std::move(query), has_group_by,
-                                              group_col));
+                                              group_col, &order));
     end_limit_ = tokens_.size();
     pos_ = saved;
 
@@ -165,6 +212,16 @@ class Parser {
     }
     return Error("unknown column " + name);
   }
+
+  /// A column that can key a sort or a group.
+  StatusOr<size_t> ParseOrderedColumn(const std::string& clause) {
+    PARADISE_ASSIGN_OR_RETURN(size_t col, ParseColumnRef());
+    ValueType t = ColumnType(col);
+    if (!IsOrdered(t)) return Error(clause + " on " + TypeName(t) + " column");
+    return col;
+  }
+
+  ValueType ColumnType(size_t col) const { return schema_->column(col).type; }
 
   // ---- literals ----
   StatusOr<Point> ParsePointBody() {
@@ -266,35 +323,54 @@ class Parser {
   }
 
   // ---- expressions ----
-  StatusOr<ExprPtr> ParseExpr() { return ParseOr(); }
+  // Booleans are ints (0/1), as the executor's predicates expect.
+  Status CheckBoolean(const Bound& b, const std::string& what) const {
+    if (b.type == ValueType::kInt) return Status::OK();
+    return Error(what + " on " + TypeName(b.type) + ", not a boolean");
+  }
 
-  StatusOr<ExprPtr> ParseOr() {
-    PARADISE_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
+  StatusOr<Bound> Overlaps(const Bound& a, const Bound& b) const {
+    if (!IsSpatial(a.type) || !IsSpatial(b.type)) {
+      return Error("OVERLAPS on " + TypeName(a.type) + " and " +
+                   TypeName(b.type) + ", not two spatial values");
+    }
+    return Bound{exec::Overlaps(a.expr, b.expr), ValueType::kInt};
+  }
+
+  StatusOr<Bound> ParseExpr() { return ParseOr(); }
+
+  StatusOr<Bound> ParseOr() {
+    PARADISE_ASSIGN_OR_RETURN(Bound left, ParseAnd());
     while (AcceptKeyword("or")) {
-      PARADISE_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-      left = exec::Or(left, right);
+      PARADISE_ASSIGN_OR_RETURN(Bound right, ParseAnd());
+      PARADISE_RETURN_IF_ERROR(CheckBoolean(left, "OR"));
+      PARADISE_RETURN_IF_ERROR(CheckBoolean(right, "OR"));
+      left = Bound{exec::Or(left.expr, right.expr), ValueType::kInt};
     }
     return left;
   }
 
-  StatusOr<ExprPtr> ParseAnd() {
-    PARADISE_ASSIGN_OR_RETURN(ExprPtr left, ParseComparison());
+  StatusOr<Bound> ParseAnd() {
+    PARADISE_ASSIGN_OR_RETURN(Bound left, ParseComparison());
     while (AcceptKeyword("and")) {
-      PARADISE_ASSIGN_OR_RETURN(ExprPtr right, ParseComparison());
-      left = exec::And(left, right);
+      PARADISE_ASSIGN_OR_RETURN(Bound right, ParseComparison());
+      PARADISE_RETURN_IF_ERROR(CheckBoolean(left, "AND"));
+      PARADISE_RETURN_IF_ERROR(CheckBoolean(right, "AND"));
+      left = Bound{exec::And(left.expr, right.expr), ValueType::kInt};
     }
     return left;
   }
 
-  StatusOr<ExprPtr> ParseComparison() {
+  StatusOr<Bound> ParseComparison() {
     if (AcceptKeyword("not")) {
-      PARADISE_ASSIGN_OR_RETURN(ExprPtr inner, ParseComparison());
-      return exec::Not(inner);
+      PARADISE_ASSIGN_OR_RETURN(Bound inner, ParseComparison());
+      PARADISE_RETURN_IF_ERROR(CheckBoolean(inner, "NOT"));
+      return Bound{exec::Not(inner.expr), ValueType::kInt};
     }
-    PARADISE_ASSIGN_OR_RETURN(ExprPtr left, ParsePrimary());
+    PARADISE_ASSIGN_OR_RETURN(Bound left, ParsePrimary());
     if (AcceptKeyword("overlaps")) {
-      PARADISE_ASSIGN_OR_RETURN(ExprPtr right, ParsePrimary());
-      return exec::Overlaps(left, right);
+      PARADISE_ASSIGN_OR_RETURN(Bound right, ParsePrimary());
+      return Overlaps(left, right);
     }
     CompareOp op;
     switch (Peek().type) {
@@ -308,19 +384,24 @@ class Parser {
         return left;  // bare boolean expression
     }
     Advance();
-    PARADISE_ASSIGN_OR_RETURN(ExprPtr right, ParsePrimary());
-    return exec::Cmp(op, left, right);
+    PARADISE_ASSIGN_OR_RETURN(Bound right, ParsePrimary());
+    if (!Comparable(left.type, right.type)) {
+      return Error("cannot compare " + TypeName(left.type) + " with " +
+                   TypeName(right.type));
+    }
+    return Bound{exec::Cmp(op, left.expr, right.expr), ValueType::kInt};
   }
 
-  StatusOr<ExprPtr> ParsePrimary() {
+  StatusOr<Bound> ParsePrimary() {
     if (Accept(TokenType::kLParen)) {
-      PARADISE_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+      PARADISE_ASSIGN_OR_RETURN(Bound inner, ParseExpr());
       PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
       return inner;
     }
     if (LooksLikeLiteral()) {
       PARADISE_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-      return exec::Lit(std::move(v));
+      ValueType t = v.type();
+      return Bound{exec::Lit(std::move(v)), t};
     }
     if (Peek().type == TokenType::kIdentifier) {
       // function call or column reference
@@ -328,26 +409,38 @@ class Parser {
         std::string fn = Advance().text;
         Advance();  // (
         if (fn == "area") {
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound arg, ParseExpr());
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
-          return exec::AreaOf(arg);
+          if (!IsSpatial(arg.type) || arg.type == ValueType::kPoint ||
+              arg.type == ValueType::kRaster) {
+            return Error("area() on " + TypeName(arg.type));
+          }
+          return Bound{exec::AreaOf(arg.expr), ValueType::kDouble};
         }
         if (fn == "distance") {
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr a, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound a, ParseExpr());
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kComma, ","));
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr b, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound b, ParseExpr());
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
-          return exec::DistanceBetween(a, b);
+          if (!IsSpatial(a.type) || !IsSpatial(b.type) ||
+              (a.type != ValueType::kPoint && b.type != ValueType::kPoint)) {
+            return Error("distance() needs a point and a spatial value");
+          }
+          return Bound{exec::DistanceBetween(a.expr, b.expr),
+                       ValueType::kDouble};
         }
         if (fn == "overlaps") {
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr a, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound a, ParseExpr());
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kComma, ","));
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr b, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound b, ParseExpr());
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
-          return exec::Overlaps(a, b);
+          return Overlaps(a, b);
         }
         if (fn == "makebox") {
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr p, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound p, ParseExpr());
+          if (p.type != ValueType::kPoint) {
+            return Error("makebox() on " + TypeName(p.type));
+          }
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kComma, ","));
           if (Peek().type != TokenType::kInteger &&
               Peek().type != TokenType::kFloat) {
@@ -355,12 +448,12 @@ class Parser {
           }
           double len = NumberValue(Advance());
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
-          return exec::MakeBoxAround(p, len);
+          return Bound{exec::MakeBoxAround(p.expr, len), ValueType::kBox};
         }
         return Error("unknown function " + fn);
       }
       PARADISE_ASSIGN_OR_RETURN(size_t col, ParseColumnRef());
-      return exec::Col(col);
+      return Bound{exec::Col(col), ColumnType(col), col};
     }
     return Error("expected expression");
   }
@@ -393,7 +486,7 @@ class Parser {
         auto col_or = ParseColumnRef();
         if (col_or.ok()) {
           col = *col_or;
-          ValueType t = schema_->column(col).type;
+          ValueType t = ColumnType(col);
           if (Accept(TokenType::kEq) && LooksLikeLiteral()) {
             PARADISE_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
             if (t == ValueType::kString && v.type() == ValueType::kString) {
@@ -411,7 +504,15 @@ class Parser {
             PARADISE_ASSIGN_OR_RETURN(Value lo, ParseLiteralValue());
             PARADISE_RETURN_IF_ERROR(ExpectKeyword("and"));
             PARADISE_ASSIGN_OR_RETURN(Value hi, ParseLiteralValue());
-            if (lo.type() == ValueType::kDate) {
+            // The range predicates take int or date bounds of the
+            // column's own type.
+            if ((t != ValueType::kInt && t != ValueType::kDate) ||
+                lo.type() != t || hi.type() != t) {
+              return Error("BETWEEN " + TypeName(lo.type()) + " AND " +
+                           TypeName(hi.type()) + " on " + TypeName(t) +
+                           " column");
+            }
+            if (t == ValueType::kDate) {
               return std::move(query).WhereDateBetween(col, lo.AsDate(),
                                                        hi.AsDate());
             }
@@ -419,6 +520,9 @@ class Parser {
                                                     hi.AsInt());
           } else if (AcceptKeyword("overlaps") && LooksLikeLiteral()) {
             PARADISE_ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
+            if (!IsSpatial(t)) {
+              return Error("OVERLAPS on " + TypeName(t) + " column");
+            }
             if (v.type() == ValueType::kPolygon) {
               return std::move(query).WhereOverlaps(col, *v.AsPolygon());
             }
@@ -430,18 +534,24 @@ class Parser {
       }
       pos_ = mark;  // not sargable: re-parse as a generic expression
     }
-    PARADISE_ASSIGN_OR_RETURN(ExprPtr expr, ParseComparison());
-    return std::move(query).Where(expr);
+    PARADISE_ASSIGN_OR_RETURN(Bound pred, ParseComparison());
+    PARADISE_RETURN_IF_ERROR(CheckBoolean(pred, "WHERE"));
+    return std::move(query).Where(pred.expr);
   }
 
   // ---- select list ----
+  /// Binds the select list. A projection also moves the ORDER BY key from
+  /// the table's column to that column's place in the select list, since
+  /// the sort runs on the projected tuples.
   StatusOr<Query> ParseSelectList(Query query, bool has_group_by,
-                                  size_t group_col) {
+                                  size_t group_col,
+                                  std::optional<exec::SortKey>* order) {
     if (Accept(TokenType::kStar)) {
       if (has_group_by) return Error("SELECT * with GROUP BY");
       return query;
     }
     std::vector<ExprPtr> projection;
+    std::vector<std::optional<size_t>> projected_columns;
     std::vector<exec::AggregatePtr> aggregates;
     do {
       if (Peek().type == TokenType::kIdentifier &&
@@ -453,25 +563,33 @@ class Parser {
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
           aggregates.push_back(exec::MakeCount());
         } else if (fn == "closest") {
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr shape, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound shape, ParseExpr());
+          if (!IsSpatial(shape.type)) {
+            return Error("closest() on " + TypeName(shape.type));
+          }
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kComma, ","));
           PARADISE_ASSIGN_OR_RETURN(Value p, ParseLiteralValue());
           if (p.type() != ValueType::kPoint) {
             return Error("closest() needs a POINT");
           }
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
-          aggregates.push_back(exec::MakeClosest(shape, p.AsPoint()));
+          aggregates.push_back(exec::MakeClosest(shape.expr, p.AsPoint()));
         } else {
-          PARADISE_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
+          PARADISE_ASSIGN_OR_RETURN(Bound arg, ParseExpr());
           PARADISE_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
-          if (fn == "sum") aggregates.push_back(exec::MakeSum(arg));
-          if (fn == "avg") aggregates.push_back(exec::MakeAvg(arg));
-          if (fn == "min") aggregates.push_back(exec::MakeMin(arg));
-          if (fn == "max") aggregates.push_back(exec::MakeMax(arg));
+          const bool sum_like = fn == "sum" || fn == "avg";
+          if (sum_like ? !IsNumeric(arg.type) : !IsOrdered(arg.type)) {
+            return Error(fn + "() on " + TypeName(arg.type));
+          }
+          if (fn == "sum") aggregates.push_back(exec::MakeSum(arg.expr));
+          if (fn == "avg") aggregates.push_back(exec::MakeAvg(arg.expr));
+          if (fn == "min") aggregates.push_back(exec::MakeMin(arg.expr));
+          if (fn == "max") aggregates.push_back(exec::MakeMax(arg.expr));
         }
       } else {
-        PARADISE_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-        projection.push_back(e);
+        PARADISE_ASSIGN_OR_RETURN(Bound e, ParseExpr());
+        projection.push_back(e.expr);
+        projected_columns.push_back(e.column);
       }
     } while (Accept(TokenType::kComma));
 
@@ -486,6 +604,14 @@ class Parser {
                                       std::move(aggregates));
     }
     if (has_group_by) return Error("GROUP BY without aggregates");
+    if (order->has_value()) {
+      auto at = std::find(projected_columns.begin(), projected_columns.end(),
+                          (*order)->column);
+      if (at == projected_columns.end()) {
+        return Error("ORDER BY column is not in the select list");
+      }
+      (*order)->column = static_cast<size_t>(at - projected_columns.begin());
+    }
     return std::move(query).Select(std::move(projection));
   }
 

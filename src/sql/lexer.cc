@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace paradise::sql {
 
@@ -47,13 +48,21 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& input) {
         if (input[i] == '.') is_float = true;
         ++i;
       }
-      std::string num = input.substr(start, i - start);
+      const char* first = input.data() + start;
+      const char* last = input.data() + i;
+      std::from_chars_result r;
       if (is_float) {
         t.type = TokenType::kFloat;
-        t.float_value = std::stod(num);
+        r = std::from_chars(first, last, t.float_value);
       } else {
         t.type = TokenType::kInteger;
-        t.int_value = std::stoll(num);
+        r = std::from_chars(first, last, t.int_value);
+      }
+      // Out of range, or no number at all ("-.", "1.2.3").
+      if (r.ec != std::errc() || r.ptr != last) {
+        return Status::InvalidArgument("bad number '" +
+                                       std::string(first, last) +
+                                       "' at offset " + std::to_string(start));
       }
       out.push_back(std::move(t));
       continue;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "catalog/aggregate_registry.h"
 #include "common/rng.h"
 #include "exec/aggregate.h"
 
@@ -158,44 +157,6 @@ TEST(AggregateTest, GroupByPointKeys) {
   auto result = AggregateGlobal(*partials, 1, aggs, ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 2u);
-}
-
-TEST(RegistryTest, BuiltinsAndExtensibility) {
-  catalog::AggregateRegistry reg = catalog::AggregateRegistry::WithBuiltins();
-  EXPECT_TRUE(reg.Has("count"));
-  EXPECT_TRUE(reg.Has("closest"));
-  EXPECT_FALSE(reg.Has("median"));
-
-  // Creating from the registry works like direct construction.
-  auto agg = reg.Create("avg", {Col(1)});
-  ASSERT_TRUE(agg.ok());
-  ExecContext ctx = NullCtx();
-  TupleVec in = {Tuple({Value(int64_t{0}), Value(2.0)}),
-                 Tuple({Value(int64_t{0}), Value(4.0)})};
-  auto partials = AggregateLocal(in, {0}, {*agg}, ctx);
-  ASSERT_TRUE(partials.ok());
-  auto result = AggregateGlobal(*partials, 1, {*agg}, ctx);
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ((*result)[0].at(1).AsDouble(), 3.0);
-
-  // closest requires a point parameter.
-  EXPECT_FALSE(reg.Create("closest", {Col(1)}, {}).ok());
-  EXPECT_TRUE(reg.Create("closest", {Col(1)}, {Value(Point{0, 0})}).ok());
-
-  // Registering a brand-new aggregate (the extensibility story of
-  // Section 2.4): a "spread" = max - min.
-  ASSERT_TRUE(reg.Register(
-                     "spread",
-                     [](const std::vector<ExprPtr>& args,
-                        const std::vector<Value>&) -> StatusOr<AggregatePtr> {
-                       if (args.size() != 1) {
-                         return Status::InvalidArgument("spread(x)");
-                       }
-                       return MakeMax(args[0]);  // stand-in implementation
-                     })
-                  .ok());
-  EXPECT_TRUE(reg.Has("spread"));
-  EXPECT_FALSE(reg.Register("spread", nullptr).ok());  // duplicate
 }
 
 }  // namespace

@@ -16,27 +16,6 @@ TableDef MakeDef(const std::string& name) {
   return def;
 }
 
-TEST(CatalogTest, CreateGetDrop) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.CreateTable(MakeDef("roads")).ok());
-  ASSERT_TRUE(catalog.CreateTable(MakeDef("drainage")).ok());
-  EXPECT_EQ(catalog.CreateTable(MakeDef("roads")).code(),
-            StatusCode::kAlreadyExists);
-
-  auto table = catalog.GetTable("roads");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->name, "roads");
-  EXPECT_EQ(catalog.GetTable("nope").status().code(), StatusCode::kNotFound);
-  EXPECT_NE(catalog.FindTable("drainage"), nullptr);
-  EXPECT_EQ(catalog.FindTable("nope"), nullptr);
-
-  EXPECT_EQ(catalog.TableNames(),
-            (std::vector<std::string>{"drainage", "roads"}));
-  ASSERT_TRUE(catalog.DropTable("roads").ok());
-  EXPECT_FALSE(catalog.DropTable("roads").ok());
-  EXPECT_EQ(catalog.TableNames(), (std::vector<std::string>{"drainage"}));
-}
-
 TEST(CatalogTest, FindIndexOn) {
   TableDef def = MakeDef("t");
   EXPECT_NE(def.FindIndexOn(0, false), nullptr);
@@ -44,16 +23,6 @@ TEST(CatalogTest, FindIndexOn) {
   EXPECT_NE(def.FindIndexOn(1, true), nullptr);
   EXPECT_EQ(def.FindIndexOn(1, false), nullptr);
   EXPECT_EQ(def.FindIndexOn(7, false), nullptr);  // no such column
-}
-
-TEST(CatalogTest, StatsUpdatable) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.CreateTable(MakeDef("t")).ok());
-  auto table = catalog.GetTable("t");
-  ASSERT_TRUE(table.ok());
-  (*table)->num_tuples = 12345;
-  (*table)->avg_tuple_bytes = 99.5;
-  EXPECT_EQ(catalog.FindTable("t")->num_tuples, 12345);
 }
 
 }  // namespace

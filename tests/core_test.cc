@@ -146,6 +146,26 @@ TEST(ParallelTableTest, RoundRobinLoadAndScan) {
   EXPECT_EQ(seen, Ids(rows));
 }
 
+TEST(ParallelTableTest, FragmentsLiveOnDataVolumes) {
+  // Six nodes: nodes 4 and 5 wrap around to their first data volumes
+  // instead of landing on their LOB and temp volumes.
+  Cluster cluster(6, SmallClusterOptions());
+  Rng rng(7);
+  TupleVec rows = RandomPolyTuples(&rng, 120, 50, 3);
+  TableDef def = PolyTableDef("t", PartitioningKind::kRoundRobin, Box());
+  auto table = ParallelTable::Load(&cluster, def, rows);
+  ASSERT_TRUE(table.ok());
+  for (int n = 0; n < 6; ++n) {
+    ASSERT_EQ((*table)->fragment(n).num_rows(), 20);
+    for (int v = 0; v < Node::kDataVolumes; ++v) {
+      // Exactly one data volume per node holds the fragment's pages.
+      EXPECT_EQ(cluster.node(n).data_volume(v)->allocated_pages() > 0,
+                v == n % Node::kDataVolumes)
+          << "node " << n << " volume " << v;
+    }
+  }
+}
+
 TEST(ParallelTableTest, SpatialLoadReplicatesSpanningTuples) {
   Cluster cluster(4, SmallClusterOptions());
   Rng rng(2);

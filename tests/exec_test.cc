@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <thread>
-
-#include "common/rng.h"
 #include "exec/expr.h"
 #include "exec/operators.h"
-#include "exec/stream.h"
 #include "exec/tuple.h"
 #include "exec/value.h"
 
@@ -194,104 +190,6 @@ TEST(OperatorTest, SortStableMultiKey) {
   EXPECT_EQ(in[0].at(0).AsInt(), 1);
   EXPECT_EQ(in[1].at(1).AsString(), "b");  // desc secondary
   EXPECT_EQ(in[2].at(1).AsString(), "a");
-}
-
-TEST(OperatorTest, HashJoinMatchesNestedLoops) {
-  ExecContext ctx = NullCtx();
-  Rng rng(3);
-  TupleVec left, right;
-  for (int i = 0; i < 200; ++i) {
-    left.push_back(Tuple({Value(rng.NextInt(0, 30)), Value(int64_t{i})}));
-  }
-  for (int i = 0; i < 150; ++i) {
-    right.push_back(Tuple({Value(rng.NextInt(0, 30)), Value(int64_t{1000 + i})}));
-  }
-  auto hash = GraceHashJoin(left, 0, right, 0, ctx);
-  ASSERT_TRUE(hash.ok());
-  auto nl = NestedLoopsJoin(left, right,
-                            Cmp(CompareOp::kEq, Col(0), Col(2)), ctx);
-  ASSERT_TRUE(nl.ok());
-  EXPECT_EQ(hash->size(), nl->size());
-  auto key = [](const Tuple& t) {
-    return std::make_pair(t.at(1).AsInt(), t.at(3).AsInt());
-  };
-  std::set<std::pair<int64_t, int64_t>> a, b;
-  for (const Tuple& t : *hash) a.insert(key(t));
-  for (const Tuple& t : *nl) b.insert(key(t));
-  EXPECT_EQ(a, b);
-}
-
-TEST(OperatorTest, GraceHashJoinChargesSpillWhenOverBudget) {
-  sim::NodeClock clock;
-  ExecContext ctx;
-  ctx.clock = &clock;
-  TupleVec left, right;
-  for (int i = 0; i < 2000; ++i) {
-    left.push_back(Tuple({Value(int64_t{i}), Value(std::string(64, 'x'))}));
-    right.push_back(Tuple({Value(int64_t{i}), Value(std::string(64, 'y'))}));
-  }
-  HashJoinOptions opts;
-  opts.memory_budget = 1024;  // force the Grace spill path
-  auto r = GraceHashJoin(left, 0, right, 0, ctx, opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 2000u);
-  sim::ResourceUsage u = clock.EndPhase();
-  EXPECT_GT(u.disk_bytes_written, 0);
-  EXPECT_GT(u.disk_bytes_read, 0);
-}
-
-TEST(StreamTest, PushPopFlowControl) {
-  TupleStream stream(4);
-  stream.AddWriter();
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) stream.Push(Tuple({Value(int64_t{i})}));
-    stream.CloseWriter();
-  });
-  std::vector<int64_t> got;
-  Tuple t;
-  while (stream.Pop(&t)) got.push_back(t.at(0).AsInt());
-  producer.join();
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-}
-
-TEST(StreamTest, MultipleWriters) {
-  TupleStream stream(16);
-  constexpr int kWriters = 4;
-  for (int w = 0; w < kWriters; ++w) stream.AddWriter();
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&stream, w] {
-      for (int i = 0; i < 50; ++i) {
-        stream.Push(Tuple({Value(int64_t{w * 1000 + i})}));
-      }
-      stream.CloseWriter();
-    });
-  }
-  std::vector<Tuple> all = stream.DrainAll();
-  for (auto& th : writers) th.join();
-  EXPECT_EQ(all.size(), 200u);
-}
-
-TEST(StreamTest, SplitStreamRoutesAndReplicates) {
-  TupleStream s0(64), s1(64), s2(64);
-  {
-    SplitStream split({&s0, &s1, &s2},
-                      [](const Tuple& t, std::vector<uint32_t>* dests) {
-                        int64_t v = t.at(0).AsInt();
-                        if (v < 0) {  // replicate negatives everywhere
-                          dests->assign({0, 1, 2});
-                        } else {
-                          dests->push_back(static_cast<uint32_t>(v % 3));
-                        }
-                      });
-    for (int64_t i = 0; i < 30; ++i) split.Push(Tuple({Value(i)}));
-    split.Push(Tuple({Value(int64_t{-1})}));
-    split.Close();
-  }
-  EXPECT_EQ(s0.DrainAll().size(), 11u);  // 10 + replica
-  EXPECT_EQ(s1.DrainAll().size(), 11u);
-  EXPECT_EQ(s2.DrainAll().size(), 11u);
 }
 
 }  // namespace

@@ -40,6 +40,13 @@ TEST(LexerTest, TokenizesEverything) {
 TEST(LexerTest, RejectsBadInput) {
   EXPECT_FALSE(Tokenize("SELECT 'unterminated").ok());
   EXPECT_FALSE(Tokenize("a # b").ok());
+  // Number literals out of range or without digits.
+  for (const char* sql : {"SELECT * FROM landCover WHERE type = "
+                          "99999999999999999999",
+                          "SELECT * FROM landCover WHERE type = -."}) {
+    EXPECT_EQ(Tokenize(sql).status().code(), StatusCode::kInvalidArgument)
+        << sql;
+  }
 }
 
 class SqlTest : public ::testing::Test {
@@ -170,6 +177,13 @@ TEST_F(SqlTest, ProjectionWithFunctions) {
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LE(rows[i - 1].at(0).AsString(), rows[i].at(0).AsString());
   }
+  // The sort key is the ORDER BY column's place in the select list.
+  rows = Run(
+      "SELECT area(shape), id FROM landCover WHERE type = 0 ORDER BY id DESC");
+  ASSERT_EQ(rows.size(), 200u);
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_GE(rows[i - 1].at(1).AsString(), rows[i].at(1).AsString());
+  }
 }
 
 TEST_F(SqlTest, DistancePredicate) {
@@ -222,6 +236,37 @@ TEST_F(SqlTest, BooleanConnectives) {
   EXPECT_EQ(rows.size(), 2u);
   rows = Run("SELECT * FROM landCover WHERE NOT type = 0");
   EXPECT_EQ(rows.size(), 1800u);
+}
+
+TEST_F(SqlTest, IllTypedStatementsAreInvalidArgument) {
+  const char* const kStatements[] = {
+      // BETWEEN bounds that do not match the column.
+      "SELECT * FROM landCover WHERE type BETWEEN 'a' AND 'b'",
+      "SELECT * FROM landCover WHERE type BETWEEN 1.5 AND 2.5",
+      "SELECT * FROM landCover WHERE observed BETWEEN DATE '1988-01-01' "
+      "AND 5",
+      "SELECT * FROM landCover WHERE id BETWEEN 1 AND 5",
+      // Comparisons of mismatched types.
+      "SELECT * FROM landCover WHERE id = 5",
+      "SELECT * FROM landCover WHERE type < 'a'",
+      // OVERLAPS on a non-spatial operand.
+      "SELECT * FROM landCover WHERE shape OVERLAPS 5",
+      "SELECT * FROM landCover WHERE type OVERLAPS POLYGON((0 0, 1 0, 1 1))",
+      // Aggregates over the wrong type.
+      "SELECT sum(id) FROM landCover",
+      "SELECT avg(shape) FROM landCover",
+      "SELECT min(shape) FROM landCover",
+      // Sort and group keys that cannot be ordered.
+      "SELECT * FROM landCover ORDER BY shape",
+      "SELECT count(*) FROM landCover GROUP BY shape",
+      // A sort key the projection drops.
+      "SELECT id FROM landCover ORDER BY type",
+  };
+  for (const char* sql : kStatements) {
+    QueryCoordinator coord(&cluster_);
+    auto rows = engine_.Execute(sql, &coord);
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
 }
 
 TEST_F(SqlTest, BenchmarkStyleStatements) {
