@@ -1,9 +1,12 @@
-// Ablation for Section 2.4's join-algorithm choice: indexed nested loops
-// vs PBSM for spatial joins, sweeping the outer cardinality. Small outers
-// should favor index probes; large outers favor the scan-based PBSM.
-// Followed by the intra-node parallelism sweep (partition-to-threads wall
-// clock vs thread count, with modeled time held bit-identical).
+// Ablation for Section 2.4's join-algorithm choice: the two plans
+// core::Query chooses between for a spatial join whose inner has an
+// R*-tree, on a 4-node cluster, sweeping the outer cardinality. Small
+// outers should favor broadcast + indexed nested loops; large outers favor
+// the scan-based PBSM. Followed by the intra-node parallelism sweep
+// (partition-to-threads wall clock vs thread count, with modeled time held
+// bit-identical).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -11,13 +14,22 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/parallel_ops.h"
 #include "exec/spatial_join.h"
 #include "sim/cost_model.h"
 
 namespace {
 
 using paradise::Rng;
+using paradise::StatusOr;
+using paradise::catalog::PartitioningKind;
+using paradise::catalog::TableDef;
 using paradise::common::ThreadPool;
+using paradise::core::Cluster;
+using paradise::core::ParallelScan;
+using paradise::core::ParallelTable;
+using paradise::core::PerNode;
+using paradise::core::QueryCoordinator;
 using paradise::exec::ExecContext;
 using paradise::exec::PbsmOptions;
 using paradise::exec::Tuple;
@@ -45,6 +57,43 @@ TupleVec MakeLines(Rng* rng, int n, double extent) {
   return out;
 }
 
+TableDef LineTableDef(const std::string& name, PartitioningKind part) {
+  TableDef def;
+  def.name = name;
+  def.schema = paradise::exec::Schema(
+      {{"id", paradise::exec::ValueType::kInt},
+       {"shape", paradise::exec::ValueType::kPolyline}});
+  def.partitioning = part;
+  def.partition_column = 1;
+  return def;
+}
+
+/// Sorted (outer id, inner id) pairs of a join's per-node output.
+std::vector<std::pair<int64_t, int64_t>> JoinedIds(const PerNode& joined) {
+  std::vector<std::pair<int64_t, int64_t>> ids;
+  for (const TupleVec& v : joined) {
+    for (const Tuple& t : v) ids.emplace_back(t.at(0).AsInt(), t.at(2).AsInt());
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// One plan run as its own query: its modeled seconds and output.
+struct PlanRun {
+  double seconds = 0.0;
+  PerNode rows;
+};
+
+template <typename Plan>
+StatusOr<PlanRun> RunPlan(Cluster* cluster, const Plan& plan) {
+  QueryCoordinator coord(cluster);
+  PARADISE_RETURN_IF_ERROR(coord.BeginQuery());
+  PARADISE_ASSIGN_OR_RETURN(PerNode rows, plan(&coord));
+  PlanRun run{coord.query_seconds(), std::move(rows)};
+  coord.EndQuery();
+  return run;
+}
+
 double ModeledSeconds(const paradise::sim::CostModel& model,
                       paradise::sim::NodeClock* clock) {
   return model.Seconds(clock->EndPhase());
@@ -67,64 +116,85 @@ uint64_t ResultDigest(const TupleVec& rows, size_t right_id_col) {
 
 }  // namespace
 
-int64_t ScanBytes(const TupleVec& tuples) {
-  int64_t n = 0;
-  for (const Tuple& t : tuples) {
-    for (const auto& v : t.values) {
-      n += static_cast<int64_t>(v.StorageBytes(/*deep=*/true));
-    }
-  }
-  return n;
-}
-
 int main(int argc, char** argv) {
   (void)paradise::bench::BenchConfig::FromArgs(argc, argv);
   Rng rng(7);
   paradise::sim::CostModel model;
+  const int kNodes = 4;
   const int kInner = 100000;
   TupleVec inner = MakeLines(&rng, kInner, 100);
-  int64_t inner_bytes = ScanBytes(inner);
 
-  // The persistent inner index exists already (Section 2.4's "when an
-  // R-tree exists on the join attribute ... indexed nested loops is
-  // generally used"); PBSM instead must scan the inner.
-  ExecContext no_charge;
-  auto tree = paradise::exec::BuildRTreeOnColumn(inner, 1, no_charge);
+  // The inner is declustered spatially with an R*-tree on its shape
+  // column (Section 2.4's "when an R-tree exists on the join attribute");
+  // the outer is a round-robin table the query scans.
+  Cluster cluster(kNodes);
+  TableDef inner_def = LineTableDef("inner", PartitioningKind::kSpatial);
+  inner_def.indexes = {paradise::catalog::IndexDef{"shape_idx", 1, true}};
+  auto inner_table = ParallelTable::Load(&cluster, inner_def, inner);
+  if (!inner_table.ok()) {
+    std::fprintf(stderr, "inner load failed: %s\n",
+                 inner_table.status().ToString().c_str());
+    return 1;
+  }
+  const ParallelTable& in = **inner_table;
 
   std::printf(
-      "== Ablation: indexed NL vs PBSM spatial join (inner = %d polylines, "
-      "%.1f MB; index NL probes the pre-built R*-tree, PBSM scans) ==\n\n",
-      kInner, static_cast<double>(inner_bytes) / 1e6);
+      "== Ablation: broadcast index NL vs PBSM spatial join (%d nodes; "
+      "inner = %d polylines declustered spatially with an R*-tree; outer "
+      "round-robin; modeled query seconds) ==\n\n",
+      kNodes, kInner);
   std::printf("%12s %14s %14s %10s\n", "outer size", "index NL (s)",
               "PBSM (s)", "winner");
 
   for (int outer_size : {1, 10, 100, 1000, 5000, 20000}) {
     TupleVec outer = MakeLines(&rng, outer_size, 100);
-    int64_t outer_bytes = ScanBytes(outer);
-
-    // Index plan: scan the outer, probe per tuple.
-    paradise::sim::NodeClock c1;
-    ExecContext ctx1;
-    ctx1.clock = &c1;
-    c1.ChargeDiskRead(outer_bytes, 1);
-    auto r1 = paradise::exec::IndexSpatialJoin(outer, 1, inner, 1, *tree, ctx1);
-    double idx_seconds = ModeledSeconds(model, &c1);
-
-    // PBSM plan: scan both inputs, partition, sweep.
-    paradise::sim::NodeClock c2;
-    ExecContext ctx2;
-    ctx2.clock = &c2;
-    c2.ChargeDiskRead(outer_bytes, 1);
-    c2.ChargeDiskRead(inner_bytes, 1);
-    auto r2 = paradise::exec::PbsmSpatialJoin(outer, 1, inner, 1, ctx2);
-    double pbsm_seconds = ModeledSeconds(model, &c2);
-
-    if (!r1.ok() || !r2.ok() || r1->size() != r2->size()) {
-      std::fprintf(stderr, "join mismatch!\n");
+    auto outer_table = ParallelTable::Load(
+        &cluster,
+        LineTableDef("outer" + std::to_string(outer_size),
+                     PartitioningKind::kRoundRobin),
+        outer);
+    if (!outer_table.ok()) {
+      std::fprintf(stderr, "outer load failed\n");
       return 1;
     }
-    std::printf("%12d %14.4f %14.4f %10s\n", outer_size, idx_seconds,
-                pbsm_seconds, idx_seconds < pbsm_seconds ? "index" : "pbsm");
+
+    const ParallelTable& out = **outer_table;
+    // Index plan: scan the outer, broadcast it, probe each fragment's
+    // R*-tree (Query::ExecuteJoin's kBroadcastIndexNL branch).
+    auto r1 = RunPlan(&cluster, [&](QueryCoordinator* c) -> StatusOr<PerNode> {
+      PARADISE_ASSIGN_OR_RETURN(PerNode o, ParallelScan(c, out, nullptr, {}));
+      return paradise::core::ParallelIndexSpatialJoin(
+          c, o, in, 1, [](const Tuple& t) { return t.at(1); },
+          [](const Tuple& o, const Tuple& i) {
+            Tuple t = o;
+            t.values.insert(t.values.end(), i.values.begin(), i.values.end());
+            return t;
+          });
+    });
+    // PBSM plan: scan the outer and the inner's fragments (replicas
+    // included), redecluster the outer onto the inner's grid and join
+    // (Query::ExecuteJoin's kPbsm branch for a kSpatial inner).
+    auto r2 = RunPlan(&cluster, [&](QueryCoordinator* c) -> StatusOr<PerNode> {
+      PARADISE_ASSIGN_OR_RETURN(PerNode o, ParallelScan(c, out, nullptr, {}));
+      PARADISE_ASSIGN_OR_RETURN(PerNode i,
+                                paradise::core::ParallelScanAll(c, in, nullptr));
+      paradise::core::ParallelSpatialJoinOptions opts;
+      opts.right_predeclustered = true;
+      opts.tiles_per_axis = in.grid().tiles_per_axis();
+      return paradise::core::ParallelSpatialJoin(c, o, 1, i, 1,
+                                                 in.def().universe, opts);
+    });
+    if (!r1.ok() || !r2.ok()) {
+      std::fprintf(stderr, "join failed: %s\n",
+                   (r1.ok() ? r2.status() : r1.status()).ToString().c_str());
+      return 1;
+    }
+    if (JoinedIds(r1->rows) != JoinedIds(r2->rows)) {
+      std::fprintf(stderr, "join mismatch at outer size %d!\n", outer_size);
+      return 1;
+    }
+    std::printf("%12d %14.4f %14.4f %10s\n", outer_size, r1->seconds,
+                r2->seconds, r1->seconds < r2->seconds ? "index" : "pbsm");
   }
   std::printf(
       "\nexpected shape: index NL wins for small outers; PBSM takes over "

@@ -270,7 +270,7 @@ std::vector<paradise::bench::QueryPerfSample> RunQuerySection() {
               "modeled_s", "hit_rate", "misses", "ra_batch", "ra_pages");
 
   std::vector<paradise::bench::QueryPerfSample> samples;
-  for (int query : {2, 5, 11, 12, 13}) {
+  for (int query : {2, 5, 8, 11, 12, 13}) {
     BufferPool::Stats before = PoolStatsAllNodes(loaded.cluster.get());
     Clock::time_point t0 = Clock::now();
     double modeled =
@@ -295,7 +295,7 @@ std::vector<paradise::bench::QueryPerfSample> RunQuerySection() {
 
 // ---------- Spatial-join section ----------
 
-/// Standalone PBSM and index-NL joins, reported in the same JSON rows as
+/// Standalone PBSM and two-layer joins, reported in the same JSON rows as
 /// the queries: wall clock for the host-perf gate, modeled seconds for
 /// cost-model drift. The 1- and 8-thread PBSM rows must report identical
 /// modeled seconds (the determinism contract); the gate then watches both.
@@ -352,23 +352,6 @@ std::vector<paradise::bench::QueryPerfSample> RunSpatialJoinSection() {
     }
     samples.push_back(
         {"two_layer_join", wall, model.Seconds(clock.EndPhase())});
-  }
-
-  {
-    ExecContext no_charge;
-    auto tree = paradise::exec::BuildRTreeOnColumn(right, 1, no_charge);
-    paradise::sim::NodeClock clock;
-    ExecContext ctx;
-    ctx.clock = &clock;
-    Clock::time_point t0 = Clock::now();
-    auto r =
-        paradise::exec::IndexSpatialJoin(left, 1, right, 1, *tree, ctx);
-    double wall = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (!r.ok()) {
-      std::fprintf(stderr, "index_join failed\n");
-      std::exit(1);
-    }
-    samples.push_back({"index_join", wall, model.Seconds(clock.EndPhase())});
   }
 
   std::printf("\nspatial-join section:\n");

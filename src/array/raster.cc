@@ -199,27 +199,30 @@ StatusOr<double> RasterAverage(const Raster& raster, TileSource* source,
 
 StatusOr<Raster> PixelAverage(const std::vector<Raster>& rasters,
                               const std::vector<TileSource*>& sources,
+                              const Raster::PixelRegion& region,
                               storage::LargeObjectStore* out_store,
                               sim::NodeClock* clock, uint32_t owner_node) {
   PARADISE_CHECK(!rasters.empty() && rasters.size() == sources.size());
-  uint32_t h = rasters[0].height();
-  uint32_t w = rasters[0].width();
-  std::vector<uint64_t> sum(static_cast<size_t>(h) * w, 0);
-  std::vector<uint32_t> count(static_cast<size_t>(h) * w, 0);
+  std::vector<uint64_t> sum(region.num_pixels(), 0);
+  std::vector<uint32_t> count(sum.size(), 0);
   for (size_t i = 0; i < rasters.size(); ++i) {
-    if (rasters[i].height() != h || rasters[i].width() != w) {
+    if (rasters[i].height() != rasters[0].height() ||
+        rasters[i].width() != rasters[0].width()) {
       return Status::InvalidArgument("PixelAverage: shape mismatch");
     }
-    Raster::PixelRegion all{0, h, 0, w};
-    PARADISE_ASSIGN_OR_RETURN(std::vector<uint16_t> pixels,
-                              ReadPixelRegion(rasters[i], all, sources[i]));
-    for (size_t p = 0; p < pixels.size(); ++p) {
-      if (pixels[p] == Raster::kNoData) continue;
-      sum[p] += pixels[p];
+    PARADISE_ASSIGN_OR_RETURN(
+        ByteBuffer bytes,
+        ReadRegion(rasters[i].handle, sources[i],
+                   {region.row_lo, region.col_lo},
+                   {region.row_hi, region.col_hi}));
+    const uint16_t* px = reinterpret_cast<const uint16_t*>(bytes.data());
+    for (size_t p = 0; p < sum.size(); ++p) {
+      if (px[p] == Raster::kNoData) continue;
+      sum[p] += px[p];
       ++count[p];
     }
     if (clock != nullptr) {
-      clock->ChargeCpu(static_cast<double>(pixels.size()) *
+      clock->ChargeCpu(static_cast<double>(sum.size()) *
                        sim::cpu_cost::kPerPixel);
     }
   }
@@ -233,7 +236,8 @@ StatusOr<Raster> PixelAverage(const std::vector<Raster>& rasters,
   out.geo = rasters[0].geo;
   PARADISE_ASSIGN_OR_RETURN(
       out.handle,
-      StoreArray(reinterpret_cast<const uint8_t*>(out_pixels.data()), {h, w},
+      StoreArray(reinterpret_cast<const uint8_t*>(out_pixels.data()),
+                 {region.row_hi - region.row_lo, region.col_hi - region.col_lo},
                  2, out_store, clock, /*compress=*/true, kDefaultTileBytes,
                  owner_node));
   return out;

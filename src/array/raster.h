@@ -80,10 +80,13 @@ StatusOr<Raster> LowerRes(const Raster& raster, uint32_t factor,
 StatusOr<double> RasterAverage(const Raster& raster, TileSource* source,
                                sim::NodeClock* clock);
 
-/// Pixel-by-pixel average of same-shaped rasters (Query 3); source[i]
-/// reads raster[i]'s tiles (they may live on different nodes).
+/// Pixel-by-pixel average over `region` of same-shaped rasters, ignoring
+/// kNoData samples (Query 3's sequential plan); source[i] reads
+/// raster[i]'s tiles (they may live on different nodes). The result holds
+/// the region's pixels and keeps rasters[0]'s geo extent.
 StatusOr<Raster> PixelAverage(const std::vector<Raster>& rasters,
                               const std::vector<TileSource*>& sources,
+                              const Raster::PixelRegion& region,
                               storage::LargeObjectStore* out_store,
                               sim::NodeClock* clock, uint32_t owner_node = 0);
 

@@ -112,10 +112,6 @@ StatusOr<QueryResult> RunAverageQuery(BenchmarkDatabase* db,
 
   array::Raster::PixelRegion region = rasters[0].RegionForBox(clip.Mbr());
   if (region.empty()) return Status::NotFound("clip misses rasters");
-  std::vector<uint32_t> lo = {region.row_lo, region.col_lo};
-  std::vector<uint32_t> hi = {region.row_hi, region.col_hi};
-  uint32_t rows_px = region.row_hi - region.row_lo;
-  uint32_t cols_px = region.col_hi - region.col_lo;
 
   TupleVec result;
   if (!declustered) {
@@ -123,35 +119,14 @@ StatusOr<QueryResult> RunAverageQuery(BenchmarkDatabase* db,
     // the needed tiles of every image and folds them.
     PARADISE_RETURN_IF_ERROR(coord.RunSequential("average", [&]() -> Status {
       NodeExecContext cc = MakeCoordinatorContext(db->cluster());
-      std::vector<uint64_t> sum(static_cast<size_t>(rows_px) * cols_px, 0);
-      std::vector<uint32_t> count(sum.size(), 0);
+      std::vector<array::TileSource*> sources;
       for (const array::Raster& r : rasters) {
-        PARADISE_ASSIGN_OR_RETURN(
-            ByteBuffer bytes,
-            array::ReadRegion(r.handle, cc.ctx.SourceFor(r.handle.owner_node),
-                              lo, hi));
-        const uint16_t* px = reinterpret_cast<const uint16_t*>(bytes.data());
-        for (size_t p = 0; p < sum.size(); ++p) {
-          if (px[p] == array::Raster::kNoData) continue;
-          sum[p] += px[p];
-          ++count[p];
-        }
-        cc.ctx.ChargeCpu(static_cast<double>(sum.size()) *
-                         sim::cpu_cost::kPerPixel);
+        sources.push_back(cc.ctx.SourceFor(r.handle.owner_node));
       }
-      std::vector<uint16_t> avg(sum.size());
-      for (size_t p = 0; p < sum.size(); ++p) {
-        avg[p] = count[p] == 0 ? array::Raster::kNoData
-                               : static_cast<uint16_t>(sum[p] / count[p]);
-      }
-      array::Raster out;
-      out.geo = rasters[0].geo;  // region geo box is a sub-extent; fine for
-                                 // the benchmark's timing purposes
       PARADISE_ASSIGN_OR_RETURN(
-          out.handle, array::StoreArray(
-                          reinterpret_cast<const uint8_t*>(avg.data()),
-                          {rows_px, cols_px}, 2, cc.ctx.temp_store,
-                          cc.ctx.clock, true, array::kDefaultTileBytes, 0));
+          array::Raster out,
+          array::PixelAverage(rasters, sources, region, cc.ctx.temp_store,
+                              cc.ctx.clock));
       result.push_back(Tuple({Value(std::move(out))}));
       return Status::OK();
     }));
@@ -164,8 +139,9 @@ StatusOr<QueryResult> RunAverageQuery(BenchmarkDatabase* db,
     std::vector<std::map<uint32_t, std::vector<uint16_t>>> node_tiles(
         cluster->num_nodes());
     std::map<uint32_t, std::vector<uint16_t>> partial_tiles;
-    std::vector<uint32_t> region_tiles =
-        array::TilesForRegion(rasters[0].handle, lo, hi);
+    std::vector<uint32_t> region_tiles = array::TilesForRegion(
+        rasters[0].handle, {region.row_lo, region.col_lo},
+        {region.row_hi, region.col_hi});
     PARADISE_RETURN_IF_ERROR(
         coord.RunPhase("local tile average", [&](int n) -> Status {
           NodeExecContext nc = MakeNodeContext(cluster, n);
@@ -212,10 +188,12 @@ StatusOr<QueryResult> RunAverageQuery(BenchmarkDatabase* db,
       for (const auto& [t, avg] : partial_tiles) {
         int owner = static_cast<int>(rasters[0].handle.TileOwner(t));
         int64_t b = static_cast<int64_t>(avg.size() * 2);
-        cluster->node(owner).clock()->ChargeNet((b + 8191) / 8192, b);
+        cluster->node(owner).clock()->ChargeNet(
+            core::Cluster::BatchMessages(b), b);
         bytes += b;
       }
-      cluster->coordinator_clock()->ChargeNet((bytes + 8191) / 8192, bytes);
+      cluster->coordinator_clock()->ChargeNet(
+          core::Cluster::BatchMessages(bytes), bytes);
       cluster->coordinator_clock()->ChargeCpu(
           sim::cpu_cost::kPerByteCopied * static_cast<double>(bytes));
       result.push_back(
@@ -344,45 +322,19 @@ StatusOr<QueryResult> RunQuery8(BenchmarkDatabase* db) {
       PerNode louisville, core::ParallelIndexSelectString(
                               &coord, db->places(), col::kPlaceName,
                               "Louisville"));
-  PARADISE_ASSIGN_OR_RETURN(PerNode everywhere,
-                            core::Broadcast(&coord, louisville));
-  // Index nested loops spatial join against each node's landCover R*-tree.
-  core::Cluster* cluster = db->cluster();
-  PerNode out(cluster->num_nodes());
-  PARADISE_RETURN_IF_ERROR(
-      coord.RunPhase("index NL spatial join", [&](int n) -> Status {
-        NodeExecContext nc = MakeNodeContext(cluster, n);
-        const ParallelTable::Fragment& frag = db->land_cover().fragment(n);
-        exec::IndexProbeCharger charger(nc.ctx, frag.rtree->num_nodes());
-        for (const Tuple& city : everywhere[n]) {
-          Box probe =
-              Box::MakeBox(city.at(col::kPlaceLocation).AsPoint(), k.box_length);
-          nc.ctx.ChargeCpu(sim::cpu_cost::kIndexProbe);
-          int64_t visited = 0;
-          std::vector<uint64_t> candidates;
-          frag.rtree->SearchOverlap(
-              probe,
-              [&](const Box&, uint64_t row) {
-                candidates.push_back(row);
-                return true;
-              },
-              &visited);
-          charger.ChargeVisits(visited);
-          for (uint64_t row : candidates) {
-            if (!db->land_cover().PrimaryFilter(n, row)) continue;  // dedup
-            PARADISE_ASSIGN_OR_RETURN(Tuple lc,
-                                      db->land_cover().FetchRow(cluster, n, row));
-            PARADISE_ASSIGN_OR_RETURN(
-                bool hit, exec::SpatialIntersects(lc.at(col::kLcShape),
-                                                  Value(probe), nc.ctx));
-            if (hit) {
-              out[n].push_back(Tuple(
-                  {lc.at(col::kLcShape), lc.at(col::kLcType)}));
-            }
-          }
-        }
-        return Status::OK();
-      }));
+  // Index nested loops: makeBox(location, box_length) probes each node's
+  // landCover R*-tree; the output projects [shape, type].
+  PARADISE_ASSIGN_OR_RETURN(
+      PerNode out,
+      core::ParallelIndexSpatialJoin(
+          &coord, louisville, db->land_cover(), col::kLcShape,
+          [&](const Tuple& city) {
+            return Value(Box::MakeBox(city.at(col::kPlaceLocation).AsPoint(),
+                                      k.box_length));
+          },
+          [](const Tuple&, const Tuple& lc) {
+            return Tuple({lc.at(col::kLcShape), lc.at(col::kLcType)});
+          }));
   PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, out));
   return Finish(coord, std::move(rows));
 }

@@ -72,10 +72,7 @@ int Cluster::AddNode() {
   return id;
 }
 
-namespace {
-// Tuples travel in 8 KB message batches.
-int64_t BatchMessages(int64_t bytes) { return (bytes + 8191) / 8192; }
-}  // namespace
+int64_t Cluster::BatchMessages(int64_t bytes) { return (bytes + 8191) / 8192; }
 
 void Cluster::ChargeTransfer(uint32_t from, uint32_t to, int64_t bytes) {
   if (from == to || bytes <= 0) return;  // shared-memory transport

@@ -104,6 +104,9 @@ class Cluster {
 
   sim::NodeClock* coordinator_clock() { return &coordinator_clock_; }
 
+  /// Messages needed to ship `bytes`: tuples travel in 8 KB batches.
+  static int64_t BatchMessages(int64_t bytes);
+
   /// Charges a tuple batch transfer of `bytes` from node `from` to node
   /// `to` (sender and receiver links both carry it; messages are charged
   /// per 8 KB batch). `from == to` is free (shared memory transport).

@@ -115,6 +115,25 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
                                       const geom::Box& universe,
                                       const ParallelSpatialJoinOptions& opts);
 
+/// Indexed nested-loops spatial join (Section 2.4): the small outer is
+/// shipped to the inner's nodes and each node probes its fragment's
+/// R*-tree with `probe(outer row)`, emitting `emit(outer row, inner row)`
+/// for every inner row whose `inner_col` shape intersects the probe.
+///  - Routing: the outer is broadcast; a kTwoLayer inner instead receives
+///    each row only at the nodes owning a tile its probe MBR overlaps.
+///  - Phase "index NL spatial join": a fragment without an R*-tree yields
+///    no rows while it holds no live rows (a just-added node) and fails
+///    with FAILED_PRECONDITION otherwise. Every R*-tree hit counts as a
+///    dedup test in the node's PbsmJoinStats. One copy of each pair is
+///    kept: the inner's primary copy, or for a kTwoLayer inner the copy at
+///    the node owning the reference point of the two MBRs' intersection.
+StatusOr<PerNode> ParallelIndexSpatialJoin(
+    QueryCoordinator* coord, const PerNode& outer, const ParallelTable& inner,
+    size_t inner_col,
+    const std::function<exec::Value(const exec::Tuple&)>& probe,
+    const std::function<exec::Tuple(const exec::Tuple&, const exec::Tuple&)>&
+        emit);
+
 /// Two-phase parallel aggregation (Section 2.4): local aggregation on
 /// every node, partials shipped to the single global aggregate operator at
 /// the coordinator (a deliberately sequential step, as in the paper).

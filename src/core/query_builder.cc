@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "exec/spatial_join.h"
-#include "sim/cost_model.h"
 
 namespace paradise::core {
 
@@ -309,86 +307,17 @@ StatusOr<PerNode> Query::ExecuteAccess(QueryCoordinator* coord,
 StatusOr<PerNode> Query::ExecuteJoin(QueryCoordinator* coord,
                                      const JoinChoice& jc,
                                      const PerNode& outer) const {
-  Cluster* cluster = coord->cluster();
   if (jc.algo == JoinChoice::kBroadcastIndexNL) {
-    const bool two_layer =
-        jc.right->def().partitioning == catalog::PartitioningKind::kTwoLayer;
-    const SpatialGrid& grid = jc.right->grid();
-    PerNode everywhere;
-    if (two_layer) {
-      // Targeted multicast: a two-layer inner is declustered on its grid,
-      // so each probe only needs to visit the nodes whose tiles its MBR
-      // overlaps — the reference-point rule below then emits each
-      // qualifying pair exactly once. Far fewer probe copies cross the
-      // network than a broadcast.
-      PARADISE_ASSIGN_OR_RETURN(
-          everywhere,
-          Redistribute(coord, outer,
-                       [&](const Tuple& t, std::vector<uint32_t>* dest) {
-                         *dest = grid.NodesOfBox(t.at(jc.left_column).Mbr());
-                       }));
-    } else {
-      PARADISE_ASSIGN_OR_RETURN(everywhere, Broadcast(coord, outer));
-    }
-    PerNode out(cluster->num_nodes());
-    PARADISE_RETURN_IF_ERROR(
-        coord->RunPhase("index NL spatial join", [&](int n) -> Status {
-          const ParallelTable::Fragment& frag = jc.right->fragment(n);
-          if (frag.rtree == nullptr) {
-            return Status::FailedPrecondition("inner lost its index");
-          }
-          NodeExecContext nc = MakeNodeContext(cluster, n);
-          exec::PbsmJoinStats* sink = coord->node_pbsm_stats(n);
-          exec::IndexProbeCharger charger(nc.ctx, frag.rtree->num_nodes());
-          for (const Tuple& o : everywhere[n]) {
-            geom::Box probe = o.at(jc.left_column).Mbr();
-            nc.ctx.ChargeCpu(sim::cpu_cost::kIndexProbe);
-            int64_t visited = 0;
-            std::vector<std::pair<geom::Box, uint64_t>> hits;
-            frag.rtree->SearchOverlap(
-                probe,
-                [&](const geom::Box& b, uint64_t row) {
-                  hits.emplace_back(b, row);
-                  return true;
-                },
-                &visited);
-            charger.ChargeVisits(visited);
-            for (const auto& [ibox, row] : hits) {
-              ++sink->dedup_tests;
-              bool keep;
-              if (two_layer) {
-                // Emit at the node owning the tile of the intersection's
-                // reference point — each pair qualifies at exactly one
-                // node, and that node both received the probe (its tile
-                // overlaps the probe MBR) and stores the inner replica.
-                geom::Point rp = grid.ClampToUniverse(
-                    geom::Point{std::max(probe.xmin, ibox.xmin),
-                                std::max(probe.ymin, ibox.ymin)});
-                keep = grid.NodeOfPoint(rp) == static_cast<uint32_t>(n);
-              } else {
-                keep = jc.right->PrimaryFilter(n, row);  // dedup replicas
-              }
-              if (!keep) {
-                ++sink->dedup_dropped;
-                continue;
-              }
-              PARADISE_ASSIGN_OR_RETURN(Tuple inner,
-                                        jc.right->FetchRow(cluster, n, row));
-              PARADISE_ASSIGN_OR_RETURN(
-                  bool hit, exec::SpatialIntersects(
-                                o.at(jc.left_column),
-                                inner.at(jc.right_column), nc.ctx));
-              if (!hit) continue;
-              Tuple joined;
-              joined.values = o.values;
-              joined.values.insert(joined.values.end(), inner.values.begin(),
-                                   inner.values.end());
-              out[n].push_back(std::move(joined));
-            }
-          }
-          return Status::OK();
-        }));
-    return out;
+    return ParallelIndexSpatialJoin(
+        coord, outer, *jc.right, jc.right_column,
+        [&](const Tuple& o) { return o.at(jc.left_column); },
+        [](const Tuple& o, const Tuple& inner) {
+          Tuple joined;
+          joined.values = o.values;
+          joined.values.insert(joined.values.end(), inner.values.begin(),
+                               inner.values.end());
+          return joined;
+        });
   }
   // PBSM: redecluster both sides on a fresh grid.
   PARADISE_ASSIGN_OR_RETURN(PerNode inner,
@@ -477,24 +406,25 @@ StatusOr<TupleVec> Query::Run(QueryCoordinator* coord) && {
     PARADISE_ASSIGN_OR_RETURN(rows, ExecuteJoin(coord, jc, rows));
   }
 
+  TupleVec gathered;
   if (has_aggregate_) {
-    return ParallelAggregate(coord, rows, group_cols_, aggregates_);
+    PARADISE_ASSIGN_OR_RETURN(
+        gathered, ParallelAggregate(coord, rows, group_cols_, aggregates_));
+  } else {
+    if (!projection_.empty()) {
+      Cluster* cluster = coord->cluster();
+      PerNode projected(cluster->num_nodes());
+      PARADISE_RETURN_IF_ERROR(
+          coord->RunPhase("project", [&](int n) -> Status {
+            NodeExecContext nc = MakeNodeContext(cluster, n);
+            PARADISE_ASSIGN_OR_RETURN(
+                projected[n], exec::Project(rows[n], projection_, nc.ctx));
+            return Status::OK();
+          }));
+      rows = std::move(projected);
+    }
+    PARADISE_ASSIGN_OR_RETURN(gathered, Gather(coord, rows));
   }
-
-  if (!projection_.empty()) {
-    Cluster* cluster = coord->cluster();
-    PerNode projected(cluster->num_nodes());
-    PARADISE_RETURN_IF_ERROR(
-        coord->RunPhase("project", [&](int n) -> Status {
-          NodeExecContext nc = MakeNodeContext(cluster, n);
-          PARADISE_ASSIGN_OR_RETURN(
-              projected[n], exec::Project(rows[n], projection_, nc.ctx));
-          return Status::OK();
-        }));
-    rows = std::move(projected);
-  }
-
-  PARADISE_ASSIGN_OR_RETURN(TupleVec gathered, Gather(coord, rows));
   if (order_by_.has_value()) {
     PARADISE_RETURN_IF_ERROR(coord->RunSequential("sort", [&]() -> Status {
       NodeExecContext cc = MakeCoordinatorContext(coord->cluster());

@@ -58,6 +58,8 @@ class Query {
   Query&& GroupBy(std::vector<size_t> group_cols,
                   std::vector<exec::AggregatePtr> aggs) &&;
 
+  /// Sorts the result at the coordinator on output column `column` — a
+  /// position in the projection, or in [group keys..., aggregates...].
   Query&& OrderBy(size_t column, bool ascending = true) &&;
 
   /// The physical plan the optimizer chose, as text — inspect before

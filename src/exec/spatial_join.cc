@@ -70,8 +70,8 @@ struct TaskResult {
   int64_t dedup_dropped = 0;
 };
 
-/// The task runner shared by every join here: task t runs `body(t,
-/// task_ctx, &result)` against a task-local clock whose charges land in
+/// The partition join's task runner: task t runs `body(t, task_ctx,
+/// &result)` against a task-local clock whose charges land in
 /// result.usage — on the pool when it has real workers and the fan-out is
 /// non-trivial, inline otherwise. Each task touches only its own slot, so
 /// nothing about the outcome depends on which thread ran it, or when.
@@ -91,28 +91,6 @@ std::vector<TaskResult> RunTasks(const ExecContext& ctx, size_t count,
     for (size_t t = 0; t < count; ++t) run(t);
   }
   return results;
-}
-
-/// Deterministic merge, in task order: the first failing task's error
-/// wins; otherwise each task's charges fold into the node clock in one
-/// fixed sequence, `each(t, result)` runs right after task t's fold, and
-/// the outputs concatenate — so results and modeled time are bit-identical
-/// at any thread count.
-template <typename Each>
-StatusOr<TupleVec> MergeTasks(const ExecContext& ctx,
-                              std::vector<TaskResult>* results,
-                              const Each& each) {
-  for (TaskResult& r : *results) {
-    PARADISE_RETURN_IF_ERROR(std::move(r.status));
-  }
-  TupleVec out;
-  for (size_t t = 0; t < results->size(); ++t) {
-    TaskResult& r = (*results)[t];
-    ctx.ChargeUsage(r.usage);
-    each(t, r);
-    for (Tuple& tuple : r.out) out.push_back(std::move(tuple));
-  }
-  return out;
 }
 
 /// PBSM's uniform cell grid: maps a coordinate to its cell column / row
@@ -325,16 +303,23 @@ StatusOr<TupleVec> PartitionJoin(const TupleVec& left, size_t left_col,
   };
   std::vector<TaskResult> results = RunTasks(ctx, num_tasks, sweep_task);
 
-  // Counters sum in the merge; the partition shape fills in once after.
+  // Deterministic merge, in task order: the first failing task's error
+  // wins; otherwise each task's charges fold into the node clock in one
+  // fixed sequence, its counters sum and the outputs concatenate — so
+  // results and modeled time are bit-identical at any thread count. The
+  // partition shape fills in once after.
+  for (TaskResult& r : results) PARADISE_RETURN_IF_ERROR(std::move(r.status));
   PbsmJoinStats st;
-  PARADISE_ASSIGN_OR_RETURN(
-      TupleVec out, MergeTasks(ctx, &results, [&st](size_t, TaskResult& r) {
-        st.parallel_tasks += r.swept ? 1 : 0;
-        st.sweep_pair_compares += r.compares;
-        st.sweep_candidates += r.candidates;
-        st.exact_tests += r.exact_tests;
-        st.dedup_dropped += r.dedup_dropped;
-      }));
+  TupleVec out;
+  for (TaskResult& r : results) {
+    ctx.ChargeUsage(r.usage);
+    st.parallel_tasks += r.swept ? 1 : 0;
+    st.sweep_pair_compares += r.compares;
+    st.sweep_candidates += r.candidates;
+    st.exact_tests += r.exact_tests;
+    st.dedup_dropped += r.dedup_dropped;
+    for (Tuple& tuple : r.out) out.push_back(std::move(tuple));
+  }
   if (ctx.pbsm_stats == nullptr) return out;
   if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1) {
     st.parallel_tasks = 0;
@@ -669,75 +654,6 @@ void IndexProbeCharger::ChargeVisits(int64_t visited) {
                  sim::cpu_cost::kIndexNodeVisit);
 }
 
-StatusOr<TupleVec> IndexSpatialJoin(const TupleVec& outer, size_t outer_col,
-                                    const TupleVec& inner, size_t inner_col,
-                                    const index::RStarTree& inner_index,
-                                    const ExecContext& ctx) {
-  if (outer.empty()) return TupleVec();
-
-  // Fixed chunk size: the decomposition (and with it every charge
-  // boundary) must not depend on how many threads happen to exist.
-  constexpr size_t kChunk = 256;
-  const size_t num_chunks = (outer.size() + kChunk - 1) / kChunk;
-
-  // Each chunk probes the (read-only) tree independently: probe CPU and
-  // exact-test charges land on a task-local clock, while the number of
-  // index nodes each probe visited is recorded for later. The stateful
-  // cold-page accounting (IndexProbeCharger) cannot run concurrently
-  // without making the cold/warm split schedule-dependent, so it is
-  // replayed sequentially, in chunk order, at the merge below.
-  std::vector<std::vector<int64_t>> probe_visits(num_chunks);
-  // One SoA snapshot of the (immutable during the join) tree, shared
-  // read-only by every chunk: probes scan flat coordinate arrays instead
-  // of pointer-chasing Entry records. Same traversal, same visit counts.
-  index::RStarTree::FlatView flat_index(inner_index);
-
-  auto probe_chunk = [&](size_t c, const ExecContext& task_ctx,
-                         TaskResult* task) {
-    const size_t lo = c * kChunk;
-    const size_t hi = std::min(outer.size(), lo + kChunk);
-    std::vector<int64_t>& visits = probe_visits[c];
-    visits.reserve(hi - lo);
-    // Per-tuple probe overhead for the whole chunk as one batched charge
-    // (both constants are integer-valued, so the total is bit-identical
-    // to the per-tuple sequence).
-    task_ctx.ChargeCpuOps(
-        static_cast<int64_t>(hi - lo),
-        sim::cpu_cost::kTupleOverhead + sim::cpu_cost::kIndexProbe);
-    index::RStarTree::FlatView::ProbeStack stack;
-    std::vector<join_kernel::OrdinalPair> candidates;
-    for (size_t i = lo; i < hi; ++i) {
-      Box probe = outer[i].at(outer_col).Mbr();
-      int64_t nodes = 0;
-      flat_index.ForEachOverlap(
-          probe,
-          [&candidates, i](const Box&, uint64_t row) {
-            // Tree ids are row indices into `inner` (< 2^32 rows).
-            candidates.push_back({static_cast<uint32_t>(i),
-                                  static_cast<uint32_t>(row)});
-            return true;
-          },
-          &nodes, &stack);
-      visits.push_back(nodes);
-    }
-    // Batched exact pass over the chunk's candidates, in probe order —
-    // the same pair order and charge order the interleaved loop had.
-    task->status = join_kernel::ExactJoinBatch(outer, outer_col, inner,
-                                               inner_col, candidates.data(),
-                                               candidates.size(), task_ctx,
-                                               &task->out);
-  };
-  std::vector<TaskResult> results = RunTasks(ctx, num_chunks, probe_chunk);
-
-  // The merge replays the cold/warm index charging over each chunk's
-  // recorded visit counts right after its charges fold in — identical to
-  // the serial probe sequence.
-  IndexProbeCharger charger(ctx, inner_index.num_nodes());
-  return MergeTasks(ctx, &results, [&](size_t c, TaskResult&) {
-    for (int64_t visited : probe_visits[c]) charger.ChargeVisits(visited);
-  });
-}
-
 StatusOr<ClosestMatch> ExpandingCircleClosest(const Point& point,
                                               const TupleVec& targets,
                                               size_t shape_col,
@@ -803,27 +719,19 @@ StatusOr<ClosestMatch> ExpandingCircleClosest(const Point& point,
 
 std::unique_ptr<index::RStarTree> BuildRTreeOnColumn(const TupleVec& tuples,
                                                      size_t shape_col,
-                                                     const ExecContext& ctx,
-                                                     bool bulk_load) {
+                                                     const ExecContext& ctx) {
   ctx.ChargeCpu(static_cast<double>(tuples.size()) *
                 (sim::cpu_cost::kTupleOverhead + sim::cpu_cost::kHash));
-  if (bulk_load) {
-    std::vector<std::pair<Box, uint64_t>> entries;
-    entries.reserve(tuples.size());
-    for (uint64_t i = 0; i < tuples.size(); ++i) {
-      entries.emplace_back(tuples[i].at(shape_col).Mbr(), i);
-    }
-    if (ctx.clock != nullptr && !tuples.empty()) {
-      double n = static_cast<double>(tuples.size());
-      ctx.clock->ChargeCpu(n * std::log2(n + 1) * sim::cpu_cost::kCompare);
-    }
-    return index::RStarTree::BulkLoadStr(std::move(entries));
-  }
-  auto tree = std::make_unique<index::RStarTree>();
+  std::vector<std::pair<Box, uint64_t>> entries;
+  entries.reserve(tuples.size());
   for (uint64_t i = 0; i < tuples.size(); ++i) {
-    tree->Insert(tuples[i].at(shape_col).Mbr(), i);
+    entries.emplace_back(tuples[i].at(shape_col).Mbr(), i);
   }
-  return tree;
+  if (ctx.clock != nullptr && !tuples.empty()) {
+    double n = static_cast<double>(tuples.size());
+    ctx.clock->ChargeCpu(n * std::log2(n + 1) * sim::cpu_cost::kCompare);
+  }
+  return index::RStarTree::BulkLoadStr(std::move(entries));
 }
 
 }  // namespace paradise::exec

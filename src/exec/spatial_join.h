@@ -113,21 +113,6 @@ class IndexProbeCharger {
   int64_t cold_remaining_;
 };
 
-/// Index nested loops spatial join: probe an R*-tree on the inner's shape
-/// column with each outer MBR, then exact-test candidates. Used when an
-/// R-tree exists on the join attribute (Section 2.4).
-///
-/// With a multi-thread `ctx.pool` the outer is cut into fixed-size chunks
-/// probed in parallel; the chunk size never depends on the thread count,
-/// probe CPU is charged to task-local clocks, and the stateful cold-page
-/// charging (IndexProbeCharger) is replayed sequentially in chunk order at
-/// the merge — so results and modeled time stay bit-identical across
-/// thread counts.
-StatusOr<TupleVec> IndexSpatialJoin(const TupleVec& outer, size_t outer_col,
-                                    const TupleVec& inner, size_t inner_col,
-                                    const index::RStarTree& inner_index,
-                                    const ExecContext& ctx);
-
 /// One step of the `closest` machinery: finds the inner row closest to
 /// `point` by expanding-circle index probes (Section 2.7.3 / Query 12's
 /// join-with-aggregate operator). The initial circle has one millionth of
@@ -152,8 +137,7 @@ StatusOr<ClosestMatch> ExpandingCircleClosest(const geom::Point& point,
 /// row index — the "index built on the fly" of Query 12 step 3.
 std::unique_ptr<index::RStarTree> BuildRTreeOnColumn(const TupleVec& tuples,
                                                      size_t shape_col,
-                                                     const ExecContext& ctx,
-                                                     bool bulk_load = true);
+                                                     const ExecContext& ctx);
 
 }  // namespace paradise::exec
 

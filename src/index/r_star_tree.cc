@@ -312,31 +312,6 @@ void RStarTree::SearchOverlap(
   ForEachOverlap(query, fn, nodes_visited);
 }
 
-RStarTree::FlatView::FlatView(const RStarTree& tree) {
-  // BFS numbering: children get their id when their parent's entries are
-  // emitted. Ids only choose memory layout — the probe pushes children in
-  // entry order off its own stack, so traversal matches the node tree's.
-  std::vector<const Node*> nodes{tree.root_.get()};
-  node_begin_.push_back(0);
-  for (size_t n = 0; n < nodes.size(); ++n) {
-    const Node* node = nodes[n];
-    leaf_.push_back(node->level == 0 ? 1 : 0);
-    for (const Entry& e : node->entries) {
-      mbr_.push_back(e.box.xmin);
-      mbr_.push_back(e.box.xmax);
-      mbr_.push_back(e.box.ymin);
-      mbr_.push_back(e.box.ymax);
-      if (node->level == 0) {
-        payload_.push_back(e.id);
-      } else {
-        payload_.push_back(nodes.size());
-        nodes.push_back(e.child.get());
-      }
-    }
-    node_begin_.push_back(static_cast<uint32_t>(payload_.size()));
-  }
-}
-
 void RStarTree::SearchCircle(
     const Circle& circle, const std::function<bool(const Box&, RowId)>& fn,
     int64_t* nodes_visited) const {

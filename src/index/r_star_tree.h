@@ -92,68 +92,6 @@ class RStarTree {
     }
   }
 
-  /// Immutable struct-of-arrays snapshot of the tree for batched probes:
-  /// every entry MBR flattened into contiguous coordinate arrays, CSR by
-  /// node id (root = 0). A probe loop over thousands of query boxes scans
-  /// flat doubles instead of pointer-chasing 48-byte Entry records.
-  /// Traversal order, callback order, and node-visit counts are identical
-  /// to ForEachOverlap, so modeled probe charges are unchanged. The view
-  /// is valid until the tree is modified, and is safe to share read-only
-  /// across threads.
-  class FlatView {
-   public:
-    explicit FlatView(const RStarTree& tree);
-
-    /// Reusable traversal stack (node ids) for allocation-free probes.
-    using ProbeStack = std::vector<uint32_t>;
-
-    template <typename Fn>
-    void ForEachOverlap(const geom::Box& query, Fn&& fn,
-                        int64_t* nodes_visited, ProbeStack* stack) const {
-      stack->clear();
-      stack->push_back(0);
-      const double qxmin = query.xmin, qymin = query.ymin;
-      const double qxmax = query.xmax, qymax = query.ymax;
-      uint32_t hits[kMaxEntries];
-      while (!stack->empty()) {
-        const uint32_t n = stack->back();
-        stack->pop_back();
-        if (nodes_visited != nullptr) ++*nodes_visited;
-        const uint32_t s = node_begin_[n];
-        const uint32_t cnt = node_begin_[n + 1] - s;
-        // Branchless overlap scan over the node's interleaved MBR block
-        // (one contiguous stream, 32 B per entry), compress-storing the
-        // matching slots; the hit list keeps entry order, so traversal
-        // matches the branchy per-entry form exactly.
-        const double* m = &mbr_[static_cast<size_t>(s) * 4];
-        uint32_t nh = 0;
-        for (uint32_t k = 0; k < cnt; ++k) {
-          const bool hit = (m[k * 4] <= qxmax) & (qxmin <= m[k * 4 + 1]) &
-                           (m[k * 4 + 2] <= qymax) & (qymin <= m[k * 4 + 3]);
-          hits[nh] = s + k;
-          nh += hit;
-        }
-        if (leaf_[n] != 0) {
-          for (uint32_t h = 0; h < nh; ++h) {
-            const uint32_t k = hits[h];
-            const double* e = &mbr_[static_cast<size_t>(k) * 4];
-            if (!fn(geom::Box(e[0], e[2], e[1], e[3]), payload_[k])) return;
-          }
-        } else {
-          for (uint32_t h = 0; h < nh; ++h) {
-            stack->push_back(static_cast<uint32_t>(payload_[hits[h]]));
-          }
-        }
-      }
-    }
-
-   private:
-    std::vector<double> mbr_;  // 4 doubles/entry: xlo, xhi, ylo, yhi
-    std::vector<uint64_t> payload_;   // child node id (internal) or row id
-    std::vector<uint32_t> node_begin_;  // node id -> first entry; sentinel
-    std::vector<uint8_t> leaf_;         // node id -> is a leaf
-  };
-
   /// Entries whose MBR lies within `circle`'s reach (MBR min-distance to
   /// the center <= radius). The exact geometry test is the caller's.
   void SearchCircle(const geom::Circle& circle,

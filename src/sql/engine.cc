@@ -540,9 +540,9 @@ class Parser {
   }
 
   // ---- select list ----
-  /// Binds the select list. A projection also moves the ORDER BY key from
-  /// the table's column to that column's place in the select list, since
-  /// the sort runs on the projected tuples.
+  /// Binds the select list. A projection or an aggregate also moves the
+  /// ORDER BY key from the table's column to that column's place in the
+  /// output, since the sort runs on the output tuples.
   StatusOr<Query> ParseSelectList(Query query, bool has_group_by,
                                   size_t group_col,
                                   std::optional<exec::SortKey>* order) {
@@ -597,6 +597,15 @@ class Parser {
       if (!projection.empty()) {
         return Error("mixing aggregates and plain columns needs GROUP BY "
                      "columns only in the plain list");
+      }
+      if (order->has_value()) {
+        // The aggregate output is [group key, aggregates...]: only the
+        // GROUP BY column has a place to sort on.
+        if (!has_group_by || (*order)->column != group_col) {
+          return Error("ORDER BY on an aggregate must name the GROUP BY "
+                       "column");
+        }
+        (*order)->column = 0;
       }
       std::vector<size_t> group_cols;
       if (has_group_by) group_cols.push_back(group_col);

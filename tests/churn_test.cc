@@ -25,6 +25,7 @@
 #include "core/cluster.h"
 #include "core/parallel_ops.h"
 #include "core/coordinator.h"
+#include "core/query_builder.h"
 #include "core/spatial_grid.h"
 #include "core/table.h"
 #include "core/topology.h"
@@ -175,6 +176,45 @@ TEST(ChurnTopologyTest, AddNodeRebalancesAndPreservesAnswers) {
   ValidateAll(&loaded);
   const QueryRun after = RunQ(&loaded, 13);
   EXPECT_EQ(after.rows, base.rows);
+}
+
+TEST(ChurnTopologyTest, IndexNestedLoopsJoinsSurviveAddNode) {
+  // Query 8 and core::Query's index-NL join probe every node's landCover
+  // R*-tree, the added node's too: its fragment has neither rows nor an
+  // index until migration lands rows, and must simply answer nothing.
+  LoadedDb loaded = LoadTinyDb(4, 1);
+  TopologyManager* topo = loaded.cluster->topology();
+  // Query 8's boxes miss every landCover polygon of this tiny DB, so it
+  // only has to keep answering. The planner's join has rows: places of
+  // type 0 (45 rows) in landCover polygons, 3 pairs; the optimizer's range
+  // estimate keeps that outer small enough for index NL.
+  auto planner_join = [&loaded]() {
+    auto query = [&loaded]() {
+      return core::Query::On(&loaded.db->places())
+          .WhereIntBetween(datagen::col::kPlaceType, 0, 0)
+          .SpatialJoinWith(&loaded.db->land_cover(),
+                           datagen::col::kPlaceLocation,
+                           datagen::col::kLcShape);
+    };
+    EXPECT_NE(query().Explain().find("indexed nested loops"),
+              std::string::npos);
+    QueryCoordinator coord(loaded.cluster.get());
+    auto rows = query().Run(&coord);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? RenderRowsSorted(*rows) : std::vector<std::string>{};
+  };
+  const QueryRun q8 = RunQ(&loaded, 8);
+  const std::vector<std::string> join = planner_join();
+  ASSERT_EQ(join.size(), 3u);
+
+  topo->AddNode();
+  EXPECT_EQ(RunQ(&loaded, 8).rows, q8.rows);
+  EXPECT_EQ(planner_join(), join);
+
+  ASSERT_OK(topo->DrainMigration(0.0));
+  ASSERT_NE(loaded.db->land_cover().fragment(4).rtree, nullptr);
+  EXPECT_EQ(RunQ(&loaded, 8).rows, q8.rows);
+  EXPECT_EQ(planner_join(), join);
 }
 
 TEST(ChurnTopologyTest, DrainRemoveReinstateRoundTrip) {

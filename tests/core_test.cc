@@ -365,6 +365,54 @@ TEST_P(ParallelEquivalenceTest, SpatialJoinMatchesSerialNestedLoops) {
   EXPECT_EQ(got, expected);
 }
 
+TEST_P(ParallelEquivalenceTest, IndexSpatialJoinMatchesNestedLoops) {
+  int N = GetParam();
+  Rng rng(29);
+  Box universe(-40, -40, 40, 40);
+  TupleVec outer = RandomPolyTuples(&rng, 60, 35, 4);
+  TupleVec inner = RandomPolyTuples(&rng, 150, 35, 4);
+
+  exec::ExecContext null_ctx;
+  auto nl = exec::NestedLoopsJoin(outer, inner,
+                                  exec::Overlaps(exec::Col(1), exec::Col(3)),
+                                  null_ctx);
+  ASSERT_TRUE(nl.ok());
+  std::set<std::pair<int64_t, int64_t>> expected;
+  for (const Tuple& t : *nl) {
+    expected.emplace(t.at(0).AsInt(), t.at(2).AsInt());
+  }
+  ASSERT_FALSE(expected.empty());
+
+  // Broadcast to a kSpatial inner (primary-copy keep rule) and multicast
+  // to a kTwoLayer inner (reference-point keep rule).
+  for (PartitioningKind part :
+       {PartitioningKind::kSpatial, PartitioningKind::kTwoLayer}) {
+    Cluster cluster(N, SmallClusterOptions());
+    TableDef def = PolyTableDef("inner", part, universe);
+    def.indexes = {catalog::IndexDef{"shape_idx", 1, true}};
+    auto table = ParallelTable::Load(&cluster, def, inner, 10);
+    ASSERT_TRUE(table.ok());
+    QueryCoordinator coord(&cluster);
+    ASSERT_TRUE(coord.BeginQuery().ok());
+    PerNode oper(N);
+    for (size_t i = 0; i < outer.size(); ++i) oper[i % N].push_back(outer[i]);
+    auto joined = ParallelIndexSpatialJoin(
+        &coord, oper, **table, 1, [](const Tuple& o) { return o.at(1); },
+        [](const Tuple& o, const Tuple& i) {
+          return Tuple({o.at(0), o.at(1), i.at(0), i.at(1)});
+        });
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    std::set<std::pair<int64_t, int64_t>> got;
+    for (const TupleVec& v : *joined) {
+      for (const Tuple& t : v) {
+        EXPECT_TRUE(got.emplace(t.at(0).AsInt(), t.at(2).AsInt()).second)
+            << "cross-node duplicate";
+      }
+    }
+    EXPECT_EQ(got, expected) << "partitioning " << static_cast<int>(part);
+  }
+}
+
 TEST_P(ParallelEquivalenceTest, AggregateMatchesSerial) {
   int N = GetParam();
   Rng rng(11);

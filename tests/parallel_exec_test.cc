@@ -268,7 +268,7 @@ TEST_P(ThreadCountDeterminismTest, ModeledTimeAndRowsBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Queries, ThreadCountDeterminismTest,
-                         ::testing::Values(2, 5, 11, 12, 13));
+                         ::testing::Values(2, 5, 8, 11, 12, 13));
 
 // ---------- StoreResult round-robin placement ----------
 

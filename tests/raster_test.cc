@@ -178,7 +178,8 @@ TEST_F(RasterTest, PixelAverageAcrossRasters) {
     rasters.push_back(*r);
     sources.push_back(&src);
   }
-  auto avg = PixelAverage(rasters, sources, &store_, &clock_);
+  Raster::PixelRegion whole{0, 32, 0, 32};
+  auto avg = PixelAverage(rasters, sources, whole, &store_, &clock_);
   ASSERT_TRUE(avg.ok());
   auto bytes = ReadFull(avg->handle, &src);
   ASSERT_TRUE(bytes.ok());

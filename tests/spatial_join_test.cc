@@ -344,36 +344,6 @@ TEST(PbsmTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
                                     .replicated_entry_bytes = 118116}));
 }
 
-TEST(IndexSpatialJoinTest, ThreadCountLeavesResultsAndChargesBitIdentical) {
-  Rng rng(33);
-  ExecContext build_ctx = NullCtx();
-  // > 2 chunks of 256 so the parallel path genuinely splits the outer.
-  TupleVec outer = PolygonTuples(&rng, 700, 60, 4);
-  TupleVec inner = PolylineTuples(&rng, 400, 60);
-  auto tree = BuildRTreeOnColumn(inner, 1, build_ctx);
-
-  std::vector<std::pair<int64_t, int64_t>> keys_1;
-  sim::ResourceUsage usage_1;
-  for (int threads : {1, 8}) {
-    common::ThreadPool pool(threads);
-    sim::NodeClock clock;
-    ExecContext ctx;
-    ctx.clock = &clock;
-    ctx.pool = &pool;
-    auto r = IndexSpatialJoin(outer, 1, inner, 1, *tree, ctx);
-    ASSERT_TRUE(r.ok());
-    sim::ResourceUsage usage = clock.EndPhase();
-    if (threads == 1) {
-      keys_1 = OrderedKeys(*r, 0, 2);
-      usage_1 = usage;
-      EXPECT_GT(usage.disk_seeks, 0) << "cold index visits must charge I/O";
-    } else {
-      EXPECT_EQ(OrderedKeys(*r, 0, 2), keys_1) << "result order changed";
-      ExpectUsageEq(usage, usage_1);
-    }
-  }
-}
-
 TEST(PbsmTest, BlockHashMapBalancesClusteredDataBetterThanModulo) {
   // Clustered inputs on the grid where a modulo map degenerates (P
   // divides the cell row width, so `cell % P` collapses to `cx % P`): the
@@ -412,19 +382,6 @@ TEST(PbsmTest, BlockHashMapBalancesClusteredDataBetterThanModulo) {
   EXPECT_EQ(hash_stats.max_partition_items, 182);
   EXPECT_EQ(hash_stats.nonempty_partitions, 17);
   EXPECT_EQ(hash_stats.left_tuples, 602);
-}
-
-TEST(IndexSpatialJoinTest, MatchesNestedLoops) {
-  Rng rng(21);
-  ExecContext ctx = NullCtx();
-  TupleVec outer = PolygonTuples(&rng, 60, 30, 4);
-  TupleVec inner = PolylineTuples(&rng, 90, 30);
-  auto tree = BuildRTreeOnColumn(inner, 1, ctx);
-  auto idx = IndexSpatialJoin(outer, 1, inner, 1, *tree, ctx);
-  ASSERT_TRUE(idx.ok());
-  auto nl = NestedLoopsJoin(outer, inner, Overlaps(Col(1), Col(3)), ctx);
-  ASSERT_TRUE(nl.ok());
-  EXPECT_EQ(JoinKeys(*idx, 0, 2), JoinKeys(*nl, 0, 2));
 }
 
 class ExpandingCircleTest : public ::testing::TestWithParam<int> {};

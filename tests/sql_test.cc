@@ -214,6 +214,21 @@ TEST_F(SqlTest, GroupByAggregates) {
   }
 }
 
+TEST_F(SqlTest, GroupByOrderByDescending) {
+  TupleVec rows =
+      Run("SELECT count(*) FROM landCover GROUP BY type ORDER BY type DESC");
+  ASSERT_EQ(rows.size(), 10u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].at(0).AsInt(), static_cast<int64_t>(9 - i));
+    EXPECT_EQ(rows[i].at(1).AsInt(), 200);
+  }
+  auto plan = engine_.Explain(
+      "SELECT count(*) FROM landCover GROUP BY type ORDER BY type DESC");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("sort at coordinator on column 0"), std::string::npos)
+      << *plan;
+}
+
 TEST_F(SqlTest, ClosestAggregate) {
   TupleVec rows = Run(
       "SELECT closest(shape, POINT(0 0)) FROM landCover GROUP BY type");
@@ -261,6 +276,9 @@ TEST_F(SqlTest, IllTypedStatementsAreInvalidArgument) {
       "SELECT count(*) FROM landCover GROUP BY shape",
       // A sort key the projection drops.
       "SELECT id FROM landCover ORDER BY type",
+      // An aggregate's sort key other than its GROUP BY column.
+      "SELECT count(*) FROM landCover GROUP BY type ORDER BY observed",
+      "SELECT count(*) FROM landCover ORDER BY type",
   };
   for (const char* sql : kStatements) {
     QueryCoordinator coord(&cluster_);
