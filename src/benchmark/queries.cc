@@ -218,7 +218,8 @@ StatusOr<QueryResult> RunQuery2(BenchmarkDatabase* db) {
   PARADISE_ASSIGN_OR_RETURN(PerNode per,
                             core::ParallelScan(&coord, db->raster(), pred,
                                                proj));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, per));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(per)));
   PARADISE_RETURN_IF_ERROR(coord.RunSequential("sort", [&]() -> Status {
     NodeExecContext cc = MakeCoordinatorContext(db->cluster());
     exec::SortTuples(&rows, {exec::SortKey{0, true}}, cc.ctx);
@@ -271,7 +272,8 @@ StatusOr<QueryResult> RunQuery5(BenchmarkDatabase* db) {
   PARADISE_ASSIGN_OR_RETURN(
       PerNode per, core::ParallelIndexSelectString(
                        &coord, db->places(), col::kPlaceName, "Phoenix"));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, per));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(per)));
   return Finish(coord, std::move(rows));
 }
 
@@ -310,7 +312,8 @@ StatusOr<QueryResult> RunQuery7(BenchmarkDatabase* db) {
                                exec::Col(col::kLcType)};
   PARADISE_ASSIGN_OR_RETURN(PerNode projected,
                             ParallelProject(&coord, per, proj, "project"));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, projected));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(projected)));
   return Finish(coord, std::move(rows));
 }
 
@@ -335,7 +338,8 @@ StatusOr<QueryResult> RunQuery8(BenchmarkDatabase* db) {
           [](const Tuple&, const Tuple& lc) {
             return Tuple({lc.at(col::kLcShape), lc.at(col::kLcType)});
           }));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, out));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(out)));
   return Finish(coord, std::move(rows));
 }
 
@@ -377,7 +381,8 @@ StatusOr<QueryResult> RunOilFieldClip(BenchmarkDatabase* db, Date lo,
     }
     return Status::OK();
   }));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, out));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(out)));
   return Finish(coord, std::move(rows));
 }
 
@@ -404,7 +409,8 @@ StatusOr<QueryResult> RunQuery10(BenchmarkDatabase* db) {
       exec::RasterClip(exec::Col(col::kRasterData), k.clip_polygon)};
   PARADISE_ASSIGN_OR_RETURN(
       PerNode per, core::ParallelScan(&coord, db->raster(), pred, proj));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, per));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(per)));
   return Finish(coord, std::move(rows));
 }
 
@@ -475,7 +481,8 @@ StatusOr<QueryResult> RunQuery13(BenchmarkDatabase* db) {
       PerNode joined,
       core::ParallelSpatialJoin(&coord, drainage, col::kLineShape, roads,
                                 col::kLineShape, db->universe(), opts));
-  PARADISE_ASSIGN_OR_RETURN(TupleVec rows, core::Gather(&coord, joined));
+  PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
+                            core::Gather(&coord, std::move(joined)));
   return Finish(coord, std::move(rows));
 }
 

@@ -303,7 +303,9 @@ void QueryCoordinator::DiscardOpenPhase() {
   cluster_->coordinator_clock()->DiscardPhase();
 }
 
-void QueryCoordinator::ClosePhase(const std::string& name, bool sequential) {
+void QueryCoordinator::ClosePhase(
+    const std::string& name, bool sequential,
+    std::chrono::steady_clock::time_point wall_start) {
   PhaseReport report;
   report.name = name;
   report.sequential = sequential;
@@ -336,6 +338,9 @@ void QueryCoordinator::ClosePhase(const std::string& name, bool sequential) {
     report.seconds = report.max_node_seconds;
   }
   query_seconds_ += report.seconds;
+  report.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
   phases_.push_back(std::move(report));
   if (ticket_ != nullptr) {
     ticket_->now_seconds = ticket_->admit_seconds + query_seconds_;
@@ -349,6 +354,7 @@ Status QueryCoordinator::HandleBarrierFaults() {
   while (auto crash = injector->TakeCrashAtBarrier(barrier)) {
     const int n = static_cast<int>(crash->node);
     if (!cluster_->alive(n)) continue;
+    const auto wall_start = std::chrono::steady_clock::now();
     cluster_->CrashNode(n);
     // The coordinator notices the missed heartbeat only after the
     // detection timeout.
@@ -356,7 +362,8 @@ Status QueryCoordinator::HandleBarrierFaults() {
         retry_policy_.detect_timeout_seconds);
     if (!crash->permanent) {
       Status st = cluster_->RecoverNode(n);
-      ClosePhase("recover node " + std::to_string(n), /*sequential=*/true);
+      ClosePhase("recover node " + std::to_string(n), /*sequential=*/true,
+                 wall_start);
       PARADISE_RETURN_IF_ERROR(std::move(st));
     } else {
       cluster_->MarkNodeDead(n);
@@ -365,7 +372,7 @@ Status QueryCoordinator::HandleBarrierFaults() {
         st = cluster_->node_loss_handler()(n);
       }
       ClosePhase("redecluster after losing node " + std::to_string(n),
-                 /*sequential=*/true);
+                 /*sequential=*/true, wall_start);
       PARADISE_RETURN_IF_ERROR(std::move(st));
     }
   }
@@ -394,6 +401,7 @@ Status QueryCoordinator::RunPhase(const std::string& name,
       free_eighths = session_->GrantScanShare(opts.scan_share_key);
     }
   }
+  const auto wall_start = std::chrono::steady_clock::now();
   const std::vector<int> alive = cluster_->alive_node_ids();
   std::vector<storage::ScanShareGate> gates;
   if (free_eighths > 0) {
@@ -426,7 +434,7 @@ Status QueryCoordinator::RunPhase(const std::string& name,
     // the throw belong to this (failing) query, not to whoever runs the
     // next phase on these clocks.
     disarm_gates();
-    ClosePhase(name, /*sequential=*/false);
+    ClosePhase(name, /*sequential=*/false, wall_start);
     throw;
   }
   // Report the lowest failed node, independent of completion order.
@@ -440,7 +448,7 @@ Status QueryCoordinator::RunPhase(const std::string& name,
     failed = merge();
   }
   disarm_gates();
-  ClosePhase(name, /*sequential=*/false);
+  ClosePhase(name, /*sequential=*/false, wall_start);
   if (session_ != nullptr && !opts.scan_share_key.empty()) {
     // This scan (shared or not) is itself a stream later queries can
     // attach to over its modeled window.
@@ -456,14 +464,15 @@ Status QueryCoordinator::RunSequential(const std::string& name,
   if (session_ != nullptr) {
     phase_contention_ = session_->BeginPhaseTurn();
   }
+  const auto wall_start = std::chrono::steady_clock::now();
   Status st;
   try {
     st = work();
   } catch (...) {
-    ClosePhase(name, /*sequential=*/true);
+    ClosePhase(name, /*sequential=*/true, wall_start);
     throw;
   }
-  ClosePhase(name, /*sequential=*/true);
+  ClosePhase(name, /*sequential=*/true, wall_start);
   PARADISE_RETURN_IF_ERROR(std::move(st));
   return HandleBarrierFaults();
 }

@@ -1,6 +1,7 @@
 #ifndef PARADISE_CORE_COORDINATOR_H_
 #define PARADISE_CORE_COORDINATOR_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -321,6 +322,9 @@ class QueryCoordinator {
     int contention = 0;               // other queries admitted (workload)
     int64_t scan_shared_windows = 0;  // readahead windows attached to an
                                       // in-flight scan instead of charged
+    /// Host wall clock from the phase's start (after its workload turn)
+    /// to its close, merge closure included. Never feeds a modeled field.
+    double wall_seconds = 0.0;
   };
   const std::vector<PhaseReport>& phases() const { return phases_; }
 
@@ -355,8 +359,10 @@ class QueryCoordinator {
   /// Folds the open phase into query time on every RunPhase/RunSequential
   /// exit path. Sequential phases add the coordinator clock's time too.
   /// In workload mode the shared resources are scaled by the contention
-  /// level sampled at the phase's scheduling turn.
-  void ClosePhase(const std::string& name, bool sequential);
+  /// level sampled at the phase's scheduling turn. `wall_start` is when the
+  /// phase began on the host clock.
+  void ClosePhase(const std::string& name, bool sequential,
+                  std::chrono::steady_clock::time_point wall_start);
 
   /// Drops any usage sitting in the open phase of every node clock and
   /// the coordinator clock, without folding it anywhere.

@@ -307,15 +307,18 @@ StatusOr<PerNode> Broadcast(QueryCoordinator* coord, const PerNode& input) {
                       });
 }
 
-StatusOr<TupleVec> Gather(QueryCoordinator* coord, const PerNode& input) {
+StatusOr<TupleVec> Gather(QueryCoordinator* coord, PerNode input) {
   Cluster* cluster = coord->cluster();
+  size_t total = 0;
+  for (const TupleVec& v : input) total += v.size();
   TupleVec out;
+  out.reserve(total);
   PARADISE_RETURN_IF_ERROR(coord->RunSequential("gather", [&]() -> Status {
     for (int n = 0; n < cluster->num_nodes(); ++n) {
       int64_t bytes = 0;
-      for (const Tuple& t : input[n]) {
+      for (Tuple& t : input[n]) {
         bytes += static_cast<int64_t>(t.WireBytes());
-        out.push_back(t);
+        out.push_back(std::move(t));
       }
       cluster->ChargeToCoordinator(n, bytes);
     }
@@ -349,19 +352,22 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
       *dests = grid.NodesOfBox(t.at(col).Mbr());
     };
   };
-  PerNode left_placed;
-  if (opts.left_predeclustered) {
-    left_placed = left;
-  } else {
-    PARADISE_ASSIGN_OR_RETURN(left_placed,
-                              Redistribute(coord, left, route_spatial(left_col)));
-  }
-  PerNode right_placed;
-  if (opts.right_predeclustered) {
-    right_placed = right;
-  } else {
+  // A predeclustered side is joined where it lies; only a redistributed
+  // side is materialized.
+  PerNode left_redistributed;
+  const PerNode* left_placed = &left;
+  if (!opts.left_predeclustered) {
     PARADISE_ASSIGN_OR_RETURN(
-        right_placed, Redistribute(coord, right, route_spatial(right_col)));
+        left_redistributed, Redistribute(coord, left, route_spatial(left_col)));
+    left_placed = &left_redistributed;
+  }
+  PerNode right_redistributed;
+  const PerNode* right_placed = &right;
+  if (!opts.right_predeclustered) {
+    PARADISE_ASSIGN_OR_RETURN(
+        right_redistributed,
+        Redistribute(coord, right, route_spatial(right_col)));
+    right_placed = &right_redistributed;
   }
 
   // Phase 2: local join.
@@ -388,8 +394,8 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
           two.group_packer = &opt::PackTileGroups;
           PARADISE_ASSIGN_OR_RETURN(
               out[n],
-              exec::TwoLayerSpatialJoin(left_placed[n], left_col,
-                                        right_placed[n], right_col, nc.ctx,
+              exec::TwoLayerSpatialJoin((*left_placed)[n], left_col,
+                                        (*right_placed)[n], right_col, nc.ctx,
                                         two));
           return Status::OK();
         }));
@@ -415,8 +421,8 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
           nc.ctx.pbsm_stats = sink;
           PARADISE_ASSIGN_OR_RETURN(
               TupleVec joined,
-              exec::PbsmSpatialJoin(left_placed[n], left_col,
-                                    right_placed[n], right_col, nc.ctx,
+              exec::PbsmSpatialJoin((*left_placed)[n], left_col,
+                                    (*right_placed)[n], right_col, nc.ctx,
                                     opts.pbsm));
           sink->dedup_tests += static_cast<int64_t>(joined.size());
           for (Tuple& t : joined) {

@@ -80,8 +80,9 @@ StatusOr<PerNode> Redistribute(
 StatusOr<PerNode> Broadcast(QueryCoordinator* coord, const PerNode& input);
 
 /// Collects all per-node results at the coordinator (the result pipeline
-/// back to the client).
-StatusOr<exec::TupleVec> Gather(QueryCoordinator* coord, const PerNode& input);
+/// back to the client). Consumes `input`: each tuple moves to the result,
+/// in node order. Pass an lvalue to gather a copy.
+StatusOr<exec::TupleVec> Gather(QueryCoordinator* coord, PerNode input);
 
 struct ParallelSpatialJoinOptions {
   uint32_t tiles_per_axis = SpatialGrid::kDefaultTilesPerAxis;
@@ -108,7 +109,8 @@ struct ParallelSpatialJoinOptions {
 
 /// Parallel spatial join (Section 2.7.2): spatially redecluster both
 /// inputs with replication, run PBSM per node, and eliminate
-/// replication-induced duplicates with the reference-point rule.
+/// replication-induced duplicates with the reference-point rule. A
+/// predeclustered input is read in place, not copied.
 StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
                                       const PerNode& left, size_t left_col,
                                       const PerNode& right, size_t right_col,

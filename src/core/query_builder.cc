@@ -423,7 +423,7 @@ StatusOr<TupleVec> Query::Run(QueryCoordinator* coord) && {
           }));
       rows = std::move(projected);
     }
-    PARADISE_ASSIGN_OR_RETURN(gathered, Gather(coord, rows));
+    PARADISE_ASSIGN_OR_RETURN(gathered, Gather(coord, std::move(rows)));
   }
   if (order_by_.has_value()) {
     PARADISE_RETURN_IF_ERROR(coord->RunSequential("sort", [&]() -> Status {

@@ -32,34 +32,56 @@ double Polyline::DistanceTo(const Point& p) const {
 
 bool Polyline::Intersects(const Polyline& other) const {
   if (!mbr_.Intersects(other.mbr_)) return false;
-  // Slack for the segment-pair interval prune below: comfortably wider
-  // than the eps tolerance SegmentsIntersect's orientation/on-segment
-  // predicates use (1e-12), so the prune can never skip a pair the exact
-  // predicate would accept.
+  // Slack of the segment-pair interval prune below. The prune is part of
+  // this predicate's definition, not only a speed-up: SegmentsIntersect
+  // compares cross products against an absolute 1e-12, so it accepts some
+  // nearly collinear segments that lie far apart. With a = (0,0),(1,0),
+  // (3,-1) and b = (1.5,0),(2.5,1.5e-12) it accepts a's first segment and
+  // b's, 0.5 apart, and Intersects answers false in both orders because
+  // their intervals are disjoint. Two chains intersect when some pair of
+  // segments passes the prunes below and then SegmentsIntersect.
   constexpr double kPruneSlack = 1e-9;
   const Point* a = points_.data();
   const Point* b = other.points_.data();
   const size_t an = points_.size();
   const size_t bn = other.points_.size();
-
-  // Bounding intervals of the other chain's segments, computed once per
-  // call instead of once per (i, j) pair. Chains are short (road/river
-  // fragments), so a small stack block covers the common case.
-  constexpr size_t kStackSegs = 32;
-  double stack_buf[kStackSegs * 4];
-  std::vector<double> heap_buf;
-  double* sb = stack_buf;
   const size_t bsegs = bn > 0 ? bn - 1 : 0;
+
+  // Prefilter, once per call: keep the other chain's segments whose
+  // bounding interval reaches this chain's MBR inflated by the slack, with
+  // their intervals and indexes. Every segment of this chain lies inside
+  // that MBR, so a segment dropped here fails the pair prune below against
+  // all of them: the pairs tested are exactly those tested without it.
+  // Chains are short (road/river fragments), so a stack block covers the
+  // common case.
+  struct Interval {
+    double xlo, xhi, ylo, yhi;
+    uint32_t index;
+  };
+  constexpr size_t kStackSegs = 32;
+  Interval stack_block[kStackSegs];
+  std::vector<Interval> heap_block;
+  Interval* sv = stack_block;
   if (bsegs > kStackSegs) {
-    heap_buf.resize(bsegs * 4);
-    sb = heap_buf.data();
+    heap_block.resize(bsegs);
+    sv = heap_block.data();
   }
+  const double pxlo = mbr_.xmin - kPruneSlack;
+  const double pxhi = mbr_.xmax + kPruneSlack;
+  const double pylo = mbr_.ymin - kPruneSlack;
+  const double pyhi = mbr_.ymax + kPruneSlack;
+  size_t nsurv = 0;
   for (size_t j = 0; j < bsegs; ++j) {
-    sb[j * 4 + 0] = std::min(b[j].x, b[j + 1].x);
-    sb[j * 4 + 1] = std::max(b[j].x, b[j + 1].x);
-    sb[j * 4 + 2] = std::min(b[j].y, b[j + 1].y);
-    sb[j * 4 + 3] = std::max(b[j].y, b[j + 1].y);
+    Interval& s = sv[nsurv];
+    s.xlo = std::min(b[j].x, b[j + 1].x);
+    s.xhi = std::max(b[j].x, b[j + 1].x);
+    s.ylo = std::min(b[j].y, b[j + 1].y);
+    s.yhi = std::max(b[j].y, b[j + 1].y);
+    s.index = static_cast<uint32_t>(j);
+    nsurv += (s.xhi >= pxlo) & (s.xlo <= pxhi) & (s.yhi >= pylo) &
+             (s.ylo <= pyhi);
   }
+  if (nsurv == 0) return false;
 
   const double oxlo = other.mbr_.xmin, oxhi = other.mbr_.xmax;
   const double oylo = other.mbr_.ymin, oyhi = other.mbr_.ymax;
@@ -79,15 +101,15 @@ bool Polyline::Intersects(const Polyline& other) const {
     // compress-stored so the orientation tests run in a separate loop —
     // the prune itself never mispredicts.
     size_t j = 0;
-    while (j < bsegs) {
-      const size_t block = std::min(bsegs - j, kStackSegs);
+    while (j < nsurv) {
+      const size_t block = std::min(nsurv - j, kStackSegs);
       uint32_t surv[kStackSegs];
       uint32_t m = 0;
       for (size_t t = 0; t < block; ++t) {
-        const double* s = sb + (j + t) * 4;
-        const bool keep =
-            (s[1] >= axlo) & (s[0] <= axhi) & (s[3] >= aylo) & (s[2] <= ayhi);
-        surv[m] = static_cast<uint32_t>(j + t);
+        const Interval& s = sv[j + t];
+        const bool keep = (s.xhi >= axlo) & (s.xlo <= axhi) &
+                          (s.yhi >= aylo) & (s.ylo <= ayhi);
+        surv[m] = s.index;
         m += keep;
       }
       for (uint32_t t = 0; t < m; ++t) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <set>
 
+#include "benchmark/database.h"
+#include "benchmark/queries.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "core/cluster.h"
@@ -855,6 +858,113 @@ TEST(CoordinatorTest, SequentialAddsFully) {
                   .ok());
   EXPECT_NEAR(coord.query_seconds(),
               9e6 / cluster.cost_model().cpu_ops_per_second, 1e-12);
+}
+
+TEST(CoordinatorTest, PhaseWallSecondsLeaveModeledFieldsThreadIndependent) {
+  // Query 13 (drainage x roads) on a tiny database at 1 and 8 threads:
+  // every modeled field of every phase is bit-identical, and the host wall
+  // clock each phase records is the only field allowed to differ.
+  auto run = [](int num_threads) {
+    Cluster::Options copts;
+    copts.buffer_pool_frames = 2048;
+    copts.pool_shards = 8;  // fixed, so results do not depend on the host
+    Cluster cluster(4, copts);
+    cluster.SetNumThreads(num_threads);
+    datagen::DataSetOptions data;
+    data.size_fraction = 1.0 / 1000;
+    data.num_dates = 8;
+    data.base_raster_size = 96;
+    benchmark::LoadOptions lopts;
+    lopts.tiles_per_axis = 20;
+    auto db = benchmark::BenchmarkDatabase::Load(
+        &cluster, datagen::GenerateGlobalDataSet(data), lopts);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    auto r = benchmark::RunQuery13(db->get());
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->rows.empty());
+    return r->phases;
+  };
+  const auto one = run(1);
+  const auto eight = run(8);
+  ASSERT_EQ(one.size(), eight.size());
+  ASSERT_FALSE(one.empty());
+  for (size_t i = 0; i < one.size(); ++i) {
+    SCOPED_TRACE(one[i].name);
+    EXPECT_EQ(one[i].name, eight[i].name);
+    EXPECT_EQ(one[i].sequential, eight[i].sequential);
+    EXPECT_EQ(one[i].seconds, eight[i].seconds);
+    EXPECT_EQ(one[i].max_node_seconds, eight[i].max_node_seconds);
+    EXPECT_EQ(one[i].total_node_seconds, eight[i].total_node_seconds);
+    EXPECT_EQ(one[i].contention, eight[i].contention);
+    EXPECT_EQ(one[i].scan_shared_windows, eight[i].scan_shared_windows);
+    EXPECT_GE(one[i].wall_seconds, 0.0);
+    EXPECT_GE(eight[i].wall_seconds, 0.0);
+  }
+}
+
+// ---------- Gather ----------
+
+struct GatherRun {
+  std::vector<std::string> rows;
+  double seconds = 0.0;
+  sim::ResourceUsage coordinator;
+};
+
+GatherRun RunGather(
+    Cluster* cluster,
+    const std::function<StatusOr<TupleVec>(QueryCoordinator*)>& gather) {
+  QueryCoordinator coord(cluster);
+  EXPECT_TRUE(coord.BeginQuery().ok());
+  auto rows = gather(&coord);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  GatherRun run;
+  for (const Tuple& t : *rows) run.rows.push_back(t.ToString());
+  run.seconds = coord.query_seconds();
+  run.coordinator = cluster->coordinator_clock()->total_usage();
+  return run;
+}
+
+std::vector<std::vector<std::string>> RowStrings(const PerNode& per) {
+  std::vector<std::vector<std::string>> out;
+  for (const TupleVec& v : per) {
+    out.emplace_back();
+    for (const Tuple& t : v) out.back().push_back(t.ToString());
+  }
+  return out;
+}
+
+TEST(GatherTest, MovedInputGathersLikeACopy) {
+  Cluster cluster(4, SmallClusterOptions());
+  Rng rng(11);
+  const TupleVec rows = RandomPolyTuples(&rng, 60, 30, 5);
+  PerNode input(4);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    input[(i * 7) % 4].push_back(rows[i]);
+  }
+  const auto before = RowStrings(input);
+
+  const GatherRun copied = RunGather(&cluster, [&](QueryCoordinator* c) {
+    return Gather(c, input);
+  });
+  EXPECT_EQ(RowStrings(input), before);  // the lvalue input is untouched
+  const GatherRun moved = RunGather(&cluster, [&](QueryCoordinator* c) {
+    return Gather(c, std::move(input));
+  });
+
+  ASSERT_EQ(copied.rows.size(), rows.size());
+  EXPECT_EQ(copied.rows, moved.rows);  // same rows, same node order
+  EXPECT_EQ(copied.seconds, moved.seconds);
+  EXPECT_GT(copied.seconds, 0.0);
+  const sim::ResourceUsage& a = copied.coordinator;
+  const sim::ResourceUsage& b = moved.coordinator;
+  EXPECT_EQ(a.disk_seeks, b.disk_seeks);
+  EXPECT_EQ(a.disk_bytes_read, b.disk_bytes_read);
+  EXPECT_EQ(a.disk_bytes_written, b.disk_bytes_written);
+  EXPECT_EQ(a.net_messages, b.net_messages);
+  EXPECT_EQ(a.net_bytes, b.net_bytes);
+  EXPECT_EQ(a.cpu_ops, b.cpu_ops);
+  EXPECT_EQ(a.idle_seconds, b.idle_seconds);
+  EXPECT_GT(a.net_bytes, 0);
 }
 
 // ---------- StoreResult (copy-on-insert) ----------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "geom/algorithms.h"
@@ -246,6 +248,196 @@ TEST(PolylineTest, SerializeRoundTrip) {
   line.Serialize(&w);
   ByteReader r(buf);
   EXPECT_EQ(line, Polyline::Deserialize(&r));
+}
+
+// ---------- Polyline::Intersects against the earlier implementation ----------
+
+/// Polyline::Intersects as it was before the other chain's segments were
+/// prefiltered to this chain's MBR, copied with only the member accesses
+/// changed. Kept as the differential oracle for the prefilter.
+bool ReferenceIntersects(const Polyline& self, const Polyline& other) {
+  if (!self.Mbr().Intersects(other.Mbr())) return false;
+  constexpr double kPruneSlack = 1e-9;
+  const Point* a = self.points().data();
+  const Point* b = other.points().data();
+  const size_t an = self.points().size();
+  const size_t bn = other.points().size();
+
+  constexpr size_t kStackSegs = 32;
+  double stack_buf[kStackSegs * 4];
+  std::vector<double> heap_buf;
+  double* sb = stack_buf;
+  const size_t bsegs = bn > 0 ? bn - 1 : 0;
+  if (bsegs > kStackSegs) {
+    heap_buf.resize(bsegs * 4);
+    sb = heap_buf.data();
+  }
+  for (size_t j = 0; j < bsegs; ++j) {
+    sb[j * 4 + 0] = std::min(b[j].x, b[j + 1].x);
+    sb[j * 4 + 1] = std::max(b[j].x, b[j + 1].x);
+    sb[j * 4 + 2] = std::min(b[j].y, b[j + 1].y);
+    sb[j * 4 + 3] = std::max(b[j].y, b[j + 1].y);
+  }
+
+  const double oxlo = other.Mbr().xmin, oxhi = other.Mbr().xmax;
+  const double oylo = other.Mbr().ymin, oyhi = other.Mbr().ymax;
+  for (size_t i = 1; i < an; ++i) {
+    const double sxlo = std::min(a[i - 1].x, a[i].x);
+    const double sxhi = std::max(a[i - 1].x, a[i].x);
+    const double sylo = std::min(a[i - 1].y, a[i].y);
+    const double syhi = std::max(a[i - 1].y, a[i].y);
+    if (sxhi < oxlo || sxlo > oxhi || syhi < oylo || sylo > oyhi) continue;
+    const double axlo = sxlo - kPruneSlack;
+    const double axhi = sxhi + kPruneSlack;
+    const double aylo = sylo - kPruneSlack;
+    const double ayhi = syhi + kPruneSlack;
+    size_t j = 0;
+    while (j < bsegs) {
+      const size_t block = std::min(bsegs - j, kStackSegs);
+      uint32_t surv[kStackSegs];
+      uint32_t m = 0;
+      for (size_t t = 0; t < block; ++t) {
+        const double* s = sb + (j + t) * 4;
+        const bool keep =
+            (s[1] >= axlo) & (s[0] <= axhi) & (s[3] >= aylo) & (s[2] <= ayhi);
+        surv[m] = static_cast<uint32_t>(j + t);
+        m += keep;
+      }
+      for (uint32_t t = 0; t < m; ++t) {
+        const size_t k = surv[t];
+        if (SegmentsIntersect(a[i - 1], a[i], b[k], b[k + 1])) {
+          return true;
+        }
+      }
+      j += block;
+    }
+  }
+  return false;
+}
+
+/// Checks Intersects against the reference in both argument orders and
+/// returns a.Intersects(b).
+bool ExpectIntersectsLikeReference(const Polyline& a, const Polyline& b) {
+  const bool ab = a.Intersects(b);
+  EXPECT_EQ(ab, ReferenceIntersects(a, b))
+      << a.ToString() << " vs " << b.ToString();
+  EXPECT_EQ(b.Intersects(a), ReferenceIntersects(b, a))
+      << b.ToString() << " vs " << a.ToString();
+  return ab;
+}
+
+/// A meandering walk like datagen's roads and drainage: `points` steps of
+/// one length, the heading turning by up to 0.6 rad per step. With `snap`,
+/// every point is rounded to multiples of it, so walks share endpoints,
+/// cross at vertices and overlap collinearly.
+Polyline RandomWalk(Rng* rng, int points, double snap) {
+  std::vector<Point> pts;
+  Point cur{rng->NextDouble(0, 4), rng->NextDouble(0, 4)};
+  const double step = rng->NextDouble(0.03, 0.4);
+  double heading = rng->NextDouble(0, 2.0 * M_PI);
+  for (int i = 0; i < points; ++i) {
+    Point p = cur;
+    if (snap > 0) {
+      p = Point{std::round(p.x / snap) * snap, std::round(p.y / snap) * snap};
+    }
+    pts.push_back(p);
+    heading += rng->NextDouble(-0.6, 0.6);
+    cur.x += step * std::cos(heading);
+    cur.y += step * std::sin(heading);
+  }
+  return Polyline(std::move(pts));
+}
+
+TEST(PolylineDifferentialTest, RandomWalksMatchTheReference) {
+  for (const double snap : {0.0, 0.25}) {
+    Rng rng(snap > 0 ? 17 : 13);
+    std::vector<Polyline> walks;
+    for (int i = 0; i < 160; ++i) {
+      walks.push_back(
+          RandomWalk(&rng, static_cast<int>(rng.NextInt(2, 40)), snap));
+    }
+    int hits = 0, misses = 0, heap_pairs = 0;
+    for (size_t i = 0; i < walks.size(); ++i) {
+      for (size_t j = i; j < walks.size(); ++j) {
+        const bool hit = ExpectIntersectsLikeReference(walks[i], walks[j]);
+        hit ? ++hits : ++misses;
+        if (std::max(walks[i].num_segments(), walks[j].num_segments()) > 32) {
+          ++heap_pairs;
+        }
+      }
+    }
+    // Both answers occur, and chains of more than 32 segments take the
+    // prefilter's heap block.
+    EXPECT_GT(hits, 500) << "snap " << snap;
+    EXPECT_GT(misses, 500) << "snap " << snap;
+    EXPECT_GT(heap_pairs, 500) << "snap " << snap;
+  }
+}
+
+TEST(PolylineDifferentialTest, DegenerateChainsMatchTheReference) {
+  const Polyline diagonal({Point{0, 0}, Point{1, 1}});
+  const Polyline horizontal({Point{0, 0}, Point{2, 0}});
+  // Shared endpoint.
+  EXPECT_TRUE(ExpectIntersectsLikeReference(
+      diagonal, Polyline({Point{1, 1}, Point{2, 0}})));
+  // T-junction.
+  EXPECT_TRUE(ExpectIntersectsLikeReference(
+      horizontal, Polyline({Point{1, 0}, Point{1, 1}})));
+  // Collinear overlap.
+  EXPECT_TRUE(ExpectIntersectsLikeReference(
+      horizontal, Polyline({Point{1, 0}, Point{3, 0}})));
+  // Zero-length segments: on the other chain, at a shared vertex, and off
+  // both.
+  EXPECT_TRUE(ExpectIntersectsLikeReference(
+      diagonal, Polyline({Point{0.5, 0.5}, Point{0.5, 0.5}})));
+  EXPECT_TRUE(ExpectIntersectsLikeReference(
+      Polyline({Point{0, 0}, Point{0, 0}, Point{-1, 1}}), diagonal));
+  EXPECT_FALSE(ExpectIntersectsLikeReference(
+      diagonal, Polyline({Point{0.5, 0.2}, Point{0.5, 0.2}})));
+  // One-point and empty chains: no segment, so no intersection.
+  EXPECT_FALSE(ExpectIntersectsLikeReference(
+      diagonal, Polyline({Point{0.5, 0.5}})));
+  EXPECT_FALSE(ExpectIntersectsLikeReference(diagonal, Polyline()));
+  EXPECT_FALSE(ExpectIntersectsLikeReference(Polyline(), Polyline()));
+  // MBRs touching only at a corner: through a shared vertex, and with the
+  // corner on neither chain.
+  EXPECT_TRUE(ExpectIntersectsLikeReference(
+      diagonal, Polyline({Point{1, 1}, Point{2, 2}})));
+  EXPECT_FALSE(ExpectIntersectsLikeReference(
+      Polyline({Point{0, 1}, Point{1, 0}}),
+      Polyline({Point{1, 1}, Point{2, 1.5}, Point{2, 2}})));
+  // The other chain's first segment reaches this chain's MBR (x <= 1) only
+  // within the 1e-9 slack, and SegmentsIntersect accepts it (its endpoint
+  // lies 5e-13 past this chain's end, inside the 1e-12 tolerance); every
+  // other segment of it is far away. From the short chain's side the pair
+  // survives the slack prune and is tested. From the long chain's side its
+  // first segment fails the exact per-segment prune against the short
+  // chain's MBR, so the predicate answers differently in the two orders.
+  const Polyline short_chain({Point{0, 0}, Point{1, 0}});
+  const Polyline long_chain(
+      {Point{1 + 5e-13, 0}, Point{3, 0}, Point{3, 2}, Point{0.5, 2}});
+  EXPECT_TRUE(ExpectIntersectsLikeReference(short_chain, long_chain));
+  EXPECT_FALSE(long_chain.Intersects(short_chain));
+}
+
+TEST(PolylineTest, SlackPruneIsPartOfThePredicate) {
+  // SegmentsIntersect compares cross products against an absolute 1e-12,
+  // so it accepts a's first segment and b's, which lie 0.5 apart. Their
+  // bounding intervals are disjoint, so Intersects never tests the pair.
+  const Polyline a({Point{0, 0}, Point{1, 0}, Point{3, -1}});
+  const Polyline b({Point{1.5, 0}, Point{2.5, 1.5e-12}});
+  bool any_pair = false;
+  for (size_t i = 1; i < a.num_points(); ++i) {
+    for (size_t k = 1; k < b.num_points(); ++k) {
+      any_pair |= SegmentsIntersect(a.points()[i - 1], a.points()[i],
+                                    b.points()[k - 1], b.points()[k]);
+    }
+  }
+  EXPECT_TRUE(any_pair);
+  EXPECT_TRUE(SegmentsIntersect(a.points()[0], a.points()[1], b.points()[0],
+                                b.points()[1]));
+  EXPECT_FALSE(a.Intersects(b));
+  EXPECT_FALSE(b.Intersects(a));
 }
 
 TEST(SwissCheeseTest, AreaAndContains) {

@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
          query, nodes, scale, r->seconds, r->rows.size(),
          static_cast<long long>(wall_ms));
   for (const auto& p : r->phases) {
-    printf("  %-24s %s  contributes %.4f s (max-node %.4f, total-work %.4f)\n",
+    printf("  %-24s %s  contributes %.4f s (max-node %.4f, total-work %.4f)"
+           "  wall %.3f ms\n",
            p.name.c_str(), p.sequential ? "[seq]" : "     ", p.seconds,
-           p.max_node_seconds, p.total_node_seconds);
+           p.max_node_seconds, p.total_node_seconds, p.wall_seconds * 1e3);
   }
   return 0;
 }
