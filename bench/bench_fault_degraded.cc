@@ -5,7 +5,8 @@
 //   transient  — disk read errors + torn pages at the configured rates,
 //                healed by checksum-verified retries (modeled backoff);
 //   recover    — one recoverable node crash at the first phase barrier
-//                (detection timeout + ARIES restart + cold re-reads);
+//                (detection timeout + a restart that re-reads the
+//                node's heap files + cold re-reads);
 //   degraded   — one permanent node loss at query start: the dead node's
 //                fragments are redeclustered over the survivors and the
 //                query completes at N-1.

@@ -10,13 +10,13 @@
 namespace paradise::catalog {
 
 /// How a table's tuples are spread across the cluster (Section 2.3 and
-/// 2.7.1): round-robin, hash on an attribute, or spatial declustering on a
-/// grid of tiles over the universe. kTwoLayer is spatial declustering with
-/// the same replication set but a per-(copy, tile) begin class (A/B/C/D,
-/// after Tsitsigkos et al.'s two-layer space-oriented partitioning) stored
-/// next to the primary flag, which lets joins emit each pair exactly once
+/// 2.7.1): round-robin, or spatial declustering on a grid of tiles over
+/// the universe. kTwoLayer is spatial declustering with the same
+/// replication set but a per-(copy, tile) begin class (A/B/C/D, after
+/// Tsitsigkos et al.'s two-layer space-oriented partitioning) stored next
+/// to the primary flag, which lets joins emit each pair exactly once
 /// without any reference-point duplicate elimination.
-enum class PartitioningKind { kRoundRobin, kHash, kSpatial, kTwoLayer };
+enum class PartitioningKind { kRoundRobin, kSpatial, kTwoLayer };
 
 /// Both spatial decluster modes share the grid/replication machinery; use
 /// this instead of comparing against kSpatial directly.
@@ -37,7 +37,7 @@ struct TableDef {
   exec::Schema schema;
 
   PartitioningKind partitioning = PartitioningKind::kRoundRobin;
-  size_t partition_column = 0;     // for kHash / kSpatial
+  size_t partition_column = 0;     // for kSpatial / kTwoLayer
   geom::Box universe;              // for kSpatial: the declustering domain
 
   std::vector<IndexDef> indexes;

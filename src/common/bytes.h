@@ -13,7 +13,7 @@ namespace paradise {
 using ByteBuffer = std::vector<uint8_t>;
 
 /// Appends fixed-width little-endian values and length-prefixed blobs to a
-/// byte buffer. Used by tuple serialization, page layouts, and the WAL.
+/// byte buffer. Used by tuple serialization and page layouts.
 class ByteWriter {
  public:
   explicit ByteWriter(ByteBuffer* out) : out_(out) {}

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "core/topology.h"
+#include "storage/heap_file.h"
 
 namespace paradise::core {
 
@@ -15,9 +16,7 @@ constexpr uint32_t kTempVolumeOffset = 101;
 Node::Node(uint32_t id, size_t buffer_pool_frames, int pool_shards)
     : id_(id),
       pool_(std::make_unique<storage::BufferPool>(buffer_pool_frames,
-                                                  pool_shards)),
-      log_(std::make_unique<storage::LogManager>(&clock_)) {
-  txn_manager_ = std::make_unique<storage::TransactionManager>(log_.get());
+                                                  pool_shards)) {
   for (int i = 0; i < kDataVolumes; ++i) {
     volumes_.push_back(std::make_unique<storage::DiskVolume>(
         static_cast<uint32_t>(i), &clock_));
@@ -43,6 +42,24 @@ Node::Node(uint32_t id, size_t buffer_pool_frames, int pool_shards)
 
 void Node::SetFaultInjector(sim::FaultInjector* injector) {
   for (auto& v : volumes_) v->SetFaultInjector(injector, id_);
+}
+
+void Node::RegisterFile(storage::HeapFile* file) {
+  std::lock_guard<std::mutex> g(files_mu_);
+  files_[file->file_id()] = file;
+}
+
+void Node::UnregisterFile(const storage::HeapFile* file) {
+  std::lock_guard<std::mutex> g(files_mu_);
+  files_.erase(file->file_id());
+}
+
+std::vector<storage::HeapFile*> Node::registered_files() const {
+  std::lock_guard<std::mutex> g(files_mu_);
+  std::vector<storage::HeapFile*> out;
+  out.reserve(files_.size());
+  for (const auto& [id, file] : files_) out.push_back(file);
+  return out;
 }
 
 Cluster::Cluster(int num_nodes) : Cluster(num_nodes, Options{}) {}
@@ -136,28 +153,18 @@ std::vector<int> Cluster::alive_node_ids() const {
 }
 
 void Cluster::CrashNode(int i) {
-  Node& n = *nodes_[static_cast<size_t>(i)];
-  n.pool()->DiscardAll();      // volatile state is gone
-  n.log()->CrashTruncate();    // unforced log tail is gone
+  nodes_[static_cast<size_t>(i)]->pool()->DiscardAll();
 }
 
-Status Cluster::RecoverNode(
-    int i, storage::RecoveryManager::RecoveryStats* stats) {
+Status Cluster::RecoverNode(int i) {
   Node& n = *nodes_[static_cast<size_t>(i)];
-  // Restart reads the durable log sequentially off the log disk.
-  int64_t log_bytes = 0;
-  for (const auto& rec : n.log()->DurableRecords()) {
-    log_bytes += 64 + static_cast<int64_t>(rec.before.size()) +
-                 static_cast<int64_t>(rec.after.size());
+  // The record counters were volatile: rebuild them from the pages, which
+  // reads every page of the node's files back into the emptied pool.
+  for (storage::HeapFile* file : n.registered_files()) {
+    PARADISE_RETURN_IF_ERROR(file->RecountRecords());
   }
-  if (log_bytes > 0) n.clock()->ChargeDiskRead(log_bytes, 1);
-  storage::RecoveryManager recovery(n.txn_manager());
-  PARADISE_RETURN_IF_ERROR(recovery.Recover());
-  // Recovered pages must reach the durable medium before the query
-  // resumes, or a second crash would lose the repairs.
-  PARADISE_RETURN_IF_ERROR(n.pool()->FlushAll());
-  if (stats != nullptr) *stats = recovery.stats();
-  return Status::OK();
+  // The query resumes on a pool with nothing dirty in it.
+  return n.pool()->FlushAll();
 }
 
 void Cluster::MarkNodeDead(int i) {

@@ -17,9 +17,10 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_volume.h"
 #include "storage/large_object.h"
-#include "storage/recovery.h"
-#include "storage/transaction.h"
-#include "storage/wal.h"
+
+namespace paradise::storage {
+class HeapFile;
+}  // namespace paradise::storage
 
 namespace paradise::core {
 
@@ -57,11 +58,13 @@ class Node {
   /// Same, for temporary (mid-query) arrays.
   array::LocalTileSource* temp_tile_source() { return temp_source_.get(); }
 
-  /// This node's WAL, on its dedicated log disk (charges this node's
-  /// clock). Table fragments log through it so a crashed node can be
-  /// recovered mid-query.
-  storage::LogManager* log() { return log_.get(); }
-  storage::TransactionManager* txn_manager() { return txn_manager_.get(); }
+  /// The heap files stored on this node, which a restart re-reads
+  /// (Cluster::RecoverNode). Whoever owns a file registers it when it is
+  /// created and unregisters it before destroying it.
+  void RegisterFile(storage::HeapFile* file);
+  void UnregisterFile(const storage::HeapFile* file);
+  /// The registered files, in the order a restart re-reads them.
+  std::vector<storage::HeapFile*> registered_files() const;
 
   /// Wires (or unwires, with nullptr) a fault injector into every volume.
   void SetFaultInjector(sim::FaultInjector* injector);
@@ -75,8 +78,8 @@ class Node {
   std::unique_ptr<storage::LargeObjectStore> temp_store_;
   std::unique_ptr<array::LocalTileSource> local_source_;
   std::unique_ptr<array::LocalTileSource> temp_source_;
-  std::unique_ptr<storage::LogManager> log_;
-  std::unique_ptr<storage::TransactionManager> txn_manager_;
+  mutable std::mutex files_mu_;
+  std::unordered_map<uint32_t, storage::HeapFile*> files_;  // by file id
 };
 
 /// The simulated shared-nothing cluster plus the coordinator's clock. The
@@ -138,14 +141,13 @@ class Cluster {
   /// Ids of the nodes currently alive, ascending.
   std::vector<int> alive_node_ids() const;
 
-  /// Simulated node crash: all volatile state (buffer pool) is lost and
-  /// the log is truncated to its durable prefix. The volumes survive.
+  /// Simulated node crash: the buffer pool is lost. The volumes survive.
   void CrashNode(int i);
 
-  /// ARIES restart on a crashed node: reads the durable log, redoes
-  /// history, rolls back losers. All I/O is charged to the node's clock.
-  Status RecoverNode(int i,
-                     storage::RecoveryManager::RecoveryStats* stats = nullptr);
+  /// Restart of a crashed node: re-reads every page of its registered
+  /// heap files (rebuilding their record counts), then flushes the pool.
+  /// All I/O is charged to the node's clock.
+  Status RecoverNode(int i);
 
   /// Declares a node permanently failed; RunPhase skips dead nodes.
   void MarkNodeDead(int i);

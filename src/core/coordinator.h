@@ -240,7 +240,7 @@ class WorkloadSession {
 /// Failure protocol: every phase end is a barrier at which scheduled
 /// node-crash events fire. The coordinator detects a crash after the retry
 /// policy's timeout (charged to its clock), then either restarts the node
-/// via WAL recovery (recoverable crash) or marks it dead, invokes the
+/// (recoverable crash) or marks it dead, invokes the
 /// cluster's node-loss handler to redecluster the lost fragments, and
 /// finishes the query on the survivors. Each handling step is closed as
 /// its own PhaseReport so the degraded run's extra cost is visible.
@@ -369,7 +369,7 @@ class QueryCoordinator {
   void DiscardOpenPhase();
 
   /// Fires crash events scheduled for the barrier just passed: crash the
-  /// node, charge the detection timeout, then recover it (WAL restart) or
+  /// node, charge the detection timeout, then restart it or
   /// mark it dead and redecluster via the cluster's node-loss handler.
   Status HandleBarrierFaults();
 

@@ -69,7 +69,7 @@ std::string RecordKey(const ByteBuffer& record) {
 StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
     Cluster* cluster, catalog::TableDef def, const std::vector<Tuple>& rows,
     uint32_t tiles_per_axis, const std::vector<uint32_t>* explicit_owners) {
-  auto table = std::unique_ptr<ParallelTable>(new ParallelTable());
+  auto table = std::unique_ptr<ParallelTable>(new ParallelTable(cluster));
   int num_nodes = cluster->num_nodes();
 
   // Spatial declustering needs a universe; compute it if absent.
@@ -99,11 +99,6 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
                            : static_cast<uint32_t>(i % num_nodes);
         destinations.push_back(primary_node);
         break;
-      case catalog::PartitioningKind::kHash:
-        primary_node = static_cast<uint32_t>(
-            row.at(def.partition_column).Hash() % num_nodes);
-        destinations.push_back(primary_node);
-        break;
       case catalog::PartitioningKind::kSpatial:
       case catalog::PartitioningKind::kTwoLayer: {
         geom::Box mbr = row.at(def.partition_column).Mbr();
@@ -129,7 +124,7 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
       PARADISE_CHECK_MSG(record.size() <= storage::HeapFile::MaxRecordSize(),
                          "tuple exceeds page capacity; use LOB attributes");
       PARADISE_ASSIGN_OR_RETURN(storage::Oid oid,
-                                frag.file->Insert(nullptr, record));
+                                frag.file->Insert(record));
       frag.oids.push_back(oid);
       frag.primary.push_back(primary ? 1 : 0);
       if (two_layer) frag.cls.push_back(cls);
@@ -187,6 +182,13 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
 
   table->def_ = std::move(def);
   return table;
+}
+
+ParallelTable::~ParallelTable() {
+  for (size_t n = 0; n < fragments_.size(); ++n) {
+    cluster_->node(static_cast<int>(n))
+        .UnregisterFile(fragments_[n]->file.get());
+  }
 }
 
 int64_t ParallelTable::num_rows() const {
@@ -322,7 +324,7 @@ StatusOr<ParallelTable::InsertOutcome> ParallelTable::InsertMigratedRow(
     rec[0] = FlagByte(make_primary, cls);
   }
   Fragment& frag = *fragments_[node];
-  PARADISE_ASSIGN_OR_RETURN(storage::Oid oid, frag.file->Insert(nullptr, rec));
+  PARADISE_ASSIGN_OR_RETURN(storage::Oid oid, frag.file->Insert(rec));
   frag.oids.push_back(oid);
   frag.primary.push_back(make_primary ? 1 : 0);
   if (def_.partitioning == catalog::PartitioningKind::kTwoLayer) {
@@ -369,7 +371,7 @@ Status ParallelTable::SetRowPrimary(Cluster* cluster, int node, uint64_t row,
   Fragment& frag = *fragments_[node];
   PARADISE_ASSIGN_OR_RETURN(ByteBuffer rec, frag.file->Get(frag.oids[row]));
   rec[0] = FlagByte(primary, RecordClass(rec));
-  PARADISE_RETURN_IF_ERROR(frag.file->Update(nullptr, frag.oids[row], rec));
+  PARADISE_RETURN_IF_ERROR(frag.file->Update(frag.oids[row], rec));
   frag.primary[row] = primary ? 1 : 0;
   cluster->node(node).clock()->ChargeCpu(sim::cpu_cost::kTupleOverhead);
   return Status::OK();
@@ -394,7 +396,7 @@ Status ParallelTable::RefreshRowFlags(Cluster* cluster, int node,
   }
   PARADISE_ASSIGN_OR_RETURN(ByteBuffer rec, frag.file->Get(frag.oids[row]));
   rec[0] = FlagByte(want_primary, want_cls);
-  PARADISE_RETURN_IF_ERROR(frag.file->Update(nullptr, frag.oids[row], rec));
+  PARADISE_RETURN_IF_ERROR(frag.file->Update(frag.oids[row], rec));
   frag.primary[row] = want_primary ? 1 : 0;
   if (!frag.cls.empty()) frag.cls[row] = want_cls;
   cluster->node(node).clock()->ChargeCpu(sim::cpu_cost::kTupleOverhead);
@@ -487,8 +489,7 @@ Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {
       dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
       primary_node = grid_.PrimaryNode(mbr);
     } else {
-      // Round-robin and hash tables stripe the lost rows over survivors
-      // (the original hash function maps to the dead node).
+      // Round-robin tables stripe the lost rows over survivors.
       dests.push_back(
           static_cast<uint32_t>(survivors[stripe++ % survivors.size()]));
       primary_node = dests[0];
@@ -533,11 +534,11 @@ Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {
   }
 
   // 4. Decommission the dead fragment so nothing can double-read it. The
-  //    heap file object stays alive (it is registered with the node's
-  //    transaction manager) but holds no records.
+  //    heap file object stays alive (and registered with its node) but
+  //    holds no records.
   for (uint64_t r = 0; r < dead.oids.size(); ++r) {
     if (!dead.row_live(r)) continue;  // already unstaged/GC'd
-    PARADISE_RETURN_IF_ERROR(dead.file->Delete(nullptr, dead.oids[r]));
+    PARADISE_RETURN_IF_ERROR(dead.file->Delete(dead.oids[r]));
   }
   dead.oids.clear();
   dead.primary.clear();
@@ -559,12 +560,9 @@ Status ParallelTable::EnsureFragments(Cluster* cluster) {
     // seeks for sequential access, which is the dominant pattern).
     frag->file = std::make_unique<storage::HeapFile>(
         next_file_id_++, cluster->node(n).pool(),
-        cluster->node(n).data_volume(n % Node::kDataVolumes)->volume_id(),
-        cluster->node(n).log());
-    // Registering with the node's transaction manager makes the fragment
-    // recoverable after a crash (bulk-load inserts pass a null txn and
-    // stay unlogged; only transactional updates hit the WAL).
-    cluster->node(n).txn_manager()->RegisterFile(frag->file.get());
+        cluster->node(n).data_volume(n % Node::kDataVolumes)->volume_id());
+    // A restart of the node re-reads the file; ~ParallelTable unregisters it.
+    cluster->node(n).RegisterFile(frag->file.get());
     fragments_.push_back(std::move(frag));
   }
   return Status::OK();
@@ -749,7 +747,7 @@ Status ParallelTable::DropRows(Cluster* cluster, int node,
   sim::NodeClock* clock = cluster->node(node).clock();
   for (uint64_t r : rows) {
     if (!frag.live[r]) continue;
-    PARADISE_RETURN_IF_ERROR(frag.file->Delete(nullptr, frag.oids[r]));
+    PARADISE_RETURN_IF_ERROR(frag.file->Delete(frag.oids[r]));
     frag.live[r] = 0;
     frag.primary[r] = 0;
     if (!frag.cls.empty()) frag.cls[r] = 0;

@@ -77,6 +77,12 @@ class ParallelTable {
       uint32_t tiles_per_axis = SpatialGrid::kDefaultTilesPerAxis,
       const std::vector<uint32_t>* explicit_owners = nullptr);
 
+  /// Unregisters every fragment's heap file from its node, so a later
+  /// restart does not read them. The cluster must outlive the table.
+  ~ParallelTable();
+  ParallelTable(const ParallelTable&) = delete;
+  ParallelTable& operator=(const ParallelTable&) = delete;
+
   /// Degraded-mode repair after a permanent node loss (the node must
   /// already be dead in `cluster`). This is now a *degenerate topology
   /// change* — a zero-throttle migration with a dead source — delegated
@@ -89,8 +95,8 @@ class ParallelTable {
   /// node's fragment off its surviving disks and redistributes the rows
   /// over the alive nodes so every query answer stays complete at N−1.
   ///
-  ///  - Round-robin / hash tables stripe the salvaged rows over the
-  ///    survivors; raster attributes are deep-copied to the new owner.
+  ///  - Round-robin tables stripe the salvaged rows over the survivors;
+  ///    raster attributes are deep-copied to the new owner.
   ///  - Spatially declustered tables remap the dead node's grid tiles
   ///    over the survivors (SpatialGrid::MarkNodeDead) and ship each
   ///    salvaged row to the new owners of its overlapped remapped tiles.
@@ -227,7 +233,7 @@ class ParallelTable {
   double avg_tuple_bytes() const { return avg_tuple_bytes_; }
 
  private:
-  ParallelTable() = default;
+  explicit ParallelTable(Cluster* cluster) : cluster_(cluster) {}
 
   /// Appends one migrated/salvaged copy to `node`'s fragment: rasters
   /// are deep-copied to the node, the record's primary byte is set to
@@ -260,6 +266,7 @@ class ParallelTable {
   Status RefreshRowFlags(Cluster* cluster, int node, uint64_t row,
                          const geom::Box& mbr);
 
+  Cluster* const cluster_;  // the cluster the table was loaded into
   catalog::TableDef def_;
   SpatialGrid grid_;  // valid iff IsSpatialPartitioning(def_.partitioning)
   std::vector<std::unique_ptr<Fragment>> fragments_;

@@ -369,8 +369,8 @@ Status TopologyManager::MigrateForLoss(ParallelTable* table, int dead_node) {
   if (catalog::IsSpatialPartitioning(table->def().partitioning)) {
     table->mutable_grid()->set_epoch(epoch_);
   }
-  // Salvage bulk-inserted unlogged rows into every survivor; checkpoint
-  // them so a second crash cannot silently drop salvaged copies.
+  // Salvage bulk-inserted rows into every survivor's pool; flush them so
+  // a second crash cannot silently drop salvaged copies.
   for (int n = 0; n < cluster_->num_nodes(); ++n) {
     if (!cluster_->alive(n)) continue;
     PARADISE_RETURN_IF_ERROR(cluster_->node(n).pool()->FlushAll());
@@ -610,10 +610,10 @@ StatusOr<TopologyManager::MoveOutcome> TopologyManager::ExecuteMove(
   if (move.spatial) {
     ++stats_.tiles_moved;
   }
-  // The flag flips above are unlogged updates in dirty pool pages. Land
-  // them now, not at pump end: a crash injected into a *later* move of
-  // the same pump step must not be able to revert this committed cutover
-  // on disk (recovery replays the WAL only).
+  // The flag flips above are updates in dirty pool pages, and a crash
+  // loses the pool. Land them now, not at pump end: a crash injected into
+  // a *later* move of the same pump step must not be able to revert this
+  // committed cutover on disk.
   PARADISE_RETURN_IF_ERROR(cluster_->node(move.source).pool()->FlushAll());
   PARADISE_RETURN_IF_ERROR(cluster_->node(move.target).pool()->FlushAll());
   return out;
@@ -663,9 +663,9 @@ Status TopologyManager::PumpMigration(double now_seconds) {
     if (crashed) break;
   }
 
-  // Cutover flag flips and GC tombstones are unlogged updates sitting in
-  // dirty pool pages; land them so a later injected crash cannot resurrect
-  // a migrated-away row.
+  // Cutover flag flips and GC tombstones are updates sitting in dirty pool
+  // pages; land them so a later injected crash cannot resurrect a
+  // migrated-away row.
   MaybeCollectGarbage(&touched);
   for (int n : touched) {
     PARADISE_RETURN_IF_ERROR(cluster_->node(n).pool()->FlushAll());

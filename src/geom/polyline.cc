@@ -83,10 +83,15 @@ bool Polyline::Intersects(const Polyline& other) const {
   }
   if (nsurv == 0) return false;
 
-  const double oxlo = other.mbr_.xmin, oxhi = other.mbr_.xmax;
-  const double oylo = other.mbr_.ymin, oyhi = other.mbr_.ymax;
+  const double oxlo = other.mbr_.xmin - kPruneSlack;
+  const double oxhi = other.mbr_.xmax + kPruneSlack;
+  const double oylo = other.mbr_.ymin - kPruneSlack;
+  const double oyhi = other.mbr_.ymax + kPruneSlack;
   for (size_t i = 1; i < an; ++i) {
-    // Per-segment MBR prune against the other chain's MBR.
+    // Per-segment prune against the other chain's MBR, inflated by the
+    // slack like the prefilter: every pair the pair prune below keeps
+    // passes it, so the pairs tested, and the answer, do not depend on
+    // which chain is `this`.
     const double sxlo = std::min(a[i - 1].x, a[i].x);
     const double sxhi = std::max(a[i - 1].x, a[i].x);
     const double sylo = std::min(a[i - 1].y, a[i].y);

@@ -44,14 +44,14 @@ struct TransferFault {
 /// A node-crash event, fired at a phase barrier by the coordinator.
 struct CrashEvent {
   uint32_t node = 0;
-  bool permanent = false;  // false: recover via WAL; true: mark dead
+  bool permanent = false;  // false: restart the node; true: mark dead
 };
 
 /// A crash fired mid-tile-migration by the TopologyManager: either side
 /// of the transfer dies after the tile's runs landed but before cutover.
 struct MigrationCrashEvent {
   bool target_side = false;  // false: the migration source crashes
-  bool permanent = false;    // false: recover via WAL; true: mark dead
+  bool permanent = false;    // false: restart the node; true: mark dead
 };
 
 /// Seeded, deterministic fault source for the simulated cluster.

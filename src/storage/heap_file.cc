@@ -2,43 +2,17 @@
 
 #include "common/logging.h"
 #include "storage/slotted_page.h"
-#include "storage/transaction.h"
 
 namespace paradise::storage {
 
-namespace {
-
-/// Logs a data record (if logging is enabled) and threads it onto the
-/// transaction's undo chain. Returns the assigned LSN (kInvalidLsn when
-/// unlogged).
-Lsn LogDataRecord(LogManager* log, Transaction* txn, LogRecordType type,
-                  uint32_t file_id, const Oid& oid, ByteBuffer before,
-                  ByteBuffer after) {
-  if (log == nullptr || txn == nullptr) return kInvalidLsn;
-  LogRecord rec;
-  rec.txn = txn->id();
-  rec.type = type;
-  rec.prev_lsn = txn->last_lsn();
-  rec.file_id = file_id;
-  rec.oid = oid;
-  rec.before = std::move(before);
-  rec.after = std::move(after);
-  Lsn lsn = log->Append(std::move(rec));
-  txn->set_last_lsn(lsn);
-  return lsn;
-}
-
-}  // namespace
-
-HeapFile::HeapFile(uint32_t file_id, BufferPool* pool, uint32_t volume_id,
-                   LogManager* log)
-    : file_id_(file_id), pool_(pool), volume_id_(volume_id), log_(log) {}
+HeapFile::HeapFile(uint32_t file_id, BufferPool* pool, uint32_t volume_id)
+    : file_id_(file_id), pool_(pool), volume_id_(volume_id) {}
 
 size_t HeapFile::MaxRecordSize() {
   return Page::kPayloadSize - SlottedPage::kSlotDirStart - 4;
 }
 
-StatusOr<Oid> HeapFile::Insert(Transaction* txn, const ByteBuffer& record) {
+StatusOr<Oid> HeapFile::Insert(const ByteBuffer& record) {
   if (record.size() > MaxRecordSize()) {
     return Status::InvalidArgument("record too large for slotted page");
   }
@@ -67,14 +41,9 @@ StatusOr<Oid> HeapFile::Insert(Transaction* txn, const ByteBuffer& record) {
   SlottedPage sp(guard.page());
   int slot = sp.InsertRecord(record.data(), static_cast<uint16_t>(record.size()));
   PARADISE_CHECK_MSG(slot >= 0, "page chosen for insert had no room");
-  Oid oid{guard.id().page_no, static_cast<uint16_t>(slot)};
-
-  Lsn lsn = LogDataRecord(log_, txn, LogRecordType::kInsert, file_id_, oid,
-                          /*before=*/{}, /*after=*/record);
-  if (lsn != kInvalidLsn) guard.page()->set_lsn(lsn);
   guard.MarkDirty();
   ++num_records_;
-  return oid;
+  return Oid{guard.id().page_no, static_cast<uint16_t>(slot)};
 }
 
 StatusOr<ByteBuffer> HeapFile::Get(const Oid& oid) const {
@@ -89,7 +58,7 @@ StatusOr<ByteBuffer> HeapFile::Get(const Oid& oid) const {
   return ByteBuffer(data, data + sp.SlotLength(oid.slot));
 }
 
-Status HeapFile::Delete(Transaction* txn, const Oid& oid) {
+Status HeapFile::Delete(const Oid& oid) {
   std::lock_guard<std::mutex> g(mu_);
   PARADISE_ASSIGN_OR_RETURN(PageGuard guard,
                             pool_->Pin(PageId{volume_id_, oid.page}));
@@ -97,20 +66,13 @@ Status HeapFile::Delete(Transaction* txn, const Oid& oid) {
   if (!sp.SlotInUse(oid.slot)) {
     return Status::NotFound("no record at oid");
   }
-  const uint8_t* data = sp.RecordData(oid.slot);
-  ByteBuffer before(data, data + sp.SlotLength(oid.slot));
   sp.DeleteRecord(oid.slot);
-
-  Lsn lsn = LogDataRecord(log_, txn, LogRecordType::kDelete, file_id_, oid,
-                          std::move(before), /*after=*/{});
-  if (lsn != kInvalidLsn) guard.page()->set_lsn(lsn);
   guard.MarkDirty();
   --num_records_;
   return Status::OK();
 }
 
-Status HeapFile::Update(Transaction* txn, const Oid& oid,
-                        const ByteBuffer& record) {
+Status HeapFile::Update(const Oid& oid, const ByteBuffer& record) {
   std::lock_guard<std::mutex> g(mu_);
   PARADISE_ASSIGN_OR_RETURN(PageGuard guard,
                             pool_->Pin(PageId{volume_id_, oid.page}));
@@ -122,68 +84,8 @@ Status HeapFile::Update(Transaction* txn, const Oid& oid,
     return Status::InvalidArgument(
         "in-place update requires equal size; delete+insert instead");
   }
-  const uint8_t* data = sp.RecordData(oid.slot);
-  ByteBuffer before(data, data + sp.SlotLength(oid.slot));
   PARADISE_CHECK(sp.UpdateRecord(oid.slot, record.data(),
                                  static_cast<uint16_t>(record.size())));
-
-  Lsn lsn = LogDataRecord(log_, txn, LogRecordType::kUpdate, file_id_, oid,
-                          std::move(before), record);
-  if (lsn != kInvalidLsn) guard.page()->set_lsn(lsn);
-  guard.MarkDirty();
-  return Status::OK();
-}
-
-StatusOr<Lsn> HeapFile::PageLsn(PageNo page_no) const {
-  std::lock_guard<std::mutex> g(mu_);
-  PARADISE_ASSIGN_OR_RETURN(PageGuard guard,
-                            pool_->Pin(PageId{volume_id_, page_no}));
-  return guard.page()->lsn();
-}
-
-Status HeapFile::ApplyInsert(const Oid& oid, const ByteBuffer& record,
-                             Lsn lsn) {
-  std::lock_guard<std::mutex> g(mu_);
-  PARADISE_ASSIGN_OR_RETURN(PageGuard guard,
-                            pool_->Pin(PageId{volume_id_, oid.page}));
-  SlottedPage sp(guard.page());
-  if (sp.NeedsInit()) sp.Init();
-  if (!sp.InsertRecordAt(oid.slot, record.data(),
-                         static_cast<uint16_t>(record.size()))) {
-    return Status::Corruption("redo insert: slot unavailable");
-  }
-  guard.page()->set_lsn(lsn);
-  guard.MarkDirty();
-  ++num_records_;
-  return Status::OK();
-}
-
-Status HeapFile::ApplyDelete(const Oid& oid, Lsn lsn) {
-  std::lock_guard<std::mutex> g(mu_);
-  PARADISE_ASSIGN_OR_RETURN(PageGuard guard,
-                            pool_->Pin(PageId{volume_id_, oid.page}));
-  SlottedPage sp(guard.page());
-  if (!sp.SlotInUse(oid.slot)) {
-    return Status::Corruption("redo delete: slot empty");
-  }
-  sp.DeleteRecord(oid.slot);
-  guard.page()->set_lsn(lsn);
-  guard.MarkDirty();
-  --num_records_;
-  return Status::OK();
-}
-
-Status HeapFile::ApplyUpdate(const Oid& oid, const ByteBuffer& record,
-                             Lsn lsn) {
-  std::lock_guard<std::mutex> g(mu_);
-  PARADISE_ASSIGN_OR_RETURN(PageGuard guard,
-                            pool_->Pin(PageId{volume_id_, oid.page}));
-  SlottedPage sp(guard.page());
-  if (!sp.UpdateRecord(oid.slot, record.data(),
-                       static_cast<uint16_t>(record.size()))) {
-    return Status::Corruption("redo update: slot mismatch");
-  }
-  guard.page()->set_lsn(lsn);
   guard.MarkDirty();
   return Status::OK();
 }

@@ -8,26 +8,27 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
-#include "storage/wal.h"
 
 namespace paradise::storage {
 
-class Transaction;
+/// Record identifier within a heap file: page + slot.
+struct Oid {
+  PageNo page = kInvalidPageNo;
+  uint16_t slot = 0;
+
+  friend bool operator==(const Oid&, const Oid&) = default;
+};
 
 /// A file of untyped records over slotted pages — SHORE's "file of objects".
-/// Records are identified by a stable Oid (page, slot). All mutations are
-/// write-ahead logged when a LogManager is attached; pages carry LSNs so
-/// recovery can decide whether a change reached disk.
+/// Records are identified by a stable Oid (page, slot). Mutations are not
+/// logged: a change is durable once its page is flushed.
 ///
 /// Concurrency: guarded by a single mutex per file. Parallelism in Paradise
 /// comes from partitioning *across* files/nodes, not from concurrent
 /// writers inside one fragment.
 class HeapFile {
  public:
-  /// `log` may be null (unlogged file, e.g. query temporaries — matching
-  /// the paper's per-operator temporary files, Section 2.5.2).
-  HeapFile(uint32_t file_id, BufferPool* pool, uint32_t volume_id,
-           LogManager* log);
+  HeapFile(uint32_t file_id, BufferPool* pool, uint32_t volume_id);
 
   HeapFile(const HeapFile&) = delete;
   HeapFile& operator=(const HeapFile&) = delete;
@@ -38,19 +39,10 @@ class HeapFile {
   /// LargeObjectStore (cf. the 70%-of-a-page rule, Section 2.5.1).
   static size_t MaxRecordSize();
 
-  StatusOr<Oid> Insert(Transaction* txn, const ByteBuffer& record);
+  StatusOr<Oid> Insert(const ByteBuffer& record);
   StatusOr<ByteBuffer> Get(const Oid& oid) const;
-  Status Delete(Transaction* txn, const Oid& oid);
-  Status Update(Transaction* txn, const Oid& oid, const ByteBuffer& record);
-
-  /// Current LSN stamped on a page (recovery's redo test).
-  StatusOr<Lsn> PageLsn(PageNo page_no) const;
-
-  /// Physical reapplication used by redo/undo; bypasses logging and stamps
-  /// the page with `lsn`.
-  Status ApplyInsert(const Oid& oid, const ByteBuffer& record, Lsn lsn);
-  Status ApplyDelete(const Oid& oid, Lsn lsn);
-  Status ApplyUpdate(const Oid& oid, const ByteBuffer& record, Lsn lsn);
+  Status Delete(const Oid& oid);
+  Status Update(const Oid& oid, const ByteBuffer& record);
 
   /// Sequential scan. Visits records in (page, slot) order. The iterator
   /// keeps the current page pinned between Next() calls (one pool pin per
@@ -86,8 +78,8 @@ class HeapFile {
 
   int64_t num_records() const;
 
-  /// Recomputes the record count from the pages (the in-memory counter is
-  /// not crash-consistent; recovery calls this after redo/undo).
+  /// Recomputes the record count from the pages, reading every page
+  /// through the pool (a node restart does this for each of its files).
   Status RecountRecords();
   size_t num_pages() const;
   const std::vector<PageNo>& pages() const { return pages_; }
@@ -99,12 +91,9 @@ class HeapFile {
  private:
   friend class Iterator;
 
-  StatusOr<Oid> FindSpaceLocked(size_t record_size);
-
   const uint32_t file_id_;
   BufferPool* const pool_;
   const uint32_t volume_id_;
-  LogManager* const log_;
 
   mutable std::mutex mu_;
   std::vector<PageNo> pages_;

@@ -104,31 +104,6 @@ class SlottedPage {
     return slot;
   }
 
-  /// Inserts at a specific slot (redo path). The slot must be empty.
-  bool InsertRecordAt(uint16_t slot, const uint8_t* data, uint16_t len) {
-    if (slot < SlotCount() && SlotInUse(slot)) return false;
-    uint16_t old_count = SlotCount();
-    uint16_t new_count = std::max<uint16_t>(old_count, slot + 1);
-    size_t dir_end = kSlotDirStart + 4 * static_cast<size_t>(new_count);
-    size_t contiguous = DataTail() > dir_end ? DataTail() - dir_end : 0;
-    if (contiguous < len) {
-      Compact();
-      contiguous = DataTail() > dir_end ? DataTail() - dir_end : 0;
-      if (contiguous < len) return false;
-    }
-    if (new_count > old_count) {
-      SetSlotCount(new_count);
-      for (uint16_t s = old_count; s < new_count; ++s) {
-        SetSlot(s, kEmptyOffset, 0);
-      }
-    }
-    uint16_t off = static_cast<uint16_t>(DataTail() - len);
-    std::memcpy(page_->payload() + off, data, len);
-    SetDataTail(off);
-    SetSlot(slot, off, len);
-    return true;
-  }
-
   void DeleteRecord(uint16_t slot) {
     PARADISE_CHECK(SlotInUse(slot));
     SetSlot(slot, kEmptyOffset, 0);

@@ -1,8 +1,8 @@
 // Fault injection, failure recovery, and degraded-mode execution.
 //
 // Covers the failure semantics contract end to end: checksum detection of
-// torn pages, bounded retry with modeled backoff, WAL rollback of loser
-// transactions after a mid-query crash, honestly-charged transfer faults,
+// torn pages, bounded retry with modeled backoff, a node restart after a
+// mid-query crash, honestly-charged transfer faults,
 // and the acceptance schedule — a seeded run with disk errors, corrupt
 // pages, and a node crash against Queries 2 and 5 that still delivers
 // correct rows, bit-identical modeled time at 1 and 8 threads, and a
@@ -19,7 +19,6 @@
 
 #include "benchmark/database.h"
 #include "benchmark/queries.h"
-#include "common/bytes.h"
 #include "common/status.h"
 #include "core/cluster.h"
 #include "core/coordinator.h"
@@ -31,8 +30,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_volume.h"
 #include "storage/page.h"
-#include "storage/recovery.h"
-#include "storage/transaction.h"
 
 namespace paradise {
 namespace {
@@ -207,7 +204,7 @@ TEST(TransferFaultTest, DuplicatedBatchChargesReceiverOnly) {
   EXPECT_EQ(inj.stats().duplicated_batches, 1);
 }
 
-// ---------- WAL recovery of a loser transaction after a mid-query crash --
+// ---------- Node restart after a mid-query crash ----------
 
 Tuple IntStringTuple(int64_t id, const std::string& name) {
   return Tuple({Value(id), Value(name)});
@@ -222,7 +219,7 @@ TableDef IntStringDef(const std::string& name) {
   return def;
 }
 
-TEST(RecoveryTest, MidQueryCrashRollsBackLoserTransaction) {
+TEST(RecoveryTest, MidQueryCrashRestartsNodeAndKeepsItsRows) {
   Cluster::Options copts;
   copts.buffer_pool_frames = 256;
   Cluster cluster(1, copts);
@@ -231,7 +228,6 @@ TEST(RecoveryTest, MidQueryCrashRollsBackLoserTransaction) {
   auto table = ParallelTable::Load(&cluster, IntStringDef("t"), rows);
   ASSERT_TRUE(table.ok());
   storage::HeapFile* file = (*table)->fragment(0).file.get();
-  const int64_t base_records = file->num_records();
 
   FaultInjector inj(/*seed=*/7);
   // Recoverable crash at the barrier after the first phase.
@@ -240,30 +236,18 @@ TEST(RecoveryTest, MidQueryCrashRollsBackLoserTransaction) {
 
   QueryCoordinator coord(&cluster);
   ASSERT_TRUE(coord.BeginQuery().ok());
-  // Phase 1: a transaction inserts, its log records reach the durable log
-  // (forced, e.g. by a page steal), the dirty page reaches disk — but it
-  // never commits before the node crashes at the phase barrier.
-  Status st = coord.RunPhase("update", [&](int node) -> Status {
-    auto& n = cluster.node(node);
-    auto txn = n.txn_manager()->Begin();
-    ByteBuffer record;
-    ByteWriter w(&record);
-    w.PutU8(1);
-    w.PutString("uncommitted");
-    auto oid = file->Insert(txn.get(), record);
-    if (!oid.ok()) return oid.status();
-    n.log()->Force(txn->last_lsn());
-    return n.pool()->FlushAll();
+  Status st = coord.RunPhase("scan", [&](int node) -> Status {
+    return (*table)->ScanFragment(&cluster, node, true).status();
   });
   ASSERT_TRUE(st.ok()) << st.ToString();
 
-  // The barrier fired the crash and the coordinator ran ARIES restart:
-  // the loser transaction was found and rolled back.
+  // The barrier fired the crash and the coordinator restarted the node,
+  // which re-read its file and recounted the records.
   ASSERT_EQ(coord.phases().size(), 2u);
   EXPECT_EQ(coord.phases()[1].name, "recover node 0");
   EXPECT_TRUE(coord.phases()[1].sequential);
   EXPECT_GT(coord.phases()[1].seconds, 0.0);
-  EXPECT_EQ(file->num_records(), base_records);
+  EXPECT_EQ(file->num_records(), 20);
   EXPECT_EQ(inj.stats().crashes, 1);
   // Detection cost: the coordinator waited out the failure timeout.
   EXPECT_GE(coord.query_seconds(),
@@ -275,37 +259,37 @@ TEST(RecoveryTest, MidQueryCrashRollsBackLoserTransaction) {
   EXPECT_EQ(scan->size(), 20u);
 }
 
-TEST(RecoveryTest, RecoverNodeReportsLoserStats) {
+TEST(RecoveryTest, RestartChargeIsPinned) {
+  // Three round-robin tables on two nodes: node 0 holds one three-page
+  // file of each, all on its first data volume, in load order. A restart
+  // re-reads every page of the node's files, one file at a time and each
+  // file's pages in a run, so the seeks pin the order of the files.
   Cluster::Options copts;
   copts.buffer_pool_frames = 256;
-  Cluster cluster(1, copts);
-  TupleVec rows;
-  for (int64_t i = 0; i < 10; ++i) rows.push_back(IntStringTuple(i, "base"));
-  auto table = ParallelTable::Load(&cluster, IntStringDef("t"), rows);
-  ASSERT_TRUE(table.ok());
-  storage::HeapFile* file = (*table)->fragment(0).file.get();
-  ASSERT_TRUE(cluster.node(0).pool()->FlushAll().ok());
-
-  auto& n = cluster.node(0);
-  auto txn = n.txn_manager()->Begin();
-  ByteBuffer record;
-  ByteWriter w(&record);
-  w.PutU8(1);
-  w.PutString("loser");
-  auto oid = file->Insert(txn.get(), record);
-  ASSERT_TRUE(oid.ok());
-  n.log()->Force(txn->last_lsn());
-  ASSERT_TRUE(n.pool()->FlushAll().ok());
+  Cluster cluster(2, copts);
+  std::vector<std::unique_ptr<ParallelTable>> tables;
+  for (int t = 0; t < 3; ++t) {
+    TupleVec rows;
+    for (int64_t i = 0; i < 200; ++i) {
+      rows.push_back(IntStringTuple(
+          i, std::string(200, static_cast<char>('a' + (i + t) % 26))));
+    }
+    auto table = ParallelTable::Load(
+        &cluster, IntStringDef("t" + std::to_string(t)), rows);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_EQ((*table)->fragment(0).file->num_pages(), 3u);
+    tables.push_back(std::move(table).value());
+  }
+  cluster.ResetForQuery();  // flush, empty the pools, zero the clocks
 
   cluster.CrashNode(0);
-  storage::RecoveryManager::RecoveryStats stats;
-  ASSERT_TRUE(cluster.RecoverNode(0, &stats).ok());
-  EXPECT_EQ(stats.loser_txns, 1);
-  EXPECT_GT(stats.records_analyzed, 0);
-  EXPECT_EQ(file->num_records(), 10);
-  EXPECT_FALSE(file->Get(*oid).ok());
-  // Log reads during restart were charged to the node's clock.
-  EXPECT_GT(n.clock()->phase_usage().disk_bytes_read, 0);
+  ASSERT_TRUE(cluster.RecoverNode(0).ok());
+  const sim::ResourceUsage& usage = cluster.node(0).clock()->phase_usage();
+  EXPECT_EQ(usage.disk_bytes_read, 73728);  // 9 pages
+  EXPECT_EQ(usage.disk_seeks, 3);           // one per file
+  EXPECT_EQ(usage.disk_bytes_written, 0);
+  // Node 1 did nothing.
+  EXPECT_EQ(cluster.node(1).clock()->phase_usage().disk_bytes_read, 0);
 }
 
 // ---------- Persistent page corruption under a heap scan ----------
@@ -630,6 +614,30 @@ TEST(DegradedModeTest, RedeclusterPreservesEveryTableRow) {
     received += loaded.cluster->node(n).clock()->phase_usage().net_bytes;
   }
   EXPECT_GT(received, 0);
+}
+
+TEST(RecoveryTest, RestartAfterCopyOnInsertReadsOnlyLiveFiles) {
+  // Queries 6 and 4 each store a result table and drop it again. A later
+  // restart of node 1 must re-read only the files that still exist: the
+  // five benchmark tables' fragments on that node.
+  LoadedDb loaded = LoadTinyDb(4, /*num_threads=*/1);
+  benchmark::BenchmarkDatabase* db = loaded.db.get();
+  ASSERT_TRUE(benchmark::RunQueryByNumber(db, 6).ok());
+  ASSERT_TRUE(benchmark::RunQueryByNumber(db, 4).ok());
+
+  int64_t live_bytes = 0;
+  for (ParallelTable* t : {&db->places(), &db->roads(), &db->drainage(),
+                           &db->land_cover(), &db->raster()}) {
+    live_bytes += static_cast<int64_t>(t->fragment(1).file->num_pages()) *
+                  static_cast<int64_t>(storage::kPageSize);
+  }
+  ASSERT_GT(live_bytes, 0);
+  sim::NodeClock* clock = loaded.cluster->node(1).clock();
+  loaded.cluster->CrashNode(1);
+  const int64_t read_before = clock->phase_usage().disk_bytes_read;
+  Status st = loaded.cluster->RecoverNode(1);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(clock->phase_usage().disk_bytes_read - read_before, live_bytes);
 }
 
 }  // namespace

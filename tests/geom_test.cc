@@ -254,7 +254,8 @@ TEST(PolylineTest, SerializeRoundTrip) {
 
 /// Polyline::Intersects as it was before the other chain's segments were
 /// prefiltered to this chain's MBR, copied with only the member accesses
-/// changed. Kept as the differential oracle for the prefilter.
+/// changed, and with the per-segment prune inflated by the slack as in
+/// Intersects. Kept as the differential oracle for the prefilter.
 bool ReferenceIntersects(const Polyline& self, const Polyline& other) {
   if (!self.Mbr().Intersects(other.Mbr())) return false;
   constexpr double kPruneSlack = 1e-9;
@@ -279,8 +280,10 @@ bool ReferenceIntersects(const Polyline& self, const Polyline& other) {
     sb[j * 4 + 3] = std::max(b[j].y, b[j + 1].y);
   }
 
-  const double oxlo = other.Mbr().xmin, oxhi = other.Mbr().xmax;
-  const double oylo = other.Mbr().ymin, oyhi = other.Mbr().ymax;
+  const double oxlo = other.Mbr().xmin - kPruneSlack;
+  const double oxhi = other.Mbr().xmax + kPruneSlack;
+  const double oylo = other.Mbr().ymin - kPruneSlack;
+  const double oyhi = other.Mbr().ymax + kPruneSlack;
   for (size_t i = 1; i < an; ++i) {
     const double sxlo = std::min(a[i - 1].x, a[i].x);
     const double sxhi = std::max(a[i - 1].x, a[i].x);
@@ -315,14 +318,17 @@ bool ReferenceIntersects(const Polyline& self, const Polyline& other) {
   return false;
 }
 
-/// Checks Intersects against the reference in both argument orders and
-/// returns a.Intersects(b).
+/// Checks Intersects against the reference in both argument orders, and
+/// that the two orders agree; returns a.Intersects(b).
 bool ExpectIntersectsLikeReference(const Polyline& a, const Polyline& b) {
   const bool ab = a.Intersects(b);
+  const bool ba = b.Intersects(a);
   EXPECT_EQ(ab, ReferenceIntersects(a, b))
       << a.ToString() << " vs " << b.ToString();
-  EXPECT_EQ(b.Intersects(a), ReferenceIntersects(b, a))
+  EXPECT_EQ(ba, ReferenceIntersects(b, a))
       << b.ToString() << " vs " << a.ToString();
+  EXPECT_EQ(ab, ba) << "asymmetric: " << a.ToString() << " vs "
+                    << b.ToString();
   return ab;
 }
 
@@ -409,15 +415,14 @@ TEST(PolylineDifferentialTest, DegenerateChainsMatchTheReference) {
   // The other chain's first segment reaches this chain's MBR (x <= 1) only
   // within the 1e-9 slack, and SegmentsIntersect accepts it (its endpoint
   // lies 5e-13 past this chain's end, inside the 1e-12 tolerance); every
-  // other segment of it is far away. From the short chain's side the pair
-  // survives the slack prune and is tested. From the long chain's side its
-  // first segment fails the exact per-segment prune against the short
-  // chain's MBR, so the predicate answers differently in the two orders.
+  // other segment of it is far away. The pair survives the slack prunes
+  // from either side (the long chain's first segment misses the short
+  // chain's exact MBR), so both orders test it and answer true.
   const Polyline short_chain({Point{0, 0}, Point{1, 0}});
   const Polyline long_chain(
       {Point{1 + 5e-13, 0}, Point{3, 0}, Point{3, 2}, Point{0.5, 2}});
   EXPECT_TRUE(ExpectIntersectsLikeReference(short_chain, long_chain));
-  EXPECT_FALSE(long_chain.Intersects(short_chain));
+  EXPECT_TRUE(long_chain.Intersects(short_chain));
 }
 
 TEST(PolylineTest, SlackPruneIsPartOfThePredicate) {

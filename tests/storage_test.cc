@@ -273,7 +273,7 @@ TEST(BufferPoolTest, FlushMakesDurable) {
 class HeapFileTest : public ::testing::Test {
  protected:
   HeapFileTest()
-      : vol_(0, nullptr), pool_(64), file_(1, &pool_, 0, nullptr) {
+      : vol_(0, nullptr), pool_(64), file_(1, &pool_, 0) {
     pool_.AttachVolume(&vol_);
   }
   DiskVolume vol_;
@@ -282,12 +282,12 @@ class HeapFileTest : public ::testing::Test {
 };
 
 TEST_F(HeapFileTest, InsertGetDelete) {
-  auto oid = file_.Insert(nullptr, MakeRecord("hello"));
+  auto oid = file_.Insert(MakeRecord("hello"));
   ASSERT_TRUE(oid.ok());
   auto rec = file_.Get(*oid);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(std::string(rec->begin(), rec->end()), "hello");
-  ASSERT_TRUE(file_.Delete(nullptr, *oid).ok());
+  ASSERT_TRUE(file_.Delete(*oid).ok());
   EXPECT_FALSE(file_.Get(*oid).ok());
   EXPECT_EQ(file_.num_records(), 0);
 }
@@ -295,7 +295,7 @@ TEST_F(HeapFileTest, InsertGetDelete) {
 TEST_F(HeapFileTest, ManyRecordsSpanPages) {
   std::vector<Oid> oids;
   for (int i = 0; i < 5000; ++i) {
-    auto oid = file_.Insert(nullptr, MakeRecord("record-" + std::to_string(i)));
+    auto oid = file_.Insert(MakeRecord("record-" + std::to_string(i)));
     ASSERT_TRUE(oid.ok());
     oids.push_back(*oid);
   }
@@ -313,7 +313,7 @@ TEST_F(HeapFileTest, ScanVisitsEverything) {
   std::set<std::string> inserted;
   for (int i = 0; i < 1000; ++i) {
     std::string s = "row-" + std::to_string(i);
-    ASSERT_TRUE(file_.Insert(nullptr, MakeRecord(s)).ok());
+    ASSERT_TRUE(file_.Insert(MakeRecord(s)).ok());
     inserted.insert(s);
   }
   std::set<std::string> seen;
@@ -325,28 +325,28 @@ TEST_F(HeapFileTest, ScanVisitsEverything) {
 }
 
 TEST_F(HeapFileTest, UpdateInPlace) {
-  auto oid = file_.Insert(nullptr, MakeRecord("aaaa"));
+  auto oid = file_.Insert(MakeRecord("aaaa"));
   ASSERT_TRUE(oid.ok());
-  ASSERT_TRUE(file_.Update(nullptr, *oid, MakeRecord("bbbb")).ok());
+  ASSERT_TRUE(file_.Update(*oid, MakeRecord("bbbb")).ok());
   auto rec = file_.Get(*oid);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(std::string(rec->begin(), rec->end()), "bbbb");
   // Different size is rejected.
-  EXPECT_FALSE(file_.Update(nullptr, *oid, MakeRecord("ccc")).ok());
+  EXPECT_FALSE(file_.Update(*oid, MakeRecord("ccc")).ok());
 }
 
 TEST_F(HeapFileTest, RejectOversizeRecord) {
   ByteBuffer big(HeapFile::MaxRecordSize() + 1, 0);
-  EXPECT_FALSE(file_.Insert(nullptr, big).ok());
+  EXPECT_FALSE(file_.Insert(big).ok());
   ByteBuffer max(HeapFile::MaxRecordSize(), 7);
-  EXPECT_TRUE(file_.Insert(nullptr, max).ok());
+  EXPECT_TRUE(file_.Insert(max).ok());
 }
 
 TEST_F(HeapFileTest, DeleteFreesSlotForReuse) {
-  auto a = file_.Insert(nullptr, MakeRecord("one"));
+  auto a = file_.Insert(MakeRecord("one"));
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(file_.Delete(nullptr, *a).ok());
-  auto b = file_.Insert(nullptr, MakeRecord("two"));
+  ASSERT_TRUE(file_.Delete(*a).ok());
+  auto b = file_.Insert(MakeRecord("two"));
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->page, b->page);
   EXPECT_EQ(a->slot, b->slot);  // slot reused
