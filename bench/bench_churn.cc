@@ -25,9 +25,9 @@
 // Flags: --rounds=N       query-mix rounds per churn phase (default 2)
 //        --threads=N      host threads (digest must not change; default 1)
 //        --chaos          inject migration crashes
-//        --two-layer      decluster the vector tables with two-layer
-//                         begin classes (joins dedup-free) instead of
-//                         replicate-and-dedup
+//        --two-layer      decluster the vector tables as kTwoLayer: stored
+//                         like replicate-and-dedup, but joined with the
+//                         dedup-free two-layer class plan
 //        --fault-seed=N   chaos seed (default 1; nightly uses the date)
 //        --json <path>    machine-readable report
 //        plus the usual sizing flags of BenchConfig (--quick etc.)

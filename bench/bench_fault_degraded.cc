@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   std::printf(
       "== Degraded-mode execution (modeled seconds, %d nodes) ==\n"
       "   transient: 2%% disk errors + 1%% torn pages, retried\n"
-      "   recover:   node %d crashes after phase 1, ARIES restart\n"
+      "   recover:   node %d crashes after phase 1, node restart\n"
       "   degraded:  node %d lost for good, fragments redeclustered,\n"
       "              query completes on %d survivors\n\n",
       kNodes, kCrashNode, kCrashNode, kNodes - 1);

@@ -33,9 +33,9 @@ struct LoadOptions {
   /// Tile size for raster chunking.
   size_t tile_bytes = 8 * 1024;
   uint32_t tiles_per_axis = core::SpatialGrid::kDefaultTilesPerAxis;
-  /// Decluster the vector tables with two-layer begin classes instead of
-  /// replicate-and-dedup (same tile grid; joins skip the reference-point
-  /// dedup branch).
+  /// Decluster the vector tables as kTwoLayer instead of kSpatial: the
+  /// same stored bytes on the same tile grid, but joins run the two-layer
+  /// class plan and skip the reference-point dedup branch.
   bool two_layer_vectors = false;
 };
 

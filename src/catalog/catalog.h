@@ -11,11 +11,12 @@ namespace paradise::catalog {
 
 /// How a table's tuples are spread across the cluster (Section 2.3 and
 /// 2.7.1): round-robin, or spatial declustering on a grid of tiles over
-/// the universe. kTwoLayer is spatial declustering with the same
-/// replication set but a per-(copy, tile) begin class (A/B/C/D, after
-/// Tsitsigkos et al.'s two-layer space-oriented partitioning) stored next
-/// to the primary flag, which lets joins emit each pair exactly once
-/// without any reference-point duplicate elimination.
+/// the universe. kTwoLayer tables are stored byte for byte like kSpatial
+/// ones; the mode only chooses the join plans: the class-plan partition
+/// join, which derives each (copy, tile) begin class (A/B/C/D, after
+/// Tsitsigkos et al.'s two-layer space-oriented partitioning) from the
+/// MBRs and emits each pair exactly once without reference-point
+/// duplicate elimination, and the targeted index-NL multicast.
 enum class PartitioningKind { kRoundRobin, kSpatial, kTwoLayer };
 
 /// Both spatial decluster modes share the grid/replication machinery; use

@@ -13,10 +13,9 @@ constexpr uint32_t kLobVolumeOffset = 100;
 constexpr uint32_t kTempVolumeOffset = 101;
 }  // namespace
 
-Node::Node(uint32_t id, size_t buffer_pool_frames, int pool_shards)
+Node::Node(uint32_t id, size_t buffer_pool_frames)
     : id_(id),
-      pool_(std::make_unique<storage::BufferPool>(buffer_pool_frames,
-                                                  pool_shards)) {
+      pool_(std::make_unique<storage::BufferPool>(buffer_pool_frames)) {
   for (int i = 0; i < kDataVolumes; ++i) {
     volumes_.push_back(std::make_unique<storage::DiskVolume>(
         static_cast<uint32_t>(i), &clock_));
@@ -68,8 +67,7 @@ Cluster::Cluster(int num_nodes, Options options) : options_(options) {
   PARADISE_CHECK(num_nodes > 0);
   for (int i = 0; i < num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(static_cast<uint32_t>(i),
-                                            options.buffer_pool_frames,
-                                            options.pool_shards));
+                                            options.buffer_pool_frames));
   }
   alive_.assign(nodes_.size(), true);
   topology_ = std::make_unique<TopologyManager>(this);
@@ -80,12 +78,11 @@ Cluster::~Cluster() = default;
 int Cluster::AddNode() {
   int id = static_cast<int>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(static_cast<uint32_t>(id),
-                                          options_.buffer_pool_frames,
-                                          options_.pool_shards));
+                                          options_.buffer_pool_frames));
   alive_.push_back(true);
-  Node& n = *nodes_.back();
-  n.pool()->set_retry_policy(retry_policy_);
-  if (fault_injector_ != nullptr) n.SetFaultInjector(fault_injector_);
+  if (fault_injector_ != nullptr) {
+    nodes_.back()->SetFaultInjector(fault_injector_);
+  }
   return id;
 }
 
@@ -130,11 +127,6 @@ void Cluster::SetFaultInjector(sim::FaultInjector* injector) {
   for (auto& n : nodes_) n->SetFaultInjector(injector);
   std::lock_guard<std::mutex> g(transfer_mu_);
   transfer_ordinals_.clear();
-}
-
-void Cluster::set_retry_policy(const sim::RetryPolicy& policy) {
-  retry_policy_ = policy;
-  for (auto& n : nodes_) n->pool()->set_retry_policy(policy);
 }
 
 int Cluster::num_alive() const {

@@ -36,7 +36,7 @@ class Node {
   /// (plus a log disk). The LOB and temp volumes come on top of these.
   static constexpr int kDataVolumes = 4;
 
-  Node(uint32_t id, size_t buffer_pool_frames, int pool_shards = 0);
+  Node(uint32_t id, size_t buffer_pool_frames);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -90,10 +90,6 @@ class Cluster {
   struct Options {
     /// 32 MB buffer pool per node, as configured in Section 3.2.
     size_t buffer_pool_frames = (32 << 20) / storage::kPageSize;
-    /// Buffer-pool shards per node; 0 = auto (PARADISE_POOL_SHARDS env or
-    /// 2 x hardware_concurrency, power of two). Benches force this to
-    /// compare contention profiles.
-    int pool_shards = 0;
   };
 
   explicit Cluster(int num_nodes);
@@ -129,9 +125,8 @@ class Cluster {
   void SetFaultInjector(sim::FaultInjector* injector);
   sim::FaultInjector* fault_injector() const { return fault_injector_; }
 
-  /// Retry policy applied by every node's buffer pool and by the
-  /// coordinator's failure protocol.
-  void set_retry_policy(const sim::RetryPolicy& policy);
+  /// Retry policy of every node's buffer pool and of the coordinator's
+  /// failure protocol (always the default sim::RetryPolicy).
   const sim::RetryPolicy& retry_policy() const { return retry_policy_; }
 
   // -- Node failure -------------------------------------------------------

@@ -252,7 +252,6 @@ int64_t WorkloadSession::scan_attaches() const {
 
 QueryCoordinator::QueryCoordinator(Cluster* cluster)
     : cluster_(cluster),
-      retry_policy_(cluster->retry_policy()),
       node_pbsm_(static_cast<size_t>(cluster->num_nodes())) {
   session_ = cluster->workload_session();
   if (session_ != nullptr) {
@@ -313,13 +312,11 @@ void QueryCoordinator::ClosePhase(
   report.scan_shared_windows = phase_shared_windows_;
   phase_shared_windows_ = 0;
   const sim::CostModel& model = cluster_->cost_model();
-  const ContentionModel* contention =
-      session_ != nullptr ? &session_->options().contention : nullptr;
   auto seconds_of = [&](const sim::ResourceUsage& u) {
     // With zero co-runners the surcharge factors are exactly 1.0, so a
     // lone query in workload mode costs bit-identically to plain mode.
-    return contention != nullptr
-               ? contention->SecondsUnder(model, u, report.contention)
+    return session_ != nullptr
+               ? ContentionModel::SecondsUnder(model, u, report.contention)
                : model.Seconds(u);
   };
   for (sim::ResourceUsage& usage : cluster_->EndPhaseAllNodes()) {
@@ -359,7 +356,7 @@ Status QueryCoordinator::HandleBarrierFaults() {
     // The coordinator notices the missed heartbeat only after the
     // detection timeout.
     cluster_->coordinator_clock()->ChargeIdle(
-        retry_policy_.detect_timeout_seconds);
+        cluster_->retry_policy().detect_timeout_seconds);
     if (!crash->permanent) {
       Status st = cluster_->RecoverNode(n);
       ClosePhase("recover node " + std::to_string(n), /*sequential=*/true,

@@ -31,16 +31,16 @@ class WorkloadSession;
 /// admission history — so contended time is as deterministic as the
 /// uncontended model.
 struct ContentionModel {
-  double disk_queue_factor = 0.20;
-  double pool_pressure_factor = 0.05;
-  double link_share_factor = 0.10;
+  static constexpr double kDiskQueueFactor = 0.20;
+  static constexpr double kPoolPressureFactor = 0.05;
+  static constexpr double kLinkShareFactor = 0.10;
 
-  double SecondsUnder(const sim::CostModel& m, const sim::ResourceUsage& u,
-                      int other_queries) const {
+  static double SecondsUnder(const sim::CostModel& m,
+                             const sim::ResourceUsage& u, int other_queries) {
     double k = other_queries > 0 ? static_cast<double>(other_queries) : 0.0;
     return m.DiskSeconds(u) *
-               (1.0 + (disk_queue_factor + pool_pressure_factor) * k) +
-           m.NetSeconds(u) * (1.0 + link_share_factor * k) +
+               (1.0 + (kDiskQueueFactor + kPoolPressureFactor) * k) +
+           m.NetSeconds(u) * (1.0 + kLinkShareFactor * k) +
            m.CpuSeconds(u) + u.idle_seconds;
   }
 };
@@ -71,7 +71,6 @@ class WorkloadSession {
     int max_concurrent = 4;
     bool scan_sharing = true;
     bool result_cache = true;
-    ContentionModel contention;
   };
 
   /// One admitted query's scheduling state. Owned by the session; valid
@@ -158,7 +157,6 @@ class WorkloadSession {
 
   // -- Introspection ------------------------------------------------------
 
-  const Options& options() const { return options_; }
   Cluster* cluster() { return cluster_; }
   /// Queries currently admitted (holding slots). The TopologyManager's
   /// migration pump only executes moves when this is zero.
@@ -348,13 +346,6 @@ class QueryCoordinator {
   /// coordinator runs in single-query mode.
   WorkloadSession::Ticket* ticket() { return ticket_; }
 
-  /// Overrides the retry policy inherited from the cluster at construction
-  /// (detection timeouts for this coordinator's queries).
-  void set_retry_policy(const sim::RetryPolicy& policy) {
-    retry_policy_ = policy;
-  }
-  const sim::RetryPolicy& retry_policy() const { return retry_policy_; }
-
  private:
   /// Folds the open phase into query time on every RunPhase/RunSequential
   /// exit path. Sequential phases add the coordinator clock's time too.
@@ -374,7 +365,6 @@ class QueryCoordinator {
   Status HandleBarrierFaults();
 
   Cluster* const cluster_;
-  sim::RetryPolicy retry_policy_;
   double query_seconds_ = 0.0;
   int barriers_passed_ = 0;
   uint64_t pinned_epoch_ = 0;  // topology epoch this query admitted under

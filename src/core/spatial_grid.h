@@ -159,38 +159,6 @@ class SpatialGrid {
     return tiles_.RangeOfBox(b);
   }
 
-  /// Two-layer begin class of one (feature, tile) pair: A when the tile
-  /// holds the MBR's reference point, B when the MBR spilled in along x
-  /// only (begins in an earlier column of the same row), C along y only,
-  /// D along both. Values match exec::TileClass (0..3).
-  enum TileClass : uint8_t { kClassA = 0, kClassB = 1, kClassC = 2,
-                             kClassD = 3 };
-  uint8_t ClassAt(uint32_t tile, const CellRange& r) const {
-    return geom::TileGrid::ClassAt(tile % tiles_per_axis(),
-                                   tile / tiles_per_axis(), r);
-  }
-
-  /// CopyClassAt's "the node owns no overlapped tile" answer — a staged
-  /// migration copy before its grid cutover, for example.
-  static constexpr uint8_t kNoOwnedTile = 0xff;
-
-  /// Strongest (A < B < C < D) class among `node`'s owned tiles that `b`
-  /// overlaps — the class stored with the replica at that node, or
-  /// kNoOwnedTile when the node owns none of them. A iff the node owns
-  /// the begin tile, i.e. iff it holds the primary copy.
-  uint8_t CopyClassAt(uint32_t node, const geom::Box& b) const {
-    CellRange r = RangeOfBox(b);
-    uint8_t best = kNoOwnedTile;
-    for (uint32_t cy = r.cy0; cy <= r.cy1; ++cy) {
-      for (uint32_t cx = r.cx0; cx <= r.cx1; ++cx) {
-        uint32_t tile = cy * tiles_per_axis() + cx;
-        if (NodeOfTile(tile) != node) continue;
-        best = std::min(best, ClassAt(tile, r));
-      }
-    }
-    return best;
-  }
-
   /// All tiles a box overlaps (the replication set).
   std::vector<uint32_t> TilesOfBox(const geom::Box& b) const {
     CellRange rg = RangeOfBox(b);

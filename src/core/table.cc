@@ -23,17 +23,14 @@ uint32_t ParallelTable::next_file_id_ = 1;
 
 namespace {
 
-/// Record flag byte: bit 0 = primary, bits 1..2 = two-layer begin class.
-/// Legacy decluster modes always write class 0, so their flag byte stays
-/// the exact 0/1 it has always been.
-uint8_t FlagByte(bool primary, uint8_t cls) {
-  return static_cast<uint8_t>((cls << 1) | (primary ? 1 : 0));
-}
+/// Record flag byte: 1 for the primary copy, 0 for a replica. Both
+/// spatial decluster modes store it the same way.
+uint8_t FlagByte(bool primary) { return primary ? 1 : 0; }
 
-ByteBuffer EncodeRow(const Tuple& tuple, bool primary, uint8_t cls = 0) {
+ByteBuffer EncodeRow(const Tuple& tuple, bool primary) {
   ByteBuffer out;
   ByteWriter w(&out);
-  w.PutU8(FlagByte(primary, cls));
+  w.PutU8(FlagByte(primary));
   tuple.Serialize(&w);
   return out;
 }
@@ -50,15 +47,8 @@ bool RecordPrimary(const ByteBuffer& record) {
   return (record[0] & 1) != 0;
 }
 
-/// Class bits of a stored record's flag byte.
-uint8_t RecordClass(const ByteBuffer& record) {
-  PARADISE_CHECK(!record.empty());
-  return static_cast<uint8_t>(record[0] >> 1);
-}
-
 /// Content key of a stored record: the serialized tuple without the
-/// flag byte, so a primary copy and its replicas — whatever their class
-/// bits — compare equal.
+/// flag byte, so a primary copy and its replicas compare equal.
 std::string RecordKey(const ByteBuffer& record) {
   PARADISE_CHECK(!record.empty());
   return std::string(record.begin() + 1, record.end());
@@ -107,27 +97,16 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
         break;
       }
     }
-    const bool two_layer =
-        def.partitioning == catalog::PartitioningKind::kTwoLayer;
     for (uint32_t n : destinations) {
       Fragment& frag = *table->fragments_[n];
       bool primary = (n == primary_node);
-      uint8_t cls = 0;
-      if (two_layer) {
-        cls = table->grid_.CopyClassAt(n, row.at(def.partition_column).Mbr());
-        // Every destination owns an overlapped tile by construction, and
-        // the begin tile's owner is exactly the primary node.
-        PARADISE_CHECK(cls != SpatialGrid::kNoOwnedTile);
-        PARADISE_CHECK((cls == SpatialGrid::kClassA) == primary);
-      }
-      ByteBuffer record = EncodeRow(row, primary, cls);
+      ByteBuffer record = EncodeRow(row, primary);
       PARADISE_CHECK_MSG(record.size() <= storage::HeapFile::MaxRecordSize(),
                          "tuple exceeds page capacity; use LOB attributes");
       PARADISE_ASSIGN_OR_RETURN(storage::Oid oid,
                                 frag.file->Insert(record));
       frag.oids.push_back(oid);
       frag.primary.push_back(primary ? 1 : 0);
-      if (two_layer) frag.cls.push_back(cls);
     }
   }
 
@@ -203,17 +182,6 @@ int64_t ParallelTable::num_stored() const {
   int64_t n = 0;
   for (const auto& f : fragments_) n += f->num_live();
   return n;
-}
-
-std::array<int64_t, 4> ParallelTable::ClassCounts() const {
-  std::array<int64_t, 4> counts{};
-  for (const auto& f : fragments_) {
-    for (uint64_t r = 0; r < f->oids.size(); ++r) {
-      if (!f->row_live(r)) continue;
-      ++counts[f->row_class(r) & 3];
-    }
-  }
-  return counts;
 }
 
 StatusOr<TupleVec> ParallelTable::ScanFragment(Cluster* cluster, int node,
@@ -308,28 +276,16 @@ StatusOr<ParallelTable::InsertOutcome> ParallelTable::InsertMigratedRow(
       reencode = true;
     }
   }
-  uint8_t cls = 0;
-  if (def_.partitioning == catalog::PartitioningKind::kTwoLayer) {
-    cls = grid_.CopyClassAt(static_cast<uint32_t>(node),
-                            local.at(def_.partition_column).Mbr());
-    // A staged pre-cutover copy lands at a node that owns no overlapped
-    // tile yet; park it in the weakest class (never A: it is not the
-    // primary) until the cutover's flag refresh assigns the real one.
-    if (cls == SpatialGrid::kNoOwnedTile) cls = SpatialGrid::kClassD;
-  }
   if (reencode) {
-    rec = EncodeRow(local, make_primary, cls);
+    rec = EncodeRow(local, make_primary);
   } else {
     rec = record;
-    rec[0] = FlagByte(make_primary, cls);
+    rec[0] = FlagByte(make_primary);
   }
   Fragment& frag = *fragments_[node];
   PARADISE_ASSIGN_OR_RETURN(storage::Oid oid, frag.file->Insert(rec));
   frag.oids.push_back(oid);
   frag.primary.push_back(make_primary ? 1 : 0);
-  if (def_.partitioning == catalog::PartitioningKind::kTwoLayer) {
-    frag.cls.push_back(cls);
-  }
   if (!frag.live.empty()) frag.live.push_back(1);
   const uint64_t r = frag.oids.size() - 1;
   sim::NodeClock* clock = cluster->node(node).clock();
@@ -366,39 +322,12 @@ Status ParallelTable::SetRowPrimary(Cluster* cluster, int node, uint64_t row,
                                     bool primary) {
   // Flip the flag byte of the *stored* record: the caller's staged bytes
   // may have been re-encoded on insert (raster deep copies), so they are
-  // not a valid in-place-update template here. Class bits are preserved;
-  // RefreshRowFlags is the path that recomputes them.
+  // not a valid in-place-update template here.
   Fragment& frag = *fragments_[node];
   PARADISE_ASSIGN_OR_RETURN(ByteBuffer rec, frag.file->Get(frag.oids[row]));
-  rec[0] = FlagByte(primary, RecordClass(rec));
+  rec[0] = FlagByte(primary);
   PARADISE_RETURN_IF_ERROR(frag.file->Update(frag.oids[row], rec));
   frag.primary[row] = primary ? 1 : 0;
-  cluster->node(node).clock()->ChargeCpu(sim::cpu_cost::kTupleOverhead);
-  return Status::OK();
-}
-
-Status ParallelTable::RefreshRowFlags(Cluster* cluster, int node,
-                                      uint64_t row, const geom::Box& mbr) {
-  Fragment& frag = *fragments_[node];
-  const bool want_primary =
-      grid_.PrimaryNode(mbr) == static_cast<uint32_t>(node);
-  uint8_t want_cls = 0;
-  if (def_.partitioning == catalog::PartitioningKind::kTwoLayer) {
-    want_cls = grid_.CopyClassAt(static_cast<uint32_t>(node), mbr);
-    // Rows kept only until orphan GC (the node owns no overlapped tile
-    // anymore) stay in the weakest non-primary class.
-    if (want_cls == SpatialGrid::kNoOwnedTile) want_cls = SpatialGrid::kClassD;
-    if (frag.cls.size() <= row) frag.cls.resize(row + 1, 0);
-  }
-  if ((frag.primary[row] != 0) == want_primary &&
-      frag.row_class(row) == want_cls) {
-    return Status::OK();  // byte already right: no write, no charge
-  }
-  PARADISE_ASSIGN_OR_RETURN(ByteBuffer rec, frag.file->Get(frag.oids[row]));
-  rec[0] = FlagByte(want_primary, want_cls);
-  PARADISE_RETURN_IF_ERROR(frag.file->Update(frag.oids[row], rec));
-  frag.primary[row] = want_primary ? 1 : 0;
-  if (!frag.cls.empty()) frag.cls[row] = want_cls;
   cluster->node(node).clock()->ChargeCpu(sim::cpu_cost::kTupleOverhead);
   return Status::OK();
 }
@@ -504,14 +433,8 @@ Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {
           int64_t r = claims_it->second.Claim(RecordKey(s.record));
           if (r >= 0) {
             // The survivor already holds a replica; keep it and, when the
-            // dead node held the primary copy, promote it in place. Under
-            // kTwoLayer the survivor may also have gained a
-            // stronger-class tile, so the whole flag byte is refreshed.
-            if (def_.partitioning == catalog::PartitioningKind::kTwoLayer) {
-              PARADISE_RETURN_IF_ERROR(RefreshRowFlags(
-                  cluster, d, static_cast<uint64_t>(r),
-                  s.tuple.at(def_.partition_column).Mbr()));
-            } else if (make_primary) {
+            // dead node held the primary copy, promote it in place.
+            if (make_primary) {
               PARADISE_RETURN_IF_ERROR(
                   SetRowPrimary(cluster, d, static_cast<uint64_t>(r), true));
             }
@@ -542,7 +465,6 @@ Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {
   }
   dead.oids.clear();
   dead.primary.clear();
-  dead.cls.clear();
   dead.live.clear();
   dead.rtree.reset();
   dead.string_indexes.clear();
@@ -693,19 +615,8 @@ StatusOr<ParallelTable::CutoverResult> ParallelTable::CutoverMove(
     Cluster* cluster, const StagedMove& st) {
   CutoverResult res;
   const bool spatial = catalog::IsSpatialPartitioning(def_.partitioning);
-  const bool two_layer =
-      def_.partitioning == catalog::PartitioningKind::kTwoLayer;
   Fragment& tgt = *fragments_[st.target];
   for (const StagedRowRef& ref : st.target_rows) {
-    if (two_layer) {
-      // The grid already points at the new owner: recompute the whole
-      // flag byte (primary bit + begin class) of every copy the move
-      // relies on. No-op (and no charge) when nothing changed — the
-      // exact condition the legacy primary-only update uses.
-      PARADISE_RETURN_IF_ERROR(
-          RefreshRowFlags(cluster, st.target, ref.row, ref.mbr));
-      continue;
-    }
     const bool want =
         spatial ? grid_.PrimaryNode(ref.mbr) == static_cast<uint32_t>(st.target)
                 : true;
@@ -727,10 +638,7 @@ StatusOr<ParallelTable::CutoverResult> ParallelTable::CutoverMove(
         }
       }
     }
-    if (two_layer) {
-      PARADISE_RETURN_IF_ERROR(
-          RefreshRowFlags(cluster, st.source, ref.row, ref.mbr));
-    } else if ((src.primary[ref.row] != 0) != want) {
+    if ((src.primary[ref.row] != 0) != want) {
       PARADISE_RETURN_IF_ERROR(
           SetRowPrimary(cluster, st.source, ref.row, want));
     }
@@ -750,7 +658,6 @@ Status ParallelTable::DropRows(Cluster* cluster, int node,
     PARADISE_RETURN_IF_ERROR(frag.file->Delete(frag.oids[r]));
     frag.live[r] = 0;
     frag.primary[r] = 0;
-    if (!frag.cls.empty()) frag.cls[r] = 0;
     clock->ChargeCpu(sim::cpu_cost::kTupleOverhead);
   }
   return Status::OK();
@@ -792,8 +699,6 @@ StatusOr<int64_t> ParallelTable::DropOrphanedRows(
 
 Status ParallelTable::ValidateOwnership(Cluster* cluster) const {
   const bool spatial = catalog::IsSpatialPartitioning(def_.partitioning);
-  const bool two_layer =
-      def_.partitioning == catalog::PartitioningKind::kTwoLayer;
   int64_t primaries = 0;
   // (key, mbr) of every primary copy, for the replica-completeness pass.
   std::vector<std::pair<std::string, geom::Box>> primary_keys;
@@ -825,29 +730,6 @@ Status ParallelTable::ValidateOwnership(Cluster* cluster) const {
         if (want != flag) {
           return Status::Internal(
               "ownership audit: primary flag disagrees with grid owner");
-        }
-        if (two_layer) {
-          if (frag.row_class(r) != RecordClass(rec)) {
-            return Status::Internal("ownership audit: class vector out of "
-                                    "sync with stored record");
-          }
-          const uint8_t want_cls =
-              grid_.CopyClassAt(static_cast<uint32_t>(n), mbr);
-          // Rows kept only until orphan GC carry the parked class D;
-          // rows at a tile owner must carry the grid's class, and class
-          // A must coincide with the primary flag.
-          const uint8_t expect =
-              want_cls == SpatialGrid::kNoOwnedTile
-                  ? static_cast<uint8_t>(SpatialGrid::kClassD)
-                  : want_cls;
-          if (frag.row_class(r) != expect) {
-            return Status::Internal(
-                "ownership audit: stored class disagrees with grid");
-          }
-          if ((frag.row_class(r) == SpatialGrid::kClassA) != flag) {
-            return Status::Internal(
-                "ownership audit: class A does not match the primary flag");
-          }
         }
         node_keys[n].insert(RecordKey(rec));
         if (flag) primary_keys.emplace_back(RecordKey(rec), mbr);

@@ -1,7 +1,6 @@
 #ifndef PARADISE_CORE_TABLE_H_
 #define PARADISE_CORE_TABLE_H_
 
-#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,20 +22,15 @@ namespace paradise::core {
 /// tables replicate tuples that span tiles mapped to multiple nodes; each
 /// replica carries a *primary* flag (true at the node owning the tuple's
 /// reference-point tile), which non-spatial operations use to avoid
-/// double-counting. kTwoLayer tables store the same replication set but
-/// additionally keep each copy's two-layer begin class
-/// (SpatialGrid::CopyClassAt) in the upper bits of the record flag byte,
-/// so class-partitioned joins can skip reference-point dedup entirely.
+/// double-counting. kTwoLayer tables are stored byte for byte like
+/// kSpatial ones; the two-layer join derives each copy's begin class from
+/// its MBR and the tile, so nothing class-related is stored.
 class ParallelTable {
  public:
   struct Fragment {
     std::unique_ptr<storage::HeapFile> file;
     std::vector<storage::Oid> oids;  // row id -> record
     std::vector<uint8_t> primary;    // row id -> primary flag
-    /// Row id -> two-layer begin class (kTwoLayer tables only; empty
-    /// otherwise). Mirrors bits 1..2 of the stored record's flag byte,
-    /// like `primary` mirrors bit 0.
-    std::vector<uint8_t> cls;
     /// Row liveness; empty means "all rows live". Migration GC and
     /// staging rollback physically delete records but must keep row ids
     /// stable (indexes and oids vectors are positional), so deleted rows
@@ -54,7 +48,6 @@ class ParallelTable {
         contents;
 
     int64_t num_rows() const { return static_cast<int64_t>(oids.size()); }
-    uint8_t row_class(uint64_t r) const { return cls.empty() ? 0 : cls[r]; }
     bool row_live(uint64_t r) const { return live.empty() || live[r] != 0; }
     int64_t num_live() const {
       if (live.empty()) return num_rows();
@@ -224,11 +217,6 @@ class ParallelTable {
     return fragments_[node]->primary[row] != 0;
   }
 
-  /// Stored-copy census per two-layer begin class over live rows of alive
-  /// fragments ([A, B, C, D]; all counts land in A for non-kTwoLayer
-  /// tables, whose copies carry no class).
-  std::array<int64_t, 4> ClassCounts() const;
-
   /// Average *shallow* tuple bytes (what redistribution moves).
   double avg_tuple_bytes() const { return avg_tuple_bytes_; }
 
@@ -257,14 +245,6 @@ class ParallelTable {
   /// Flips the primary byte of row `row`'s stored record in place, syncs
   /// the flag vector, and charges the flip.
   Status SetRowPrimary(Cluster* cluster, int node, uint64_t row, bool primary);
-
-  /// Recomputes row `row`'s flag byte (primary bit + two-layer class)
-  /// from the *current* grid and rewrites the stored record only when it
-  /// changed (no-op, no charge otherwise). The migration/salvage flag
-  /// maintenance point for both spatial decluster modes: under kSpatial
-  /// it degenerates to the primary-bit update SetRowPrimary performs.
-  Status RefreshRowFlags(Cluster* cluster, int node, uint64_t row,
-                         const geom::Box& mbr);
 
   Cluster* const cluster_;  // the cluster the table was loaded into
   catalog::TableDef def_;

@@ -14,6 +14,17 @@
 
 namespace paradise::core {
 
+namespace {
+
+// Migration pacing: a background stream ships 8 MB per modeled second
+// when the cluster is idle; its refill is divided by (1 + kSlowdown * K)
+// with K queries admitted, and a stream's budget never exceeds one burst.
+constexpr double kMigrationBytesPerSecond = 8.0 * 1000 * 1000;
+constexpr double kMigrationContentionSlowdown = 1.0;
+constexpr int64_t kMigrationMaxBurstBytes = 4 << 20;
+
+}  // namespace
+
 TopologyManager::TopologyManager(Cluster* cluster) : cluster_(cluster) {
   EnsureStates();
 }
@@ -108,7 +119,7 @@ std::vector<uint32_t> TopologyManager::OwnedTiles(int node) const {
 void TopologyManager::QueueMove(Move move, bool front) {
   Stream& s = streams_[move.source];
   if (!s.budget_init) {
-    s.budget_bytes = static_cast<double>(throttle_.max_burst_bytes);
+    s.budget_bytes = static_cast<double>(kMigrationMaxBurstBytes);
     s.budget_init = true;
   }
   if (front) {
@@ -631,17 +642,17 @@ Status TopologyManager::PumpMigration(double now_seconds) {
   double dt = now_seconds - last_pump_seconds_;
   if (dt < 0) dt = 0;
   last_pump_seconds_ = now_seconds;
-  const double refill = throttle_.bytes_per_second /
-                        (1.0 + throttle_.contention_slowdown *
+  const double refill = kMigrationBytesPerSecond /
+                        (1.0 + kMigrationContentionSlowdown *
                                    static_cast<double>(in_flight));
   for (auto& [src, stream] : streams_) {
     if (stream.queue.empty()) {
-      stream.budget_bytes = static_cast<double>(throttle_.max_burst_bytes);
+      stream.budget_bytes = static_cast<double>(kMigrationMaxBurstBytes);
       continue;
     }
     stream.budget_bytes =
         std::min(stream.budget_bytes + refill * dt,
-                 static_cast<double>(throttle_.max_burst_bytes));
+                 static_cast<double>(kMigrationMaxBurstBytes));
   }
   if (!quiescent) {
     if (!migration_idle()) ++stats_.cutovers_deferred;

@@ -52,15 +52,6 @@ enum class NodeTopologyState : uint8_t {
 /// migration (permanent). Either way every tile stays exactly-once owned.
 class TopologyManager {
  public:
-  /// Migration pacing. Defaults model a background stream shipping 8 MB/s
-  /// of modeled time when the cluster is idle, halved per admitted query.
-  struct Throttle {
-    double bytes_per_second = 8.0 * 1000 * 1000;
-    /// Refill divisor per concurrently admitted query (1 + c * K).
-    double contention_slowdown = 1.0;
-    int64_t max_burst_bytes = 4 << 20;
-  };
-
   struct Stats {
     int64_t tiles_moved = 0;
     int64_t stripe_moves = 0;
@@ -173,8 +164,6 @@ class TopologyManager {
                               uint32_t tiles_per_axis) const;
 
   NodeTopologyState node_state(int node) const;
-  const Throttle& throttle() const { return throttle_; }
-  void set_throttle(const Throttle& t) { throttle_ = t; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -231,7 +220,6 @@ class TopologyManager {
   void RequeueDrainingTiles();
 
   Cluster* const cluster_;
-  Throttle throttle_;
   Stats stats_;
 
   std::vector<ParallelTable*> tables_;        // registration order

@@ -44,10 +44,10 @@ StatusOr<TupleVec> PbsmSpatialJoin(const TupleVec& left, size_t left_col,
                                    const PbsmOptions& options = {});
 
 /// Two-layer begin class of one (MBR, tile) entry, after Tsitsigkos et
-/// al.'s space-oriented partitioning. Values match
-/// core::SpatialGrid::TileClass: A = the tile contains the MBR's
+/// al.'s space-oriented partitioning, as geom::TileGrid::ClassAt computes
+/// it from the MBR's cell range: A = the tile contains the MBR's
 /// reference point (its begin tile), B = the MBR spilled in along x only,
-/// C = along y only, D = along both.
+/// C = along y only, D = along both. Tables never store it.
 enum class TileClass : uint8_t { kA = 0, kB = 1, kC = 2, kD = 3 };
 
 struct TwoLayerOptions {

@@ -1,33 +1,11 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
-#include <thread>
 
 #include "common/logging.h"
 
 namespace paradise::storage {
-
-namespace {
-
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-int DefaultPoolShards() {
-  if (const char* env = std::getenv("PARADISE_POOL_SHARDS")) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return static_cast<int>(2 * hw);
-}
-
-}  // namespace
 
 PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
   if (this != &other) {
@@ -59,15 +37,12 @@ void PageGuard::Release() {
   page_ = nullptr;
 }
 
-BufferPool::BufferPool(size_t capacity_frames, int num_shards)
-    : capacity_(capacity_frames) {
+BufferPool::BufferPool(size_t capacity_frames) : capacity_(capacity_frames) {
   PARADISE_CHECK(capacity_frames > 0);
-  bool auto_shards = num_shards <= 0;
-  size_t n =
-      RoundUpPow2(static_cast<size_t>(auto_shards ? DefaultPoolShards()
-                                                  : num_shards));
-  size_t min_per_shard = auto_shards ? kMinFramesPerShard : 1;
-  while (n > 1 && capacity_frames / n < min_per_shard) n >>= 1;
+  const size_t limit =
+      std::min(kMaxShards, capacity_frames / kMinFramesPerShard);
+  size_t n = 1;
+  while (n * 2 <= limit) n *= 2;
   shard_mask_ = n - 1;
   shards_.reserve(n);
   size_t base = capacity_frames / n;

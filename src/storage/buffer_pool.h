@@ -111,17 +111,17 @@ class BufferPool {
   /// cold — InnoDB's default midpoint).
   static constexpr size_t kHotEighths = 5;
 
-  /// Auto-sharding keeps at least this many frames per shard so tiny test
-  /// pools degenerate to one shard with exact single-LRU semantics.
+  /// Every shard keeps at least this many frames, so pools under 128
+  /// frames have one shard with exact single-LRU semantics.
   static constexpr size_t kMinFramesPerShard = 64;
+  /// Upper bound on the shard count.
+  static constexpr size_t kMaxShards = 8;
 
-  /// `num_shards` == 0 picks the default: PARADISE_POOL_SHARDS if set,
-  /// else 2 x hardware_concurrency, rounded up to a power of two and
-  /// clamped so every shard has >= kMinFramesPerShard frames. An explicit
-  /// positive value is rounded up to a power of two and clamped only so
-  /// every shard has >= 1 frame (tests use this to force small sharded
-  /// pools).
-  explicit BufferPool(size_t capacity_frames, int num_shards = 0);
+  /// The shard count is the largest power of two <= min(kMaxShards,
+  /// capacity_frames / kMinFramesPerShard), and at least 1. It depends on
+  /// the pool size alone, so which pages a pool keeps never depends on
+  /// the host.
+  explicit BufferPool(size_t capacity_frames);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchmark/database.h"
@@ -57,8 +57,8 @@ ResourceUsage UsageDelta(const ResourceUsage& before,
 // ---------- Sharding ----------
 
 TEST(BufferPoolShardingTest, TinyPoolsDegenerateToOneShard) {
-  // Auto-sharding keeps >= kMinFramesPerShard frames per shard, so the
-  // small pools unit tests use keep exact single-LRU semantics.
+  // Every shard keeps >= kMinFramesPerShard frames, so the small pools
+  // unit tests use keep exact single-LRU semantics.
   BufferPool tiny(8);
   EXPECT_EQ(tiny.num_shards(), 1);
   BufferPool two(2);
@@ -66,32 +66,19 @@ TEST(BufferPoolShardingTest, TinyPoolsDegenerateToOneShard) {
 }
 
 TEST(BufferPoolShardingTest, AutoShardCountIsPowerOfTwo) {
-  BufferPool pool(4096);
-  int n = pool.num_shards();
-  EXPECT_GE(n, 1);
-  EXPECT_EQ(n & (n - 1), 0) << "shard count " << n << " not a power of two";
-  EXPECT_GE(4096 / static_cast<size_t>(n), BufferPool::kMinFramesPerShard);
-}
-
-TEST(BufferPoolShardingTest, ExplicitShardCountRoundsUpToPowerOfTwo) {
-  BufferPool pool(64, /*num_shards=*/3);
-  EXPECT_EQ(pool.num_shards(), 4);
-  // Explicit counts are clamped only so every shard has at least a frame.
-  BufferPool overdone(4, /*num_shards=*/64);
-  EXPECT_LE(overdone.num_shards(), 4);
-  EXPECT_GE(overdone.num_shards(), 1);
-}
-
-TEST(BufferPoolShardingTest, EnvKnobControlsShardCount) {
-  ::setenv("PARADISE_POOL_SHARDS", "8", 1);
-  BufferPool pool(1024);
-  EXPECT_EQ(pool.num_shards(), 8);
-  ::unsetenv("PARADISE_POOL_SHARDS");
+  // The largest power of two <= min(8, frames / 64), and at least 1: the
+  // count depends on the pool size alone, never on the host.
+  const std::pair<size_t, int> expected[] = {
+      {8, 1}, {127, 1}, {128, 2}, {256, 4}, {512, 8}, {4096, 8}};
+  for (const auto& [frames, shards] : expected) {
+    BufferPool pool(frames);
+    EXPECT_EQ(pool.num_shards(), shards) << frames << " frames";
+  }
 }
 
 TEST(BufferPoolShardingTest, PinHitMissWorksAcrossShards) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(128, /*num_shards=*/4);
+  BufferPool pool(256);
   ASSERT_EQ(pool.num_shards(), 4);
   pool.AttachVolume(&volume);
   volume.AllocateRun(64);
@@ -117,7 +104,7 @@ TEST(BufferPoolShardingTest, PinHitMissWorksAcrossShards) {
 
 TEST(ScanResistanceTest, FullScanEvictsAtMostColdSegmentHotPagesKeepHits) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(64, /*num_shards=*/1);
+  BufferPool pool(64);
   pool.AttachVolume(&volume);
   volume.AllocateRun(240);
   WriteTaggedPages(&volume, 0, 240);
@@ -162,7 +149,7 @@ TEST(ScanResistanceTest, FullScanEvictsAtMostColdSegmentHotPagesKeepHits) {
 
 TEST(ScanResistanceTest, SingleUsePagesAreNotPromoted) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(64, /*num_shards=*/1);
+  BufferPool pool(64);
   pool.AttachVolume(&volume);
   volume.AllocateRun(32);
   WriteTaggedPages(&volume, 0, 32);
@@ -184,7 +171,7 @@ TEST(ScanResistanceTest, SingleUsePagesAreNotPromoted) {
 TEST(ReadaheadTest, PrefetchChargesOnePositioningCostPlusTransfers) {
   NodeClock clock;
   DiskVolume volume(0, &clock);
-  BufferPool pool(256, /*num_shards=*/1);
+  BufferPool pool(64);
   pool.AttachVolume(&volume);
   volume.AllocateRun(16);
   WriteTaggedPages(&volume, 0, 16);
@@ -222,7 +209,7 @@ TEST(ReadaheadTest, PrefetchChargesOnePositioningCostPlusTransfers) {
 TEST(ReadaheadTest, PrefetchFetchesOnlyTheMissingRuns) {
   NodeClock clock;
   DiskVolume volume(0, &clock);
-  BufferPool pool(256, /*num_shards=*/1);
+  BufferPool pool(64);
   pool.AttachVolume(&volume);
   volume.AllocateRun(16);
   WriteTaggedPages(&volume, 0, 16);
@@ -242,7 +229,7 @@ TEST(ReadaheadTest, PrefetchFetchesOnlyTheMissingRuns) {
 
 TEST(ReadaheadTest, PinRangeReturnsTheWholeRunPinned) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(256, /*num_shards=*/2);
+  BufferPool pool(128);
   pool.AttachVolume(&volume);
   volume.AllocateRun(40);
   WriteTaggedPages(&volume, 0, 40);
@@ -260,7 +247,7 @@ TEST(ReadaheadTest, PinRangeReturnsTheWholeRunPinned) {
 
 TEST(ReadaheadTest, PrefetchSkipsWindowsTooBigForTheShard) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(8, /*num_shards=*/1);
+  BufferPool pool(8);
   pool.AttachVolume(&volume);
   volume.AllocateRun(16);
   WriteTaggedPages(&volume, 0, 16);
@@ -278,7 +265,7 @@ TEST(ReadaheadTest, PrefetchSkipsWindowsTooBigForTheShard) {
 TEST(ReadaheadFaultTest, BatchConsultsInjectorPerPageAndRetriesFailures) {
   NodeClock clock;
   DiskVolume volume(/*volume_id=*/7, &clock);
-  BufferPool pool(256, /*num_shards=*/1);
+  BufferPool pool(64);
   pool.AttachVolume(&volume);
   RetryPolicy policy;
   pool.set_retry_policy(policy);
@@ -321,7 +308,7 @@ TEST(ReadaheadFaultTest, BatchConsultsInjectorPerPageAndRetriesFailures) {
 
 TEST(PageGuardTest, AssigningOverAValidGuardReleasesItsPin) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(2, /*num_shards=*/1);
+  BufferPool pool(2);
   pool.AttachVolume(&volume);
   volume.AllocateRun(8);
   WriteTaggedPages(&volume, 0, 8);
@@ -350,7 +337,7 @@ TEST(PageGuardTest, AssigningOverAValidGuardReleasesItsPin) {
 
 TEST(PageGuardTest, MoveLeavesSourceInvalid) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(4, /*num_shards=*/1);
+  BufferPool pool(4);
   pool.AttachVolume(&volume);
   volume.AllocateRun(2);
   WriteTaggedPages(&volume, 0, 2);
@@ -375,7 +362,7 @@ TEST(PageGuardTest, MoveLeavesSourceInvalid) {
 
 TEST(BufferPoolConcurrencyTest, ParallelPinsAndPrefetchesAreRaceFree) {
   DiskVolume volume(0, nullptr);
-  BufferPool pool(128, /*num_shards=*/4);
+  BufferPool pool(256);
   pool.AttachVolume(&volume);
   constexpr PageNo kPages = 96;
   volume.AllocateRun(kPages);
@@ -448,7 +435,6 @@ LoadedDb LoadTinyDb(int nodes, int num_threads) {
   LoadedDb out;
   core::Cluster::Options copts;
   copts.buffer_pool_frames = 2048;
-  copts.pool_shards = 8;  // fixed, so results do not depend on the host
   out.cluster = std::make_unique<core::Cluster>(nodes, copts);
   out.cluster->SetNumThreads(num_threads);
   datagen::GlobalDataSet ds =

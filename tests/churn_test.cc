@@ -583,9 +583,9 @@ TEST(ChurnTwoLayerTest, MigratingTwoLayerTilesMidQueryPreservesJoin) {
   // A reader admitted *before* the migration pins its epoch; tiles of the
   // two-layer table then migrate off node 1 (stage + cutover) while the
   // query is open. The query must still see every pair exactly once with
-  // the dedup branch never running — the class flags at both the new
-  // owner (refreshed at cutover) and the orphaned source (parked) stay
-  // coherent with the routing grid.
+  // the dedup branch never running: the join derives each copy's begin
+  // class from its MBR and the routing grid, so the new owner's copies and
+  // the orphaned source rows awaiting GC need no stored class.
   QueryCoordinator pinned(&cluster);
   ASSERT_TRUE(pinned.BeginQuery().ok());
   topo->DrainNode(1);

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <array>
 #include <functional>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "benchmark/database.h"
 #include "benchmark/queries.h"
@@ -14,6 +15,7 @@
 #include "core/pull.h"
 #include "core/spatial_grid.h"
 #include "core/table.h"
+#include "core/topology.h"
 #include "datagen/datagen.h"
 #include "exec/spatial_join.h"
 #include "sim/cost_model.h"
@@ -288,9 +290,6 @@ TEST(ParallelTableTest, PrimariesOnlyScanChargesEveryStoredRecordTwoLayer) {
                               Box(-60, -60, 60, 60));
   auto table = ParallelTable::Load(&cluster, def, rows, /*tiles_per_axis=*/20);
   ASSERT_TRUE(table.ok());
-  // Replicas carry class bits next to the primary bit in the flag byte.
-  std::array<int64_t, 4> counts = (*table)->ClassCounts();
-  ASSERT_GT(counts[1] + counts[2] + counts[3], 0);
   ExpectPrimariesOnlyScanChargesEveryRecord(&cluster, **table);
 }
 
@@ -590,7 +589,7 @@ TEST_P(ParallelEquivalenceTest, TwoLayerJoinMatchesLegacyWithZeroDedup) {
   EXPECT_GT(two_stats.class_a_items, 0);
 }
 
-TEST(TwoLayerTableTest, LoadClassifiesRowsAndValidates) {
+TEST(TwoLayerTableTest, LoadReplicatesRowsAndValidates) {
   Cluster cluster(4, SmallClusterOptions());
   Rng rng(23);
   Box universe(-60, -60, 60, 60);
@@ -601,15 +600,7 @@ TEST(TwoLayerTableTest, LoadClassifiesRowsAndValidates) {
   EXPECT_EQ((*table)->num_rows(), 200);
   EXPECT_GT((*table)->num_stored(), 200);  // spill copies exist
 
-  // Class census: the A copies are exactly the primaries; every stored
-  // copy carries a class.
-  std::array<int64_t, 4> counts = (*table)->ClassCounts();
-  EXPECT_EQ(counts[0], (*table)->num_rows());
-  EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3],
-            (*table)->num_stored());
-  EXPECT_GT(counts[1] + counts[2] + counts[3], 0);
-
-  // The flag audit checks class-vs-grid and class-A-iff-primary sync.
+  // The flag audit checks primary-vs-grid sync and replica completeness.
   Status audit = (*table)->ValidateOwnership(&cluster);
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 
@@ -621,6 +612,100 @@ TEST(TwoLayerTableTest, LoadClassifiesRowsAndValidates) {
     for (const Tuple& t : *frag) seen.insert(t.at(0).AsInt());
   }
   EXPECT_EQ(seen, Ids(rows));
+}
+
+/// Every (oid, stored record) of a fragment's heap file, in file order.
+std::vector<std::pair<storage::Oid, ByteBuffer>> StoredRecords(
+    const ParallelTable::Fragment& frag) {
+  std::vector<std::pair<storage::Oid, ByteBuffer>> out;
+  auto it = frag.file->NewIterator();
+  storage::Oid oid;
+  ByteBuffer record;
+  while (it.Next(&oid, &record)) out.emplace_back(oid, record);
+  EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+  return out;
+}
+
+void ExpectSameStoredRecords(const ParallelTable& a, const ParallelTable& b,
+                             const std::string& when) {
+  ASSERT_EQ(a.num_fragments(), b.num_fragments());
+  for (int n = 0; n < a.num_fragments(); ++n) {
+    const auto ra = StoredRecords(a.fragment(n));
+    const auto rb = StoredRecords(b.fragment(n));
+    ASSERT_EQ(ra.size(), rb.size()) << when << ", node " << n;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      ASSERT_TRUE(ra[i].first == rb[i].first)
+          << when << ", node " << n << ", record " << i << ": oids differ";
+      ASSERT_TRUE(ra[i].second == rb[i].second)
+          << when << ", node " << n << ", record " << i << ": bytes differ";
+    }
+  }
+}
+
+void ExpectSameUsage(const sim::ResourceUsage& a, const sim::ResourceUsage& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.disk_seeks, b.disk_seeks) << what;
+  EXPECT_EQ(a.disk_bytes_read, b.disk_bytes_read) << what;
+  EXPECT_EQ(a.disk_bytes_written, b.disk_bytes_written) << what;
+  EXPECT_EQ(a.net_messages, b.net_messages) << what;
+  EXPECT_EQ(a.net_bytes, b.net_bytes) << what;
+  EXPECT_EQ(a.cpu_ops, b.cpu_ops) << what;
+  EXPECT_EQ(a.idle_seconds, b.idle_seconds) << what;
+}
+
+// kTwoLayer only chooses the join plans: the same rows loaded as kSpatial
+// and as kTwoLayer store the same bytes at the same oids, and draining a
+// node migrates them with the same charges on every node.
+TEST(TwoLayerTableTest, StoresAndMigratesLikeSpatial) {
+  Rng rng(37);
+  const TupleVec rows = RandomPolyTuples(&rng, 400, 50, 8);
+  const Box universe(-60, -60, 60, 60);
+  Cluster spatial_cluster(4, SmallClusterOptions());
+  Cluster two_layer_cluster(4, SmallClusterOptions());
+  auto spatial = ParallelTable::Load(
+      &spatial_cluster, PolyTableDef("t", PartitioningKind::kSpatial, universe),
+      rows, /*tiles_per_axis=*/20);
+  auto two_layer = ParallelTable::Load(
+      &two_layer_cluster,
+      PolyTableDef("t", PartitioningKind::kTwoLayer, universe), rows,
+      /*tiles_per_axis=*/20);
+  ASSERT_TRUE(spatial.ok() && two_layer.ok());
+  ASSERT_GT((*spatial)->num_stored(), (*spatial)->num_rows());  // replicas
+  ExpectSameStoredRecords(**spatial, **two_layer, "after load");
+  for (int n = 0; n < 4; ++n) {
+    ExpectSameUsage(spatial_cluster.node(n).clock()->EndPhase(),
+                    two_layer_cluster.node(n).clock()->EndPhase(),
+                    "load, node " + std::to_string(n));
+  }
+
+  auto drain_node_1 = [](Cluster* cluster, ParallelTable* table) {
+    cluster->topology()->RegisterTable(table);
+    cluster->topology()->DrainNode(1);
+    return cluster->topology()->DrainMigration(0.0);
+  };
+  Status drained = drain_node_1(&spatial_cluster, spatial->get());
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+  drained = drain_node_1(&two_layer_cluster, two_layer->get());
+  ASSERT_TRUE(drained.ok()) << drained.ToString();
+  const auto& moved = spatial_cluster.topology()->stats();
+  EXPECT_GT(moved.tiles_moved, 0);
+  EXPECT_GT(moved.rows_shipped, 0);
+  EXPECT_GT(moved.rows_deduped, 0);  // replicas claimed at the targets
+  EXPECT_EQ(moved.tiles_moved,
+            two_layer_cluster.topology()->stats().tiles_moved);
+  for (int n = 0; n < 4; ++n) {
+    ExpectSameUsage(spatial_cluster.node(n).clock()->EndPhase(),
+                    two_layer_cluster.node(n).clock()->EndPhase(),
+                    "drain, node " + std::to_string(n));
+  }
+  ExpectSameStoredRecords(**spatial, **two_layer, "after drain");
+
+  Status audit = (*spatial)->ValidateOwnership(&spatial_cluster);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  audit = (*two_layer)->ValidateOwnership(&two_layer_cluster);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  spatial_cluster.topology()->UnregisterTable(spatial->get());
+  two_layer_cluster.topology()->UnregisterTable(two_layer->get());
 }
 
 /// One run of the predeclustered two-layer self-join: sorted result keys,
@@ -867,7 +952,6 @@ TEST(CoordinatorTest, PhaseWallSecondsLeaveModeledFieldsThreadIndependent) {
   auto run = [](int num_threads) {
     Cluster::Options copts;
     copts.buffer_pool_frames = 2048;
-    copts.pool_shards = 8;  // fixed, so results do not depend on the host
     Cluster cluster(4, copts);
     cluster.SetNumThreads(num_threads);
     datagen::DataSetOptions data;

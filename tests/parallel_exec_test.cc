@@ -177,15 +177,17 @@ struct LoadedDb {
   std::unique_ptr<benchmark::BenchmarkDatabase> db;
 };
 
-LoadedDb LoadTinyDb(int nodes, int num_threads) {
+LoadedDb LoadTinyDb(int nodes, int num_threads,
+                    bool two_layer_vectors = false) {
   LoadedDb out;
   Cluster::Options copts;
   copts.buffer_pool_frames = 2048;
   out.cluster = std::make_unique<Cluster>(nodes, copts);
   out.cluster->SetNumThreads(num_threads);
   datagen::GlobalDataSet ds = datagen::GenerateGlobalDataSet(TinyDataOptions());
-  auto db = benchmark::BenchmarkDatabase::Load(out.cluster.get(), ds,
-                                               TinyLoadOptions());
+  benchmark::LoadOptions lopts = TinyLoadOptions();
+  lopts.two_layer_vectors = two_layer_vectors;
+  auto db = benchmark::BenchmarkDatabase::Load(out.cluster.get(), ds, lopts);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   out.db = std::move(*db);
   return out;
@@ -269,6 +271,67 @@ TEST_P(ThreadCountDeterminismTest, ModeledTimeAndRowsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Queries, ThreadCountDeterminismTest,
                          ::testing::Values(2, 5, 8, 11, 12, 13));
+
+// Query 8 returns no rows on the tiny database, so the instance above
+// compares empty results. This join probes landCover with a box around
+// every place and does return rows, through the kSpatial broadcast and
+// the kTwoLayer multicast alike.
+struct IndexJoinRun {
+  std::vector<std::string> rows;
+  double seconds = 0.0;
+};
+
+IndexJoinRun RunPlacesIntoLandCover(bool two_layer_vectors, int num_threads) {
+  LoadedDb loaded = LoadTinyDb(4, num_threads, two_layer_vectors);
+  benchmark::BenchmarkDatabase* db = loaded.db.get();
+  QueryCoordinator coord(loaded.cluster.get());
+  EXPECT_TRUE(coord.BeginQuery().ok());
+  auto places = core::ParallelScan(&coord, db->places(), nullptr, {});
+  EXPECT_TRUE(places.ok()) << places.status().ToString();
+  if (!places.ok()) return {};
+  auto joined = core::ParallelIndexSpatialJoin(
+      &coord, *places, db->land_cover(), datagen::col::kLcShape,
+      [](const Tuple& place) {
+        return Value(Box::MakeBox(
+            place.at(datagen::col::kPlaceLocation).AsPoint(), 20.0));
+      },
+      [](const Tuple& place, const Tuple& lc) {
+        return Tuple({place.at(datagen::col::kPlaceId),
+                      lc.at(datagen::col::kLcId),
+                      lc.at(datagen::col::kLcType)});
+      });
+  EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+  if (!joined.ok()) return {};
+  auto rows = core::Gather(&coord, std::move(joined).value());
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  if (!rows.ok()) return {};
+  IndexJoinRun run;
+  run.rows = RenderRows(*rows);
+  run.seconds = coord.query_seconds();
+  coord.EndQuery();
+  return run;
+}
+
+TEST(IndexSpatialJoinDeterminismTest, NonEmptyJoinBitIdenticalAt1And8Threads) {
+  std::vector<std::string> spatial_rows;
+  for (bool two_layer : {false, true}) {
+    SCOPED_TRACE(two_layer ? "two_layer_vectors" : "default load");
+    const IndexJoinRun r1 = RunPlacesIntoLandCover(two_layer, 1);
+    const IndexJoinRun r8 = RunPlacesIntoLandCover(two_layer, 8);
+    EXPECT_GT(r1.rows.size(), 0u);
+    EXPECT_EQ(r1.rows, r8.rows);  // same rows in the same order
+    EXPECT_EQ(r1.seconds, r8.seconds);
+    EXPECT_GT(r1.seconds, 0.0);
+    // Both routings find the same pairs, kept at different nodes.
+    std::vector<std::string> sorted = r1.rows;
+    std::sort(sorted.begin(), sorted.end());
+    if (two_layer) {
+      EXPECT_EQ(sorted, spatial_rows);
+    } else {
+      spatial_rows = std::move(sorted);
+    }
+  }
+}
 
 // ---------- StoreResult round-robin placement ----------
 

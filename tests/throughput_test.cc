@@ -80,15 +80,14 @@ struct LoadedDb {
   std::unique_ptr<benchmark::BenchmarkDatabase> db;
 };
 
-/// Tiny benchmark database on a 4-node cluster with fixed pool sharding
-/// (so nothing depends on the host) and a configurable pool size: the
-/// workload tests shrink it until repeated scans really do I/O.
+/// Tiny benchmark database on a 4-node cluster with a configurable pool
+/// size (which alone fixes the pool's shard count): the workload tests
+/// shrink it until repeated scans really do I/O.
 LoadedDb LoadTinyDb(int num_threads, size_t pool_frames = 2048,
-                    int pool_shards = 8, uint32_t raster_size = 96) {
+                    uint32_t raster_size = 96) {
   LoadedDb out;
   Cluster::Options copts;
   copts.buffer_pool_frames = pool_frames;
-  copts.pool_shards = pool_shards;
   out.cluster = std::make_unique<Cluster>(4, copts);
   out.cluster->SetNumThreads(num_threads);
   datagen::DataSetOptions dopts;
@@ -432,7 +431,6 @@ LoadedDb LoadScanDb(int num_threads) {
   LoadedDb out;
   Cluster::Options copts;
   copts.buffer_pool_frames = 16;
-  copts.pool_shards = 1;
   out.cluster = std::make_unique<Cluster>(4, copts);
   out.cluster->SetNumThreads(num_threads);
   datagen::DataSetOptions dopts;
@@ -493,8 +491,8 @@ WorkloadOptions MixedWorkloadOptions() {
 }
 
 WorkloadReport RunMixedWorkload(int num_threads, bool faulted) {
-  LoadedDb loaded = LoadTinyDb(num_threads, /*pool_frames=*/64,
-                               /*pool_shards=*/2);
+  // 128 frames: two shards of 64.
+  LoadedDb loaded = LoadTinyDb(num_threads, /*pool_frames=*/128);
   FaultInjector inj(/*seed=*/0xfeed);
   if (faulted) {
     // The tiny database does only a few dozen cold reads before it is
