@@ -17,33 +17,18 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "core/table.h"
 #include "sim/fault_injector.h"
 
 namespace {
 
-using paradise::Status;
 using paradise::bench::BenchConfig;
 using paradise::bench::LoadDb;
 using paradise::bench::LoadedDb;
 using paradise::bench::RunQuerySeconds;
-using paradise::benchmark::BenchmarkDatabase;
-using paradise::core::ParallelTable;
 using paradise::sim::FaultInjector;
 
 constexpr int kNodes = 8;
 constexpr int kCrashNode = 3;
-
-void InstallLossHandler(BenchmarkDatabase* db) {
-  db->cluster()->set_node_loss_handler([db](int dead) -> Status {
-    ParallelTable* tables[] = {&db->places(), &db->roads(), &db->drainage(),
-                               &db->land_cover(), &db->raster()};
-    for (ParallelTable* t : tables) {
-      PARADISE_RETURN_IF_ERROR(t->RedeclusterAfterLoss(db->cluster(), dead));
-    }
-    return Status::OK();
-  });
-}
 
 enum class Scenario { kFaultFree, kTransient, kRecover, kDegraded };
 
@@ -64,7 +49,6 @@ double RunScenario(const BenchConfig& cfg, int query, Scenario s) {
       break;
     case Scenario::kDegraded:
       inj.ScheduleCrash(/*barrier=*/0, kCrashNode, /*permanent=*/true);
-      InstallLossHandler(l.db.get());
       break;
   }
   l.cluster->SetFaultInjector(&inj);

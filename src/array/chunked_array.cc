@@ -319,8 +319,4 @@ StatusOr<ByteBuffer> ReadFull(const ArrayHandle& handle, TileSource* source) {
   return ReadRegion(handle, source, lo, handle.dims);
 }
 
-void FreeArray(const ArrayHandle& handle, storage::LargeObjectStore* store) {
-  for (const TileRef& t : handle.tiles) store->Free(t.lob);
-}
-
 }  // namespace paradise::array

@@ -113,9 +113,6 @@ StatusOr<ByteBuffer> ReadRegion(const ArrayHandle& handle, TileSource* source,
 /// Reads the whole array.
 StatusOr<ByteBuffer> ReadFull(const ArrayHandle& handle, TileSource* source);
 
-/// Releases the tiles of a non-inlined array.
-void FreeArray(const ArrayHandle& handle, storage::LargeObjectStore* store);
-
 }  // namespace paradise::array
 
 #endif  // PARADISE_ARRAY_CHUNKED_ARRAY_H_

@@ -175,8 +175,8 @@ StatusOr<std::unique_ptr<BenchmarkDatabase>> BenchmarkDatabase::Load(
                             &owners));
   }
   // Register with the cluster's topology layer: membership changes
-  // (join/drain/remove) and online tile migration now maintain these
-  // tables' grids, fragments, and epochs.
+  // (join/drain/remove), online tile migration and loss salvage maintain
+  // these tables' grids and fragments.
   core::TopologyManager* topology = cluster->topology();
   topology->RegisterTable(db->places_.get());
   topology->RegisterTable(db->roads_.get());
@@ -196,24 +196,6 @@ BenchmarkDatabase::~BenchmarkDatabase() {
         raster_.get()}) {
     if (t != nullptr) topology->UnregisterTable(t);
   }
-}
-
-std::vector<BenchmarkDatabase::TableStats> BenchmarkDatabase::Stats() const {
-  std::vector<TableStats> out;
-  auto add = [&](const char* name, const ParallelTable& t, double bytes) {
-    TableStats s;
-    s.name = name;
-    s.tuples = t.num_rows();
-    s.stored_copies = t.num_stored();
-    s.bytes = bytes;
-    out.push_back(s);
-  };
-  add("raster", *raster_, 0.0);
-  add("populatedPlaces", *places_, 0.0);
-  add("roads", *roads_, 0.0);
-  add("drainage", *drainage_, 0.0);
-  add("landCover", *land_cover_, 0.0);
-  return out;
 }
 
 }  // namespace paradise::benchmark

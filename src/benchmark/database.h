@@ -63,15 +63,6 @@ class BenchmarkDatabase {
   const geom::Box& universe() const { return universe_; }
   const QueryConstants& constants() const { return constants_; }
 
-  /// Dataset report for Table 3.1/3.3: per-table tuple counts and bytes.
-  struct TableStats {
-    std::string name;
-    int64_t tuples = 0;
-    int64_t stored_copies = 0;
-    double bytes = 0.0;
-  };
-  std::vector<TableStats> Stats() const;
-
  private:
   BenchmarkDatabase() = default;
 

@@ -8,11 +8,9 @@ const char* CodeName(StatusCode code) {
     case StatusCode::kOk: return "OK";
     case StatusCode::kInvalidArgument: return "INVALID_ARGUMENT";
     case StatusCode::kNotFound: return "NOT_FOUND";
-    case StatusCode::kAlreadyExists: return "ALREADY_EXISTS";
     case StatusCode::kOutOfRange: return "OUT_OF_RANGE";
     case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
-    case StatusCode::kAborted: return "ABORTED";
     case StatusCode::kCorruption: return "CORRUPTION";
     case StatusCode::kUnavailable: return "UNAVAILABLE";
     case StatusCode::kInternal: return "INTERNAL";

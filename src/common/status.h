@@ -13,12 +13,10 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
   kOutOfRange,
   kResourceExhausted,
   kFailedPrecondition,
-  kAborted,       // e.g. deadlock victim
-  kCorruption,    // on-page / log inconsistency
+  kCorruption,    // on-page inconsistency (checksum, malformed bytes)
   kUnavailable,   // transient fault; safe to retry
   kInternal,
 };
@@ -39,9 +37,6 @@ class [[nodiscard]] Status {
   static Status NotFound(std::string m) {
     return Status(StatusCode::kNotFound, std::move(m));
   }
-  static Status AlreadyExists(std::string m) {
-    return Status(StatusCode::kAlreadyExists, std::move(m));
-  }
   static Status OutOfRange(std::string m) {
     return Status(StatusCode::kOutOfRange, std::move(m));
   }
@@ -50,9 +45,6 @@ class [[nodiscard]] Status {
   }
   static Status FailedPrecondition(std::string m) {
     return Status(StatusCode::kFailedPrecondition, std::move(m));
-  }
-  static Status Aborted(std::string m) {
-    return Status(StatusCode::kAborted, std::move(m));
   }
   static Status Corruption(std::string m) {
     return Status(StatusCode::kCorruption, std::move(m));

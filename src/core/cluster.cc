@@ -35,8 +35,6 @@ Node::Node(uint32_t id, size_t buffer_pool_frames)
   volumes_.push_back(std::move(temp_volume));
   local_source_ =
       std::make_unique<array::LocalTileSource>(lob_store_.get(), &clock_);
-  temp_source_ =
-      std::make_unique<array::LocalTileSource>(temp_store_.get(), &clock_);
 }
 
 void Node::SetFaultInjector(sim::FaultInjector* injector) {

@@ -2,7 +2,6 @@
 #define PARADISE_CORE_CLUSTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -47,7 +46,8 @@ class Node {
 
   /// Permanent storage for base-table tiles/large attributes.
   storage::LargeObjectStore* lob_store() { return lob_store_.get(); }
-  /// Per-query temporary storage (deleted between queries conceptually).
+  /// Storage for large attributes created mid-query (clipped or
+  /// lowered-resolution rasters). Like every volume it only grows.
   storage::LargeObjectStore* temp_store() { return temp_store_.get(); }
 
   /// Data volume `i`, for 0 <= i < kDataVolumes.
@@ -55,8 +55,6 @@ class Node {
 
   /// Reads tiles stored on this node, charging this node's clock.
   array::LocalTileSource* local_tile_source() { return local_source_.get(); }
-  /// Same, for temporary (mid-query) arrays.
-  array::LocalTileSource* temp_tile_source() { return temp_source_.get(); }
 
   /// The heap files stored on this node, which a restart re-reads
   /// (Cluster::RecoverNode). Whoever owns a file registers it when it is
@@ -77,7 +75,6 @@ class Node {
   std::unique_ptr<storage::LargeObjectStore> lob_store_;
   std::unique_ptr<storage::LargeObjectStore> temp_store_;
   std::unique_ptr<array::LocalTileSource> local_source_;
-  std::unique_ptr<array::LocalTileSource> temp_source_;
   mutable std::mutex files_mu_;
   std::unordered_map<uint32_t, storage::HeapFile*> files_;  // by file id
 };
@@ -99,7 +96,6 @@ class Cluster {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   Node& node(int i) { return *nodes_[i]; }
   const sim::CostModel& cost_model() const { return cost_model_; }
-  sim::CostModel* mutable_cost_model() { return &cost_model_; }
 
   sim::NodeClock* coordinator_clock() { return &coordinator_clock_; }
 
@@ -124,10 +120,6 @@ class Cluster {
   /// wiring; ownership stays with the caller.
   void SetFaultInjector(sim::FaultInjector* injector);
   sim::FaultInjector* fault_injector() const { return fault_injector_; }
-
-  /// Retry policy of every node's buffer pool and of the coordinator's
-  /// failure protocol (always the default sim::RetryPolicy).
-  const sim::RetryPolicy& retry_policy() const { return retry_policy_; }
 
   // -- Node failure -------------------------------------------------------
 
@@ -162,17 +154,6 @@ class Cluster {
 
   /// The epoch-versioned membership/migration layer (always present).
   TopologyManager* topology() { return topology_.get(); }
-
-  /// Invoked by the coordinator after a permanent node loss, before the
-  /// query resumes: redeclusters the dead node's table fragments over the
-  /// survivors (installed by whoever owns the tables).
-  using NodeLossHandler = std::function<Status(int dead_node)>;
-  void set_node_loss_handler(NodeLossHandler handler) {
-    node_loss_handler_ = std::move(handler);
-  }
-  const NodeLossHandler& node_loss_handler() const {
-    return node_loss_handler_;
-  }
 
   /// Flushes every node's buffer pool and resets all clocks — the paper's
   /// cold-buffer-pool protocol between benchmark queries.
@@ -209,8 +190,6 @@ class Cluster {
   std::unique_ptr<common::ThreadPool> thread_pool_;
 
   sim::FaultInjector* fault_injector_ = nullptr;
-  sim::RetryPolicy retry_policy_;
-  NodeLossHandler node_loss_handler_;
   WorkloadSession* workload_session_ = nullptr;
   // Per-(from, to) link batch ordinals keying transfer fault decisions.
   std::mutex transfer_mu_;

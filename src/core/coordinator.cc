@@ -356,7 +356,7 @@ Status QueryCoordinator::HandleBarrierFaults() {
     // The coordinator notices the missed heartbeat only after the
     // detection timeout.
     cluster_->coordinator_clock()->ChargeIdle(
-        cluster_->retry_policy().detect_timeout_seconds);
+        sim::RetryPolicy::kDetectTimeoutSeconds);
     if (!crash->permanent) {
       Status st = cluster_->RecoverNode(n);
       ClosePhase("recover node " + std::to_string(n), /*sequential=*/true,
@@ -364,10 +364,7 @@ Status QueryCoordinator::HandleBarrierFaults() {
       PARADISE_RETURN_IF_ERROR(std::move(st));
     } else {
       cluster_->MarkNodeDead(n);
-      Status st = Status::OK();
-      if (cluster_->node_loss_handler() != nullptr) {
-        st = cluster_->node_loss_handler()(n);
-      }
+      Status st = cluster_->topology()->MigrateAllForLoss(n);
       ClosePhase("redecluster after losing node " + std::to_string(n),
                  /*sequential=*/true, wall_start);
       PARADISE_RETURN_IF_ERROR(std::move(st));

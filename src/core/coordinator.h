@@ -360,8 +360,9 @@ class QueryCoordinator {
   void DiscardOpenPhase();
 
   /// Fires crash events scheduled for the barrier just passed: crash the
-  /// node, charge the detection timeout, then restart it or
-  /// mark it dead and redecluster via the cluster's node-loss handler.
+  /// node, charge the detection timeout, then restart it or mark it dead
+  /// and salvage every registered table
+  /// (TopologyManager::MigrateAllForLoss).
   Status HandleBarrierFaults();
 
   Cluster* const cluster_;

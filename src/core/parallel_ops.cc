@@ -499,10 +499,13 @@ StatusOr<PerNode> ParallelIndexSpatialJoin(
               // The node owning the tile of the intersection's reference
               // point both received the probe (that tile overlaps the
               // probe MBR) and stores the inner replica: each pair
-              // qualifies there and nowhere else.
+              // qualifies there and nowhere else. The R*-tree keeps the
+              // entries of rows migration GC dropped, so a hit on a row
+              // that is not live is dropped too (PrimaryFilter implies it).
               Point rp = grid.ClampToUniverse(Point{
                   std::max(box.xmin, ibox.xmin), std::max(box.ymin, ibox.ymin)});
-              keep = grid.NodeOfPoint(rp) == static_cast<uint32_t>(n);
+              keep = frag.row_live(row) &&
+                     grid.NodeOfPoint(rp) == static_cast<uint32_t>(n);
             } else {
               keep = inner.PrimaryFilter(n, row);
             }

@@ -127,8 +127,9 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
 ///    no rows while it holds no live rows (a just-added node) and fails
 ///    with FAILED_PRECONDITION otherwise. Every R*-tree hit counts as a
 ///    dedup test in the node's PbsmJoinStats. One copy of each pair is
-///    kept: the inner's primary copy, or for a kTwoLayer inner the copy at
-///    the node owning the reference point of the two MBRs' intersection.
+///    kept: the inner's primary copy, or for a kTwoLayer inner the live
+///    copy at the node owning the reference point of the two MBRs'
+///    intersection. A hit on a row migration GC dropped is never kept.
 StatusOr<PerNode> ParallelIndexSpatialJoin(
     QueryCoordinator* coord, const PerNode& outer, const ParallelTable& inner,
     size_t inner_col,

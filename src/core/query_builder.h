@@ -103,7 +103,6 @@ class Query {
     const ParallelTable* right = nullptr;
     size_t left_column = 0;
     size_t right_column = 0;
-    double estimated_rows_out = 0.0;
   };
 
   AccessPath ChooseAccessPath() const;

@@ -21,9 +21,8 @@ namespace paradise::core {
 /// Ownership resolution is layered: a planned reassignment (tile
 /// migration, scale-out onto an added node) overrides the base hash,
 /// and the dead-node rehash then applies to whatever that resolves to.
-/// The `epoch` counter versions the assignment: every topology change
-/// (join/leave/migration cutover) bumps it, so readers can pin the
-/// epoch they started under.
+/// The grid carries no version: TopologyManager::epoch() versions every
+/// assignment, and readers pin the epoch they started under there.
 class SpatialGrid {
  public:
   /// The paper breaks the universe into 10,000 tiles (100 x 100).
@@ -44,14 +43,6 @@ class SpatialGrid {
   uint32_t tiles_per_axis() const { return tiles_.tiles_per_axis(); }
   uint32_t num_tiles() const { return tiles_per_axis() * tiles_per_axis(); }
   uint32_t num_nodes() const { return num_nodes_; }
-  /// Highest node id the grid can route to (>= num_nodes()-1 once nodes
-  /// have been added by a scale-out).
-  uint32_t max_node() const { return max_node_; }
-
-  /// Monotonic topology version; bumped by the owner (TopologyManager)
-  /// on every membership change and migration cutover.
-  uint64_t epoch() const { return epoch_; }
-  void set_epoch(uint64_t epoch) { epoch_ = epoch; }
 
   /// Tile numbering is row-major starting at the upper-left corner
   /// (max y, min x), as Query 12's description specifies.
@@ -221,7 +212,6 @@ class SpatialGrid {
   geom::TileGrid tiles_;
   uint32_t num_nodes_ = 1;
   uint32_t max_node_ = 0;
-  uint64_t epoch_ = 0;
   // Planned tile->owner overrides (migration cutovers); consulted
   // before the base hash.
   std::unordered_map<uint32_t, uint32_t> reassigned_;

@@ -9,7 +9,6 @@
 #include "array/raster.h"
 #include "common/logging.h"
 #include "core/pull.h"
-#include "core/topology.h"
 #include "sim/cost_model.h"
 
 namespace paradise::core {
@@ -330,10 +329,6 @@ Status ParallelTable::SetRowPrimary(Cluster* cluster, int node, uint64_t row,
   frag.primary[row] = primary ? 1 : 0;
   cluster->node(node).clock()->ChargeCpu(sim::cpu_cost::kTupleOverhead);
   return Status::OK();
-}
-
-Status ParallelTable::RedeclusterAfterLoss(Cluster* cluster, int dead_node) {
-  return cluster->topology()->MigrateForLoss(this, dead_node);
 }
 
 Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {

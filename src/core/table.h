@@ -76,14 +76,6 @@ class ParallelTable {
   ParallelTable(const ParallelTable&) = delete;
   ParallelTable& operator=(const ParallelTable&) = delete;
 
-  /// Degraded-mode repair after a permanent node loss (the node must
-  /// already be dead in `cluster`). This is now a *degenerate topology
-  /// change* — a zero-throttle migration with a dead source — delegated
-  /// to the cluster's TopologyManager (MigrateForLoss), which in turn
-  /// runs SalvageDeadNode below. Kept as the entry point the
-  /// coordinator's node-loss handler calls.
-  Status RedeclusterAfterLoss(Cluster* cluster, int dead_node);
-
   /// The salvage half of a loss-migration: sequentially reads the dead
   /// node's fragment off its surviving disks and redistributes the rows
   /// over the alive nodes so every query answer stays complete at N−1.

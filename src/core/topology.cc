@@ -54,11 +54,6 @@ NodeTopologyState TopologyManager::node_state(int node) const {
   return EffectiveState(node);
 }
 
-void TopologyManager::BumpEpoch() {
-  ++epoch_;
-  for (ParallelTable* t : spatial_tables_) t->mutable_grid()->set_epoch(epoch_);
-}
-
 SpatialGrid* TopologyManager::canonical_grid() const {
   return spatial_tables_.empty() ? nullptr
                                  : spatial_tables_.front()->mutable_grid();
@@ -77,7 +72,6 @@ void TopologyManager::RegisterTable(ParallelTable* table) {
           "registered spatial tables must share tiles-per-axis");
     }
     spatial_tables_.push_back(table);
-    table->mutable_grid()->set_epoch(epoch_);
   }
 }
 
@@ -171,7 +165,7 @@ int TopologyManager::AddNode() {
       QueueMove(std::move(m));
     }
   }
-  BumpEpoch();
+  ++epoch_;
   UpdateBackgroundLoad();
   return id;
 }
@@ -208,7 +202,7 @@ void TopologyManager::DrainNode(int node) {
       ++stats_.stripe_moves;
     }
   }
-  BumpEpoch();
+  ++epoch_;
   UpdateBackgroundLoad();
 }
 
@@ -236,7 +230,7 @@ void TopologyManager::RemoveNode(int node) {
   PARADISE_CHECK(cluster_->node(node).pool()->FlushAll().ok());
   cluster_->MarkNodeDead(node);
   states_[static_cast<size_t>(node)] = NodeTopologyState::kRemoved;
-  BumpEpoch();
+  ++epoch_;
 }
 
 void TopologyManager::ReinstateNode(int node) {
@@ -266,7 +260,7 @@ void TopologyManager::ReinstateNode(int node) {
       QueueMove(std::move(m));
     }
   }
-  BumpEpoch();
+  ++epoch_;
   UpdateBackgroundLoad();
 }
 
@@ -334,7 +328,7 @@ int TopologyManager::ShedHotTiles(int source, int k) {
     ++planned;
   }
   if (planned > 0) {
-    BumpEpoch();
+    ++epoch_;
     UpdateBackgroundLoad();
   }
   return planned;
@@ -368,7 +362,7 @@ void TopologyManager::OnNodeDead(int node) {
       m.target = retarget;  // -1 moves are skipped by ExecuteMove
     }
   }
-  BumpEpoch();
+  ++epoch_;
   UpdateBackgroundLoad();
 }
 
@@ -377,9 +371,6 @@ Status TopologyManager::MigrateForLoss(ParallelTable* table, int dead_node) {
                      "loss migration requires the node to be marked dead");
   OnNodeDead(dead_node);
   PARADISE_RETURN_IF_ERROR(table->SalvageDeadNode(cluster_, dead_node));
-  if (catalog::IsSpatialPartitioning(table->def().partitioning)) {
-    table->mutable_grid()->set_epoch(epoch_);
-  }
   // Salvage bulk-inserted rows into every survivor's pool; flush them so
   // a second crash cannot silently drop salvaged copies.
   for (int n = 0; n < cluster_->num_nodes(); ++n) {
@@ -396,6 +387,13 @@ Status TopologyManager::MigrateForLoss(ParallelTable* table, int dead_node) {
   // The loss rehash may have routed the dead node's tiles onto a node
   // that is mid-drain; put those tiles back on its drain stream.
   RequeueDrainingTiles();
+  return Status::OK();
+}
+
+Status TopologyManager::MigrateAllForLoss(int dead_node) {
+  for (ParallelTable* t : tables_) {
+    PARADISE_RETURN_IF_ERROR(MigrateForLoss(t, dead_node));
+  }
   return Status::OK();
 }
 
@@ -552,7 +550,7 @@ StatusOr<TopologyManager::MoveOutcome> TopologyManager::ExecuteMove(
     const int victim = crash->target_side ? move.target : move.source;
     cluster_->CrashNode(victim);
     cluster_->coordinator_clock()->ChargeIdle(
-        cluster_->retry_policy().detect_timeout_seconds);
+        sim::RetryPolicy::kDetectTimeoutSeconds);
     if (!crash->permanent) {
       PARADISE_RETURN_IF_ERROR(cluster_->RecoverNode(victim));
     }
@@ -575,13 +573,7 @@ StatusOr<TopologyManager::MoveOutcome> TopologyManager::ExecuteMove(
     cluster_->MarkNodeDead(victim);
     OnNodeDead(victim);
     touched_nodes->insert(victim);
-    if (cluster_->node_loss_handler()) {
-      PARADISE_RETURN_IF_ERROR(cluster_->node_loss_handler()(victim));
-    } else {
-      for (ParallelTable* t : tables_) {
-        PARADISE_RETURN_IF_ERROR(MigrateForLoss(t, victim));
-      }
-    }
+    PARADISE_RETURN_IF_ERROR(MigrateAllForLoss(victim));
     return out;
   }
 
@@ -594,7 +586,6 @@ StatusOr<TopologyManager::MoveOutcome> TopologyManager::ExecuteMove(
     for (ParallelTable* t : spatial_tables_) {
       t->mutable_grid()->ReassignTile(move.tile,
                                       static_cast<uint32_t>(move.target));
-      t->mutable_grid()->set_epoch(epoch_);
     }
   }
   WorkloadSession* session = cluster_->workload_session();
@@ -704,7 +695,6 @@ SpatialGrid TopologyManager::MakeRoutingGrid(const geom::Box& universe,
                                              uint32_t tiles_per_axis) const {
   SpatialGrid g(universe, tiles_per_axis,
                 static_cast<uint32_t>(cluster_->num_nodes()));
-  g.set_epoch(epoch_);
   const SpatialGrid* canon =
       spatial_tables_.empty() ? nullptr : &spatial_tables_.front()->grid();
   if (canon != nullptr && canon->tiles_per_axis() == tiles_per_axis &&

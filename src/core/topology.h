@@ -28,12 +28,12 @@ enum class NodeTopologyState : uint8_t {
 
 /// The cluster-owned, epoch-versioned membership and online-rebalancing
 /// layer. Every topology change — node join, drain, removal, crash,
-/// migration cutover — bumps a single monotonically increasing epoch that
-/// is mirrored into every registered table's SpatialGrid. In-flight
-/// queries pin the epoch they admitted under (QueryCoordinator::BeginQuery)
-/// so physical garbage collection of migrated-away rows is deferred until
-/// no reader of an older assignment remains; new admissions see the
-/// post-change assignment immediately.
+/// migration cutover — bumps a single monotonically increasing epoch,
+/// kept here only (no grid carries a copy). In-flight queries pin the
+/// epoch they admitted under (QueryCoordinator::BeginQuery) so physical
+/// garbage collection of migrated-away rows is deferred until no reader
+/// of an older assignment remains; new admissions see the post-change
+/// assignment immediately.
 ///
 /// Tile migration is *online and throttled*: moves queue on one stream per
 /// source node, and a token bucket (refilled in modeled time, slowed by
@@ -72,11 +72,11 @@ class TopologyManager {
 
   // -- Table registry -----------------------------------------------------
 
-  /// Registers a table for topology maintenance (grid epoch mirroring,
-  /// migration, salvage on loss). All registered *spatial* tables must
-  /// share the first one's universe and tiles-per-axis so tile ids are
-  /// globally comparable; the first spatial table's grid is the canonical
-  /// ownership map. Non-spatial tables are striped off on drain only.
+  /// Registers a table for topology maintenance (migration, salvage on
+  /// loss). All registered *spatial* tables must share the first one's
+  /// universe and tiles-per-axis so tile ids are globally comparable; the
+  /// first spatial table's grid is the canonical ownership map.
+  /// Non-spatial tables are striped off on drain only.
   void RegisterTable(ParallelTable* table);
   /// Must be called before the table is destroyed (table owners outlive
   /// neither the cluster nor pending migration state referencing them).
@@ -117,9 +117,13 @@ class TopologyManager {
   /// zero-throttle migration whose source is dead. Marks the node dead in
   /// the topology (dropping/retargeting pending moves), salvages the
   /// table's fragment over the survivors, and invalidates cached results
-  /// that depended on the table. Works for unregistered tables too (the
-  /// coordinator's node-loss handler owns which tables to repair).
+  /// that depended on the table. Works for unregistered tables too.
   Status MigrateForLoss(ParallelTable* table, int dead_node);
+
+  /// The one node-loss path: MigrateForLoss for every registered table,
+  /// in registration order. The coordinator runs it after a permanent
+  /// barrier crash, and ExecuteMove after a permanent migration crash.
+  Status MigrateAllForLoss(int dead_node);
 
   /// Idempotent bookkeeping half of a permanent loss (no data movement):
   /// state -> kDead, epoch bump, pending moves sourced at the node are
@@ -201,8 +205,6 @@ class TopologyManager {
 
   NodeTopologyState EffectiveState(int node) const;
   void EnsureStates();
-  /// Bumps the epoch and mirrors it into every registered spatial grid.
-  void BumpEpoch();
   SpatialGrid* canonical_grid() const;
   std::vector<uint32_t> OwnedTiles(int node) const;
   std::vector<int> ActiveNodes() const;

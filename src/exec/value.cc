@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <functional>
 
 #include "common/logging.h"
 
@@ -78,22 +77,6 @@ int Value::Compare(const Value& other) const {
     }
     default:
       PARADISE_CHECK_MSG(false, "Compare() on non-scalar value");
-      return 0;
-  }
-}
-
-uint64_t Value::Hash() const {
-  switch (type()) {
-    case ValueType::kNull: return 0x9e3779b9;
-    case ValueType::kInt: return std::hash<int64_t>()(AsInt());
-    case ValueType::kDouble: return std::hash<double>()(AsDouble());
-    case ValueType::kString: return std::hash<std::string>()(AsString());
-    case ValueType::kDate: return std::hash<int32_t>()(AsDate().days_since_epoch());
-    case ValueType::kPoint:
-      return std::hash<double>()(AsPoint().x) * 0x9e3779b97f4a7c15ULL +
-             std::hash<double>()(AsPoint().y);
-    default:
-      PARADISE_CHECK_MSG(false, "Hash() on non-scalar value");
       return 0;
   }
 }

@@ -98,8 +98,6 @@ class Value {
   /// date). Used by sort and B+-tree keys.
   int Compare(const Value& other) const;
 
-  uint64_t Hash() const;
-
   bool Equals(const Value& other) const;
 
   /// Bytes this value contributes to a tuple. When `deep` is false, large

@@ -32,10 +32,6 @@ struct Circle {
 
   double Area() const;
 
-  /// A circle with twice the area (radius * sqrt(2)) — the probe-circle
-  /// expansion step of the join-with-aggregate operator.
-  Circle DoubleArea() const;
-
   std::string ToString() const;
 };
 

@@ -22,10 +22,6 @@ std::string Box::ToString() const {
 
 double Circle::Area() const { return 3.14159265358979323846 * radius * radius; }
 
-Circle Circle::DoubleArea() const {
-  return Circle(center, radius * 1.4142135623730951);
-}
-
 std::string Circle::ToString() const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "CIRCLE(%.6g %.6g, r=%.6g)", center.x,

@@ -23,23 +23,6 @@ double Polygon::Area() const {
   return std::fabs(sum) / 2.0;
 }
 
-Point Polygon::Centroid() const {
-  if (ring_.empty()) return Point{};
-  if (ring_.size() < 3) return ring_[0];
-  double cx = 0.0, cy = 0.0, a = 0.0;
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const Point& p = ring_[i];
-    const Point& q = ring_[(i + 1) % ring_.size()];
-    double cross = p.x * q.y - q.x * p.y;
-    a += cross;
-    cx += (p.x + q.x) * cross;
-    cy += (p.y + q.y) * cross;
-  }
-  if (std::fabs(a) < 1e-12) return mbr_.Center();  // degenerate ring
-  a /= 2.0;
-  return Point{cx / (6.0 * a), cy / (6.0 * a)};
-}
-
 bool Polygon::Contains(const Point& p) const {
   if (ring_.size() < 3 || !mbr_.Contains(p)) return false;
   bool inside = false;
@@ -117,71 +100,6 @@ double Polygon::DistanceTo(const Point& p) const {
         std::min(best, PointSegmentDistance(p, ring_[i], ring_[(i + 1) % n]));
   }
   return best;
-}
-
-namespace {
-
-// One Sutherland-Hodgman clip pass against the half-plane where
-// `Inside(p)` holds; `Cross(a, b)` returns the edge/boundary intersection.
-template <typename InsideFn, typename CrossFn>
-std::vector<Point> ClipAgainst(const std::vector<Point>& in, InsideFn inside,
-                               CrossFn cross) {
-  std::vector<Point> out;
-  if (in.empty()) return out;
-  out.reserve(in.size() + 4);
-  for (size_t i = 0; i < in.size(); ++i) {
-    const Point& cur = in[i];
-    const Point& prev = in[(i + in.size() - 1) % in.size()];
-    bool cur_in = inside(cur);
-    bool prev_in = inside(prev);
-    if (cur_in) {
-      if (!prev_in) out.push_back(cross(prev, cur));
-      out.push_back(cur);
-    } else if (prev_in) {
-      out.push_back(cross(prev, cur));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Polygon Polygon::ClipToBox(const Box& box) const {
-  if (ring_.size() < 3 || box.IsEmpty()) return Polygon();
-  if (box.Contains(mbr_)) return *this;
-  if (!mbr_.Intersects(box)) return Polygon();
-
-  std::vector<Point> pts = ring_;
-  // Left.
-  pts = ClipAgainst(
-      pts, [&](const Point& p) { return p.x >= box.xmin; },
-      [&](const Point& a, const Point& b) {
-        double t = (box.xmin - a.x) / (b.x - a.x);
-        return Point{box.xmin, a.y + t * (b.y - a.y)};
-      });
-  // Right.
-  pts = ClipAgainst(
-      pts, [&](const Point& p) { return p.x <= box.xmax; },
-      [&](const Point& a, const Point& b) {
-        double t = (box.xmax - a.x) / (b.x - a.x);
-        return Point{box.xmax, a.y + t * (b.y - a.y)};
-      });
-  // Bottom.
-  pts = ClipAgainst(
-      pts, [&](const Point& p) { return p.y >= box.ymin; },
-      [&](const Point& a, const Point& b) {
-        double t = (box.ymin - a.y) / (b.y - a.y);
-        return Point{a.x + t * (b.x - a.x), box.ymin};
-      });
-  // Top.
-  pts = ClipAgainst(
-      pts, [&](const Point& p) { return p.y <= box.ymax; },
-      [&](const Point& a, const Point& b) {
-        double t = (box.ymax - a.y) / (b.y - a.y);
-        return Point{a.x + t * (b.x - a.x), box.ymax};
-      });
-  if (pts.size() < 3) return Polygon();
-  return Polygon(std::move(pts));
 }
 
 void Polygon::Serialize(ByteWriter* w) const {

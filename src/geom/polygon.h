@@ -28,8 +28,6 @@ class Polygon {
   /// Unsigned area (shoelace formula).
   double Area() const;
 
-  Point Centroid() const;
-
   /// Point-in-polygon by the crossing-number rule; boundary points count
   /// as inside.
   bool Contains(const Point& p) const;
@@ -40,10 +38,6 @@ class Polygon {
 
   /// Distance from `p` to the polygon (0 if inside).
   double DistanceTo(const Point& p) const;
-
-  /// Clips this polygon to an axis-aligned box (Sutherland-Hodgman).
-  /// Returns an empty polygon when disjoint.
-  Polygon ClipToBox(const Box& box) const;
 
   size_t StorageBytes() const { return 16 + 16 * ring_.size(); }
 

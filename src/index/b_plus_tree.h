@@ -1,19 +1,18 @@
 #ifndef PARADISE_INDEX_B_PLUS_TREE_H_
 #define PARADISE_INDEX_B_PLUS_TREE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "common/logging.h"
-
 namespace paradise::index {
 
-/// In-memory B+-tree with page-sized nodes, supporting duplicate keys,
-/// deletion with rebalancing, and ordered range scans. Non-spatial indexed
-/// selections (Queries 5, 8's outer probe) run through this.
+/// In-memory B+-tree with page-sized nodes, supporting duplicate keys and
+/// ordered range scans. Non-spatial indexed selections (Queries 5, 8's
+/// outer probe) run through this. A tree only grows: it has no deletion,
+/// so the entries of a row its table dropped stay, and every consumer of
+/// a hit filters on the table's live flags.
 ///
 /// The tree is the memory-resident image of a SHORE B+-tree; the executor
 /// charges one random page I/O per level for cold probes (see
@@ -26,7 +25,6 @@ class BPlusTree {
  public:
   /// Fanout chosen so a node is roughly one 8 KB page.
   static constexpr size_t kMaxEntries = 128;
-  static constexpr size_t kMinEntries = kMaxEntries / 4;
 
   BPlusTree() : root_(std::make_unique<Node>(/*leaf=*/true)) {}
 
@@ -46,17 +44,6 @@ class BPlusTree {
     ++size_;
   }
 
-  /// Removes one (key, value) entry; returns false if absent.
-  bool Erase(const K& key, const V& value) {
-    if (!EraseFrom(root_.get(), key, value)) return false;
-    if (!root_->leaf && root_->children.size() == 1) {
-      root_ = std::move(root_->children[0]);
-      --height_;
-    }
-    --size_;
-    return true;
-  }
-
   /// All values stored under `key`.
   std::vector<V> Find(const K& key) const {
     std::vector<V> out;
@@ -66,8 +53,6 @@ class BPlusTree {
     });
     return out;
   }
-
-  bool Contains(const K& key) const { return !Find(key).empty(); }
 
   /// Visits entries with lo <= key <= hi in key order; the callback
   /// returns false to stop early.
@@ -123,7 +108,6 @@ class BPlusTree {
     // Leaf payload:
     std::vector<V> values;
     Node* next_leaf = nullptr;
-    Node* prev_leaf = nullptr;
     // Internal payload: children.size() == keys.size() + 1.
     std::vector<std::unique_ptr<Node>> children;
   };
@@ -178,8 +162,6 @@ class BPlusTree {
     node->keys.resize(mid);
     node->values.resize(mid);
     right->next_leaf = node->next_leaf;
-    if (right->next_leaf != nullptr) right->next_leaf->prev_leaf = right.get();
-    right->prev_leaf = node;
     node->next_leaf = right.get();
     SplitResult r;
     r.happened = true;
@@ -203,100 +185,6 @@ class BPlusTree {
     r.separator = separator;
     r.right = std::move(right);
     return r;
-  }
-
-  bool EraseFrom(Node* node, const K& key, const V& value) {
-    if (node->leaf) {
-      for (size_t i = 0; i < node->keys.size(); ++i) {
-        if (!less_(node->keys[i], key) && !less_(key, node->keys[i]) &&
-            node->values[i] == value) {
-          node->keys.erase(node->keys.begin() + i);
-          node->values.erase(node->values.begin() + i);
-          return true;
-        }
-      }
-      return false;
-    }
-    size_t i = UpperBoundChild(node, key);
-    // Duplicates of `key` may straddle child boundaries; probe leftward
-    // siblings while the separator equals the key.
-    while (true) {
-      if (EraseFrom(node->children[i].get(), key, value)) {
-        RebalanceChild(node, i);
-        return true;
-      }
-      if (i > 0 && !less_(node->keys[i - 1], key) &&
-          !less_(key, node->keys[i - 1])) {
-        --i;
-        continue;
-      }
-      return false;
-    }
-  }
-
-  void RebalanceChild(Node* parent, size_t i) {
-    Node* child = parent->children[i].get();
-    size_t entries = child->leaf ? child->keys.size() : child->children.size();
-    if (entries >= kMinEntries) return;
-
-    Node* left = i > 0 ? parent->children[i - 1].get() : nullptr;
-    Node* right =
-        i + 1 < parent->children.size() ? parent->children[i + 1].get() : nullptr;
-
-    auto left_size = [&](Node* n) {
-      return n == nullptr ? 0 : (n->leaf ? n->keys.size() : n->children.size());
-    };
-
-    // Borrow from a sibling with spare entries; otherwise merge.
-    if (left != nullptr && left_size(left) > kMinEntries) {
-      if (child->leaf) {
-        child->keys.insert(child->keys.begin(), left->keys.back());
-        child->values.insert(child->values.begin(), left->values.back());
-        left->keys.pop_back();
-        left->values.pop_back();
-        parent->keys[i - 1] = child->keys.front();
-      } else {
-        child->keys.insert(child->keys.begin(), parent->keys[i - 1]);
-        parent->keys[i - 1] = left->keys.back();
-        left->keys.pop_back();
-        child->children.insert(child->children.begin(),
-                               std::move(left->children.back()));
-        left->children.pop_back();
-      }
-      return;
-    }
-    if (right != nullptr && left_size(right) > kMinEntries) {
-      if (child->leaf) {
-        child->keys.push_back(right->keys.front());
-        child->values.push_back(right->values.front());
-        right->keys.erase(right->keys.begin());
-        right->values.erase(right->values.begin());
-        parent->keys[i] = right->keys.front();
-      } else {
-        child->keys.push_back(parent->keys[i]);
-        parent->keys[i] = right->keys.front();
-        right->keys.erase(right->keys.begin());
-        child->children.push_back(std::move(right->children.front()));
-        right->children.erase(right->children.begin());
-      }
-      return;
-    }
-    // Merge with a sibling.
-    size_t li = (left != nullptr) ? i - 1 : i;  // merge children[li], children[li+1]
-    Node* a = parent->children[li].get();
-    Node* b = parent->children[li + 1].get();
-    if (a->leaf) {
-      a->keys.insert(a->keys.end(), b->keys.begin(), b->keys.end());
-      a->values.insert(a->values.end(), b->values.begin(), b->values.end());
-      a->next_leaf = b->next_leaf;
-      if (b->next_leaf != nullptr) b->next_leaf->prev_leaf = a;
-    } else {
-      a->keys.push_back(parent->keys[li]);
-      a->keys.insert(a->keys.end(), b->keys.begin(), b->keys.end());
-      for (auto& c : b->children) a->children.push_back(std::move(c));
-    }
-    parent->keys.erase(parent->keys.begin() + li);
-    parent->children.erase(parent->children.begin() + li + 1);
   }
 
   bool CheckNode(const Node* node, bool is_root) const {

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-
-#include "common/logging.h"
 
 namespace paradise::index {
 
@@ -246,70 +243,32 @@ void RStarTree::Insert(const Box& box, RowId id) {
   ++size_;
 }
 
-bool RStarTree::EraseRec(Node* node, const Box& box, RowId id,
-                         std::vector<Entry>* orphans) {
-  if (node->level == 0) {
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      if (node->entries[i].id == id && node->entries[i].box == box) {
-        node->entries.erase(node->entries.begin() + i);
-        return true;
-      }
-    }
-    return false;
-  }
-  for (size_t i = 0; i < node->entries.size(); ++i) {
-    Entry& e = node->entries[i];
-    if (!e.box.Intersects(box)) continue;
-    if (!EraseRec(e.child.get(), box, id, orphans)) continue;
-    if (e.child->entries.size() < kMinEntries) {
-      // Condense: orphan the whole underfull child for reinsertion.
-      std::unique_ptr<Node> child = std::move(e.child);
-      node->entries.erase(node->entries.begin() + i);
-      for (Entry& oe : child->entries) {
-        // Tag orphan entries with their level via the child node level.
-        if (child->level == 0) {
-          orphans->push_back(std::move(oe));
-        } else {
-          // Internal orphan: reinsert the subtree entry at its level. We
-          // encode the level through the child pointer's node level.
-          orphans->push_back(std::move(oe));
-        }
-      }
-    } else {
-      e.box = e.child->Mbr();
-    }
-    return true;
-  }
-  return false;
-}
-
-bool RStarTree::Erase(const Box& box, RowId id) {
-  std::vector<Entry> orphans;
-  if (!EraseRec(root_.get(), box, id, &orphans)) return false;
-  --size_;
-  // Shrink the root if it became a unary internal node.
-  while (root_->level > 0 && root_->entries.size() == 1) {
-    root_ = std::move(root_->entries[0].child);
-    --height_;
-  }
-  if (root_->level > 0 && root_->entries.empty()) {
-    root_ = std::make_unique<Node>(0);
-    height_ = 1;
-  }
-  for (Entry& o : orphans) {
-    int level = o.child == nullptr ? 0 : o.child->level + 1;
-    // Condensing removes at most one tree level per erase, so orphan
-    // subtrees always fit under the (possibly shrunk) root.
-    PARADISE_CHECK(level <= root_->level);
-    InsertEntry(std::move(o), level, /*allow_reinsert=*/false);
-  }
-  return true;
-}
-
 void RStarTree::SearchOverlap(
     const Box& query, const std::function<bool(const Box&, RowId)>& fn,
     int64_t* nodes_visited) const {
-  ForEachOverlap(query, fn, nodes_visited);
+  // Entry boxes are tested with raw min/max compares, skipping
+  // Box::Intersects' IsEmpty checks: stored boxes are either well-formed
+  // or the ±inf empty default, and both an empty entry box and an empty
+  // query fail the raw compares just as Intersects reports.
+  std::vector<const Node*> stack{root_.get()};
+  const double qxmin = query.xmin, qymin = query.ymin;
+  const double qxmax = query.xmax, qymax = query.ymax;
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    if (nodes_visited != nullptr) ++*nodes_visited;
+    for (const Entry& e : node->entries) {
+      if (e.box.xmin > qxmax || qxmin > e.box.xmax || e.box.ymin > qymax ||
+          qymin > e.box.ymax) {
+        continue;
+      }
+      if (node->level == 0) {
+        if (!fn(e.box, e.id)) return;
+      } else {
+        stack.push_back(e.child.get());
+      }
+    }
+  }
 }
 
 void RStarTree::SearchCircle(
@@ -331,41 +290,6 @@ void RStarTree::SearchCircle(
   }
 }
 
-RStarTree::NearestResult RStarTree::Nearest(const Point& p,
-                                            int64_t* nodes_visited) const {
-  struct QueueItem {
-    double dist;
-    const Node* node;
-    bool operator>(const QueueItem& o) const { return dist > o.dist; }
-  };
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      queue;
-  queue.push({0.0, root_.get()});
-  NearestResult best;
-  double best_dist = std::numeric_limits<double>::infinity();
-  while (!queue.empty()) {
-    QueueItem item = queue.top();
-    queue.pop();
-    if (item.dist >= best_dist) break;
-    if (nodes_visited != nullptr) ++*nodes_visited;
-    for (const Entry& e : item.node->entries) {
-      double d = e.box.DistanceTo(p);
-      if (d >= best_dist) continue;
-      if (item.node->level == 0) {
-        best.found = true;
-        best.box = e.box;
-        best.id = e.id;
-        best.distance = d;
-        best_dist = d;
-      } else {
-        queue.push({d, e.child.get()});
-      }
-    }
-  }
-  return best;
-}
-
 size_t RStarTree::CountNodes(const Node* node) const {
   size_t n = 1;
   if (node->level > 0) {
@@ -375,8 +299,6 @@ size_t RStarTree::CountNodes(const Node* node) const {
 }
 
 size_t RStarTree::num_nodes() const { return CountNodes(root_.get()); }
-
-Box RStarTree::bounds() const { return root_->Mbr(); }
 
 bool RStarTree::CheckNode(const Node* node, int expected_leaf_level,
                           bool is_root) const {

@@ -51,16 +51,6 @@ struct CostModel {
   /// sustaining well under 1 op/cycle on pointer-chasing DB code.
   double cpu_ops_per_second = 90.0e6;
 
-  /// Cost of one batched read of `pages` consecutive pages of `page_bytes`
-  /// each: one positioning operation, then pure media transfer. This is
-  /// the charge DiskVolume::ReadRun makes for a readahead window and what
-  /// the buffer pool's batched miss path saves over per-page random reads
-  /// (which would pay disk_seek_seconds per page).
-  double SequentialRunSeconds(int64_t pages, int64_t page_bytes) const {
-    return disk_seek_seconds +
-           static_cast<double>(pages * page_bytes) / disk_bytes_per_second;
-  }
-
   /// Component costs, exposed separately so a contention model can scale
   /// the shared resources (disk arms, the node's link) without touching
   /// CPU or modeled idle time. Seconds() is exactly their sum.

@@ -10,20 +10,20 @@
 
 namespace paradise::sim {
 
-/// Bounded-retry policy for transient faults. Backoff and timeouts are
-/// *modeled* time charged to the virtual clocks (NodeClock::ChargeIdle),
-/// never host sleeps, so a faulted run's query_seconds() is bit-identical
-/// across executor thread counts.
+/// Bounded-retry policy for transient faults, the same everywhere. Backoff
+/// and timeouts are *modeled* time charged to the virtual clocks
+/// (NodeClock::ChargeIdle), never host sleeps, so a faulted run's
+/// query_seconds() is bit-identical across executor thread counts.
 struct RetryPolicy {
-  int max_attempts = 4;                   // total tries, including the first
-  double initial_backoff_seconds = 0.002; // wait before the first retry
-  double backoff_multiplier = 2.0;        // exponential growth per retry
-  double detect_timeout_seconds = 0.25;   // missed-heartbeat crash detection
+  static constexpr int kMaxAttempts = 4;  // total tries, including the first
+  static constexpr double kInitialBackoffSeconds = 0.002;  // before retry 0
+  static constexpr double kBackoffMultiplier = 2.0;  // growth per retry
+  static constexpr double kDetectTimeoutSeconds = 0.25;  // missed heartbeat
 
   /// Modeled wait before retry number `retry` (0-based).
-  double BackoffSeconds(int retry) const {
-    double b = initial_backoff_seconds;
-    for (int i = 0; i < retry; ++i) b *= backoff_multiplier;
+  static double BackoffSeconds(int retry) {
+    double b = kInitialBackoffSeconds;
+    for (int i = 0; i < retry; ++i) b *= kBackoffMultiplier;
     return b;
   }
 };
@@ -79,9 +79,9 @@ class FaultInjector {
   void set_torn_read_rate(double p) { torn_read_rate_ = p; }
   void set_transfer_drop_rate(double p) { transfer_drop_rate_ = p; }
   void set_transfer_duplicate_rate(double p) { transfer_duplicate_rate_ = p; }
-  /// Modeled sender wait before retransmitting a dropped batch.
-  void set_drop_timeout_seconds(double s) { drop_timeout_seconds_ = s; }
-  double drop_timeout_seconds() const { return drop_timeout_seconds_; }
+  /// Modeled sender wait before retransmitting a dropped batch, the same
+  /// for every injector.
+  static constexpr double drop_timeout_seconds() { return 0.02; }
 
   /// Schedules a fault on the `ordinal`-th read (0-based) of page `page`
   /// of volume `volume` on node `node`.
@@ -252,7 +252,6 @@ class FaultInjector {
   double transfer_drop_rate_ = 0.0;
   double transfer_duplicate_rate_ = 0.0;
   double migration_crash_rate_ = 0.0;
-  double drop_timeout_seconds_ = 0.02;
 
   std::map<DiskKey, DiskFaultKind> scheduled_disk_;
   std::multimap<int, CrashEvent> scheduled_crashes_;

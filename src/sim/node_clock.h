@@ -18,10 +18,6 @@ class NodeClock {
   NodeClock(const NodeClock&) = delete;
   NodeClock& operator=(const NodeClock&) = delete;
 
-  void ChargeDiskSeek(int64_t seeks = 1) {
-    std::lock_guard<std::mutex> g(mu_);
-    phase_.disk_seeks += seeks;
-  }
   void ChargeDiskRead(int64_t bytes, int64_t seeks) {
     std::lock_guard<std::mutex> g(mu_);
     phase_.disk_bytes_read += bytes;

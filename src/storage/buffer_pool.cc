@@ -61,10 +61,8 @@ void BufferPool::AttachVolume(DiskVolume* volume) {
   volumes_[volume->volume_id()] = volume;
 }
 
-DiskVolume* BufferPool::LookupVolume(uint32_t volume,
-                                     sim::RetryPolicy* policy) const {
+DiskVolume* BufferPool::LookupVolume(uint32_t volume) const {
   std::lock_guard<std::mutex> g(config_mu_);
-  if (policy != nullptr) *policy = retry_policy_;
   auto it = volumes_.find(volume);
   return it == volumes_.end() ? nullptr : it->second;
 }
@@ -161,7 +159,7 @@ Status BufferPool::WriteClusteredLocked(
 Status BufferPool::EvictLocked(Shard& s, internal::Frame* f) {
   PARADISE_CHECK(f->pin_count == 0 && f->in_use);
   if (f->dirty) {
-    DiskVolume* volume = LookupVolume(f->id.volume, nullptr);
+    DiskVolume* volume = LookupVolume(f->id.volume);
     PARADISE_CHECK_MSG(volume != nullptr, "evicting page of unknown volume");
     // Write-clustering: every other dirty unpinned frame of the victim's
     // kRunPages-aligned group (all in this shard by construction) rides
@@ -209,13 +207,12 @@ StatusOr<PageGuard> BufferPool::Pin(PageId id) {
     return PageGuard(this, f, &f->page, id);
   }
   ++s.stats.misses;
-  sim::RetryPolicy policy;
-  DiskVolume* volume = LookupVolume(id.volume, &policy);
+  DiskVolume* volume = LookupVolume(id.volume);
   if (volume == nullptr) {
     return Status::NotFound("unknown volume");
   }
   PARADISE_ASSIGN_OR_RETURN(internal::Frame * f, FindVictimLocked(s));
-  Status st = ReadPageVerifiedLocked(s, volume, policy, id.page_no, &f->page,
+  Status st = ReadPageVerifiedLocked(s, volume, id.page_no, &f->page,
                                      /*first_attempt=*/0, Status::OK());
   if (!st.ok()) {
     s.free_frames.push_back(f);
@@ -233,16 +230,17 @@ StatusOr<PageGuard> BufferPool::Pin(PageId id) {
 }
 
 Status BufferPool::ReadPageVerifiedLocked(Shard& s, DiskVolume* volume,
-                                          const sim::RetryPolicy& policy,
                                           PageNo page_no, Page* out,
                                           int first_attempt, Status last) {
-  for (int attempt = first_attempt; attempt < policy.max_attempts; ++attempt) {
+  for (int attempt = first_attempt; attempt < sim::RetryPolicy::kMaxAttempts;
+       ++attempt) {
     if (attempt > 0) {
       // Exponential backoff before each retry, as modeled time on the
       // volume's clock — never a host sleep, so faulted runs stay
       // deterministic across thread counts.
       if (volume->clock() != nullptr) {
-        volume->clock()->ChargeIdle(policy.BackoffSeconds(attempt - 1));
+        volume->clock()->ChargeIdle(
+            sim::RetryPolicy::BackoffSeconds(attempt - 1));
       }
       ++s.stats.read_retries;
     }
@@ -262,7 +260,7 @@ Status BufferPool::ReadPageVerifiedLocked(Shard& s, DiskVolume* volume,
 }
 
 StatusOr<PageGuard> BufferPool::NewPage(uint32_t volume) {
-  DiskVolume* vol = LookupVolume(volume, nullptr);
+  DiskVolume* vol = LookupVolume(volume);
   if (vol == nullptr) {
     return Status::NotFound("unknown volume");
   }
@@ -285,8 +283,7 @@ StatusOr<PageGuard> BufferPool::NewPage(uint32_t volume) {
 
 void BufferPool::Prefetch(PageId first, uint32_t count) {
   if (count == 0 || first.page_no == kInvalidPageNo) return;
-  sim::RetryPolicy policy;
-  DiskVolume* volume = LookupVolume(first.volume, &policy);
+  DiskVolume* volume = LookupVolume(first.volume);
   if (volume == nullptr) return;
   uint32_t done = 0;
   while (done < count) {
@@ -295,14 +292,12 @@ void BufferPool::Prefetch(PageId first, uint32_t count) {
     uint32_t group_end = (p / kRunPages + 1) * kRunPages;
     uint32_t window = std::min(count - done, group_end - p);
     PageId window_first{first.volume, p};
-    PrefetchWindow(shard_for(window_first), volume, policy, window_first,
-                   window);
+    PrefetchWindow(shard_for(window_first), volume, window_first, window);
     done += window;
   }
 }
 
-void BufferPool::PrefetchWindow(Shard& s, DiskVolume* volume,
-                                const sim::RetryPolicy& policy, PageId first,
+void BufferPool::PrefetchWindow(Shard& s, DiskVolume* volume, PageId first,
                                 uint32_t count) {
   std::lock_guard<std::mutex> g(s.mu);
   // A window that cannot fit alongside the pages it serves would evict
@@ -371,7 +366,7 @@ void BufferPool::PrefetchWindow(Shard& s, DiskVolume* volume,
       if (!st.ok() && (st.code() == StatusCode::kUnavailable ||
                        st.code() == StatusCode::kCorruption)) {
         // The batch consumed the first attempt; resume the retry budget.
-        st = ReadPageVerifiedLocked(s, volume, policy, page_no, &f->page,
+        st = ReadPageVerifiedLocked(s, volume, page_no, &f->page,
                                     /*first_attempt=*/1, st);
       }
       if (!st.ok()) {
@@ -445,24 +440,9 @@ Status BufferPool::FlushAll() {
     }
   }
   for (auto& [volume_id, frames] : dirty_by_volume) {
-    DiskVolume* volume = LookupVolume(volume_id, nullptr);
+    DiskVolume* volume = LookupVolume(volume_id);
     PARADISE_CHECK(volume != nullptr);
     PARADISE_RETURN_IF_ERROR(WriteClusteredLocked(volume, frames));
-  }
-  return Status::OK();
-}
-
-Status BufferPool::FlushPage(PageId id) {
-  Shard& s = shard_for(id);
-  std::lock_guard<std::mutex> g(s.mu);
-  auto it = s.table.find(id);
-  if (it == s.table.end()) return Status::OK();  // not cached: already on disk
-  internal::Frame* f = it->second;
-  if (f->dirty) {
-    DiskVolume* volume = LookupVolume(id.volume, nullptr);
-    PARADISE_CHECK(volume != nullptr);
-    PARADISE_RETURN_IF_ERROR(volume->WritePage(id.page_no, f->page));
-    f->dirty = false;
   }
   return Status::OK();
 }
@@ -494,22 +474,6 @@ void BufferPool::DiscardAll() {
       s.free_frames.push_back(&f);
     }
   }
-}
-
-void BufferPool::Invalidate(PageId id) {
-  Shard& s = shard_for(id);
-  std::lock_guard<std::mutex> g(s.mu);
-  auto it = s.table.find(id);
-  if (it == s.table.end()) return;
-  internal::Frame* f = it->second;
-  PARADISE_CHECK_MSG(f->pin_count == 0, "invalidating a pinned page");
-  RemoveFromListLocked(s, f);
-  f->in_use = false;
-  f->dirty = false;
-  f->hot = false;
-  f->referenced = false;
-  s.table.erase(it);
-  s.free_frames.push_back(f);
 }
 
 BufferPool::Stats BufferPool::stats() const {

@@ -128,18 +128,11 @@ class BufferPool {
 
   void AttachVolume(DiskVolume* volume);
 
-  /// Retry policy for transient read errors and checksum mismatches on the
-  /// miss path. Each retry charges exponential backoff to the volume's
-  /// clock as modeled idle time.
-  void set_retry_policy(const sim::RetryPolicy& policy) {
-    std::lock_guard<std::mutex> g(config_mu_);
-    retry_policy_ = policy;
-  }
-
   /// Pins the page, reading it from its volume on a miss. Every fetched
   /// page's checksum is verified; a mismatch is retried (torn transfer)
-  /// and, if it persists, surfaces as kCorruption rather than a silent
-  /// wrong answer.
+  /// under sim::RetryPolicy, each retry charging exponential backoff to
+  /// the volume's clock as modeled idle time, and, if it persists,
+  /// surfaces as kCorruption rather than a silent wrong answer.
   StatusOr<PageGuard> Pin(PageId id);
 
   /// Allocates a fresh page on `volume` and pins it (no disk read).
@@ -151,7 +144,7 @@ class BufferPool {
   /// one ReadRun each — charged as one positioning cost plus N sequential
   /// transfers. Loaded pages land unpinned in the cold segment, so
   /// readahead can never push hot pages out. Failures are retried under
-  /// the retry policy and then dropped (the later Pin surfaces the error);
+  /// sim::RetryPolicy and then dropped (the later Pin surfaces the error);
   /// fault ordinals stay per-page, consulted in page order.
   void Prefetch(PageId first, uint32_t count);
 
@@ -171,14 +164,9 @@ class BufferPool {
   /// All shards are locked for the duration so the dirty set is a single
   /// consistent snapshot and runs may span shard boundaries.
   Status FlushAll();
-  Status FlushPage(PageId id);
 
   /// Simulated crash: every unflushed frame is lost.
   void DiscardAll();
-
-  /// Drops a page from the pool without writing it back (used when the
-  /// page is being freed). The page must be unpinned.
-  void Invalidate(PageId id);
 
   struct Stats {
     int64_t hits = 0;    // includes pins served from readahead
@@ -251,9 +239,9 @@ class BufferPool {
   void Unpin(internal::Frame* frame);
   void MarkDirtyFrame(internal::Frame* frame);
 
-  /// Copies the volume pointer and retry policy under config_mu_. Returns
-  /// null if the volume is unknown.
-  DiskVolume* LookupVolume(uint32_t volume, sim::RetryPolicy* policy) const;
+  /// Copies the volume pointer under config_mu_. Returns null if the
+  /// volume is unknown.
+  DiskVolume* LookupVolume(uint32_t volume) const;
 
   /// Writes the dirty frames in `frames` (all on `volume`, caller holds
   /// their shards' mutexes) as maximal consecutive WriteRuns and clears
@@ -273,13 +261,11 @@ class BufferPool {
   /// retry budget after an attempt already made elsewhere (the readahead
   /// batch); `last` carries that attempt's failure.
   Status ReadPageVerifiedLocked(Shard& s, DiskVolume* volume,
-                                const sim::RetryPolicy& policy,
                                 PageNo page_no, Page* out, int first_attempt,
                                 Status last);
   /// One readahead window, entirely within shard `s` (the caller aligns
   /// windows to kRunPages groups). Takes the shard mutex itself.
-  void PrefetchWindow(Shard& s, DiskVolume* volume,
-                      const sim::RetryPolicy& policy, PageId first,
+  void PrefetchWindow(Shard& s, DiskVolume* volume, PageId first,
                       uint32_t count);
 
   const size_t capacity_;
@@ -291,11 +277,10 @@ class BufferPool {
   // thread, ordered by the thread pool's batch handoff.
   ScanShareGate* scan_gate_ = nullptr;
 
-  // Guards volume registration and the retry policy; always taken either
-  // standalone or nested inside a shard mutex, never the other way.
+  // Guards volume registration; always taken either standalone or nested
+  // inside a shard mutex, never the other way.
   mutable std::mutex config_mu_;
   std::unordered_map<uint32_t, DiskVolume*> volumes_;
-  sim::RetryPolicy retry_policy_;
 };
 
 }  // namespace paradise::storage

@@ -6,12 +6,6 @@ namespace paradise::storage {
 
 PageNo DiskVolume::AllocatePage() {
   std::lock_guard<std::mutex> g(mu_);
-  if (!free_list_.empty()) {
-    PageNo p = free_list_.back();
-    free_list_.pop_back();
-    --freed_count_;
-    return p;
-  }
   pages_.push_back(std::make_unique<Page>());
   return static_cast<PageNo>(pages_.size() - 1);
 }
@@ -26,24 +20,12 @@ PageNo DiskVolume::AllocateRun(uint32_t count) {
   return first;
 }
 
-void DiskVolume::FreePage(PageNo page_no) {
-  std::lock_guard<std::mutex> g(mu_);
-  PARADISE_CHECK(page_no < pages_.size());
-  free_list_.push_back(page_no);
-  ++freed_count_;
-}
-
-void DiskVolume::ChargeAccess(PageNo page_no, bool is_write) {
+void DiskVolume::ChargeAccess(PageNo page_no) {
   if (clock_ == nullptr) return;
   // Sequential if this access continues where the previous one ended.
   bool sequential = (last_accessed_ != kInvalidPageNo &&
                      page_no == last_accessed_ + 1);
-  int64_t seeks = sequential ? 0 : 1;
-  if (is_write) {
-    clock_->ChargeDiskWrite(static_cast<int64_t>(kPageSize), seeks);
-  } else {
-    clock_->ChargeDiskRead(static_cast<int64_t>(kPageSize), seeks);
-  }
+  clock_->ChargeDiskRead(static_cast<int64_t>(kPageSize), sequential ? 0 : 1);
   last_accessed_ = page_no;
 }
 
@@ -76,7 +58,7 @@ Status DiskVolume::ReadPage(PageNo page_no, Page* out) {
   if (page_no >= pages_.size()) {
     return Status::OutOfRange("read past end of volume");
   }
-  ChargeAccess(page_no, /*is_write=*/false);
+  ChargeAccess(page_no);
   return ReadPageLocked(page_no, out);
 }
 
@@ -103,17 +85,6 @@ Status DiskVolume::ReadRun(PageNo first, uint32_t count, Page* const* outs,
   for (uint32_t i = 0; i < count; ++i) {
     statuses[i] = ReadPageLocked(first + i, outs[i]);
   }
-  return Status::OK();
-}
-
-Status DiskVolume::WritePage(PageNo page_no, const Page& page) {
-  std::lock_guard<std::mutex> g(mu_);
-  if (page_no >= pages_.size()) {
-    return Status::OutOfRange("write past end of volume");
-  }
-  ChargeAccess(page_no, /*is_write=*/true);
-  *pages_[page_no] = page;
-  pages_[page_no]->StampChecksum();
   return Status::OK();
 }
 
@@ -152,12 +123,6 @@ void DiskVolume::SetFaultInjector(sim::FaultInjector* injector,
 uint32_t DiskVolume::num_pages() const {
   std::lock_guard<std::mutex> g(mu_);
   return static_cast<uint32_t>(pages_.size());
-}
-
-uint32_t DiskVolume::allocated_pages() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return static_cast<uint32_t>(pages_.size()) -
-         static_cast<uint32_t>(freed_count_);
 }
 
 }  // namespace paradise::storage

@@ -31,13 +31,12 @@ class DiskVolume {
 
   uint32_t volume_id() const { return volume_id_; }
 
-  /// Allocates one page; pages within an extent are physically contiguous.
+  /// Allocates one page at the end of the volume. A volume only grows:
+  /// no page is ever freed or reused.
   PageNo AllocatePage();
 
   /// Allocates `count` physically consecutive pages and returns the first.
   PageNo AllocateRun(uint32_t count);
-
-  void FreePage(PageNo page_no);
 
   /// Reads a page. With a fault injector wired, the read may fail with
   /// kUnavailable (transient error — charged, retryable) or return torn
@@ -62,21 +61,17 @@ class DiskVolume {
   Status ReadRun(PageNo first, uint32_t count, Page* const* outs,
                  Status* statuses, bool charge = true);
 
-  /// Writes a page, stamping the durable copy's checksum.
-  Status WritePage(PageNo page_no, const Page& page);
-
-  /// Batched write of `count` consecutive pages starting at `first` from
-  /// `pages[0..count)`. Mirrors ReadRun's charging: one positioning cost
-  /// (zero if the run continues the previous access) plus `count`
-  /// sequential transfers — what the writeback batcher buys over `count`
-  /// WritePage calls. Writes have no fault-injection hook, so batching
-  /// changes no fault ordinals. Returns non-OK only for a bad range.
+  /// The only write path: writes `count` consecutive pages starting at
+  /// `first` from `pages[0..count)`, stamping each durable copy's
+  /// checksum. Mirrors ReadRun's charging: one positioning cost (zero if
+  /// the run continues the previous access) plus `count` sequential
+  /// transfers — what the writeback batcher buys over `count` one-page
+  /// runs. Writes have no fault-injection hook, so batching changes no
+  /// fault ordinals. Returns non-OK only for a bad range.
   Status WriteRun(PageNo first, uint32_t count, const Page* const* pages);
 
+  /// Number of pages ever allocated (all of them still in use).
   uint32_t num_pages() const;
-
-  /// Number of allocated (non-freed) pages.
-  uint32_t allocated_pages() const;
 
   sim::NodeClock* clock() const { return clock_; }
 
@@ -85,7 +80,8 @@ class DiskVolume {
   void SetFaultInjector(sim::FaultInjector* injector, uint32_t node_id);
 
  private:
-  void ChargeAccess(PageNo page_no, bool is_write);
+  /// Charges one single-page read at `page_no`.
+  void ChargeAccess(PageNo page_no);
 
   /// Copies the durable page into `out`, applying any injected fault for
   /// this page's next read ordinal. Requires mu_ held; does not charge.
@@ -96,9 +92,7 @@ class DiskVolume {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Page>> pages_;
-  std::vector<PageNo> free_list_;
   PageNo last_accessed_ = kInvalidPageNo;
-  int64_t freed_count_ = 0;
 
   // Fault injection state (all under mu_). The per-page read ordinal makes
   // fault decisions a pure function of access history, not thread schedule.

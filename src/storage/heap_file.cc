@@ -170,14 +170,4 @@ size_t HeapFile::num_pages() const {
   return pages_.size();
 }
 
-void HeapFile::Destroy(DiskVolume* volume) {
-  std::lock_guard<std::mutex> g(mu_);
-  for (PageNo p : pages_) {
-    pool_->Invalidate(PageId{volume_id_, p});
-    volume->FreePage(p);
-  }
-  pages_.clear();
-  num_records_ = 0;
-}
-
 }  // namespace paradise::storage

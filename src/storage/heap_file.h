@@ -21,7 +21,8 @@ struct Oid {
 
 /// A file of untyped records over slotted pages — SHORE's "file of objects".
 /// Records are identified by a stable Oid (page, slot). Mutations are not
-/// logged: a change is durable once its page is flushed.
+/// logged: a change is durable once its page is flushed. A file only
+/// grows: a dropped table keeps its pages, which its volume never reuses.
 ///
 /// Concurrency: guarded by a single mutex per file. Parallelism in Paradise
 /// comes from partitioning *across* files/nodes, not from concurrent
@@ -48,8 +49,7 @@ class HeapFile {
   /// keeps the current page pinned between Next() calls (one pool pin per
   /// page instead of one per record) and issues batched readahead for the
   /// upcoming window of pages, so a scan is charged one positioning cost
-  /// plus sequential transfers per consecutive run. Move-only; destroy the
-  /// iterator before Destroy()ing the file.
+  /// plus sequential transfers per consecutive run. Move-only.
   class Iterator {
    public:
     explicit Iterator(const HeapFile* file) : file_(file) {}
@@ -82,11 +82,6 @@ class HeapFile {
   /// through the pool (a node restart does this for each of its files).
   Status RecountRecords();
   size_t num_pages() const;
-  const std::vector<PageNo>& pages() const { return pages_; }
-
-  /// Drops every page back to the volume free list (temporary tables and
-  /// per-operator files are deleted this way, Section 2.5.2).
-  void Destroy(DiskVolume* volume);
 
  private:
   friend class Iterator;

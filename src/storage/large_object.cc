@@ -68,11 +68,4 @@ StatusOr<ByteBuffer> LargeObjectStore::ReadRange(const LobId& id,
   return out;
 }
 
-void LargeObjectStore::Free(const LobId& id) {
-  for (uint32_t i = 0; i < id.num_pages; ++i) {
-    pool_->Invalidate(PageId{id.volume, id.first_page + i});
-    volume_->FreePage(id.first_page + i);
-  }
-}
-
 }  // namespace paradise::storage

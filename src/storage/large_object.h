@@ -24,7 +24,8 @@ struct LobId {
 };
 
 /// Stores byte blobs larger than a record across dedicated page runs.
-/// SHORE's "objects can be arbitrarily large" facility.
+/// SHORE's "objects can be arbitrarily large" facility. An object is never
+/// freed: its pages stay allocated for the volume's lifetime.
 class LargeObjectStore {
  public:
   LargeObjectStore(BufferPool* pool, DiskVolume* volume)
@@ -52,9 +53,6 @@ class LargeObjectStore {
     pool_->Prefetch(PageId{id.volume, id.first_page}, id.num_pages);
   }
 
-  void Free(const LobId& id);
-
-  uint32_t volume_id() const { return volume_->volume_id(); }
   size_t pool_capacity() const { return pool_->capacity(); }
 
  private:

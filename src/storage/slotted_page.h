@@ -51,14 +51,6 @@ class SlottedPage {
     return page_->payload() + SlotOffset(slot);
   }
 
-  /// Contiguous free bytes available for a new record, assuming it may
-  /// need a fresh slot directory entry.
-  size_t ContiguousFree() const {
-    size_t dir_end = kSlotDirStart + 4 * static_cast<size_t>(SlotCount());
-    size_t tail = DataTail();
-    return tail > dir_end + 4 ? tail - dir_end - 4 : 0;
-  }
-
   /// Free bytes recoverable by compaction (holes + contiguous).
   size_t TotalFree() const {
     size_t used = 0;

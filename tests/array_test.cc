@@ -229,16 +229,6 @@ TEST_F(ArrayTest, HandleSerializationRoundTrip) {
   EXPECT_EQ(*full, data);
 }
 
-TEST_F(ArrayTest, FreeReleasesTiles) {
-  std::vector<uint8_t> data = MakeData(300 * 300 * 2, 10);
-  auto h = StoreArray(data.data(), {300, 300}, 2, &store_, &clock_, false,
-                      8192);
-  ASSERT_TRUE(h.ok());
-  uint32_t before = vol_.allocated_pages();
-  FreeArray(*h, &store_);
-  EXPECT_LT(vol_.allocated_pages(), before);
-}
-
 TEST_F(ArrayTest, PlacementCallbackControlsTileOwner) {
   std::vector<uint8_t> data = MakeData(256 * 256 * 2, 11);
   auto h = StoreArrayWithPlacement(

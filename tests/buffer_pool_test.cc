@@ -37,7 +37,8 @@ void WriteTaggedPages(DiskVolume* volume, PageNo first, uint32_t count) {
   for (uint32_t i = 0; i < count; ++i) {
     Page p;
     p.payload()[0] = static_cast<uint8_t>((first + i) & 0xff);
-    ASSERT_TRUE(volume->WritePage(first + i, p).ok());
+    const Page* pages[] = {&p};
+    ASSERT_TRUE(volume->WriteRun(first + i, 1, pages).ok());
   }
 }
 
@@ -267,8 +268,6 @@ TEST(ReadaheadFaultTest, BatchConsultsInjectorPerPageAndRetriesFailures) {
   DiskVolume volume(/*volume_id=*/7, &clock);
   BufferPool pool(64);
   pool.AttachVolume(&volume);
-  RetryPolicy policy;
-  pool.set_retry_policy(policy);
   volume.AllocateRun(16);
   WriteTaggedPages(&volume, 0, 16);
 
@@ -290,7 +289,7 @@ TEST(ReadaheadFaultTest, BatchConsultsInjectorPerPageAndRetriesFailures) {
   EXPECT_EQ(s.checksum_failures, 1);  // the torn page
   EXPECT_EQ(s.read_retries, 2);       // one retry per faulted page
   // Each retry waited out the first backoff step as modeled idle time.
-  EXPECT_DOUBLE_EQ(d.idle_seconds, 2 * policy.BackoffSeconds(0));
+  EXPECT_DOUBLE_EQ(d.idle_seconds, 2 * RetryPolicy::BackoffSeconds(0));
   // One seek for the batch plus one per single-page retry.
   EXPECT_EQ(d.disk_seeks, 3);
   EXPECT_EQ(d.disk_bytes_read, 18 * static_cast<int64_t>(kPageSize));

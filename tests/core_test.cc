@@ -164,7 +164,7 @@ TEST(ParallelTableTest, FragmentsLiveOnDataVolumes) {
     ASSERT_EQ((*table)->fragment(n).num_rows(), 20);
     for (int v = 0; v < Node::kDataVolumes; ++v) {
       // Exactly one data volume per node holds the fragment's pages.
-      EXPECT_EQ(cluster.node(n).data_volume(v)->allocated_pages() > 0,
+      EXPECT_EQ(cluster.node(n).data_volume(v)->num_pages() > 0,
                 v == n % Node::kDataVolumes)
           << "node " << n << " volume " << v;
     }
@@ -730,8 +730,8 @@ TwoLayerRunDigest RunTwoLayerTableJoin(int num_threads, bool faulted) {
   EXPECT_TRUE(lt.ok() && rt.ok());
   if (faulted) {
     cluster.MarkNodeDead(2);
-    EXPECT_TRUE((*lt)->RedeclusterAfterLoss(&cluster, 2).ok());
-    EXPECT_TRUE((*rt)->RedeclusterAfterLoss(&cluster, 2).ok());
+    EXPECT_TRUE(cluster.topology()->MigrateForLoss(lt->get(), 2).ok());
+    EXPECT_TRUE(cluster.topology()->MigrateForLoss(rt->get(), 2).ok());
     EXPECT_TRUE((*lt)->ValidateOwnership(&cluster).ok());
     EXPECT_TRUE((*rt)->ValidateOwnership(&cluster).ok());
   }

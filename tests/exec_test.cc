@@ -27,15 +27,12 @@ TEST(ValueTest, TypesAndAccessors) {
             ValueType::kPolygon);
 }
 
-TEST(ValueTest, CompareAndHash) {
+TEST(ValueTest, Compare) {
   EXPECT_LT(Value(int64_t{1}).Compare(Value(int64_t{2})), 0);
   EXPECT_EQ(Value(std::string("a")).Compare(Value(std::string("a"))), 0);
   EXPECT_GT(Value(Date::FromYmd(1990, 1, 1))
                 .Compare(Value(Date::FromYmd(1988, 1, 1))),
             0);
-  EXPECT_EQ(Value(int64_t{7}).Hash(), Value(int64_t{7}).Hash());
-  EXPECT_EQ(Value(Point{1, 2}).Hash(), Value(Point{1, 2}).Hash());
-  EXPECT_NE(Value(Point{1, 2}).Hash(), Value(Point{2, 1}).Hash());
 }
 
 TEST(ValueTest, SerializeRoundTripAllTypes) {

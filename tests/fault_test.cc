@@ -23,6 +23,7 @@
 #include "core/cluster.h"
 #include "core/coordinator.h"
 #include "core/table.h"
+#include "core/topology.h"
 #include "datagen/datagen.h"
 #include "sim/cost_model.h"
 #include "sim/fault_injector.h"
@@ -103,8 +104,8 @@ TEST(ChecksumTest, TornReadDetectedAndHealedByRetry) {
   EXPECT_EQ(stats.read_retries, 1);
   EXPECT_EQ(inj.stats().torn_read_faults, 1);
   // The retry waited out one modeled backoff; nothing slept for real.
-  RetryPolicy policy;
-  EXPECT_EQ(fx.clock.phase_usage().idle_seconds, policy.BackoffSeconds(0));
+  EXPECT_EQ(fx.clock.phase_usage().idle_seconds,
+            RetryPolicy::BackoffSeconds(0));
 }
 
 TEST(ChecksumTest, PersistentCorruptionSurfacesNotSilentWrongAnswer) {
@@ -116,8 +117,7 @@ TEST(ChecksumTest, PersistentCorruptionSurfacesNotSilentWrongAnswer) {
   auto guard = fx.pool.Pin(PageId{7, fx.page_no});
   ASSERT_FALSE(guard.ok());
   EXPECT_EQ(guard.status().code(), StatusCode::kCorruption);
-  RetryPolicy policy;
-  EXPECT_EQ(fx.pool.stats().checksum_failures, policy.max_attempts);
+  EXPECT_EQ(fx.pool.stats().checksum_failures, RetryPolicy::kMaxAttempts);
 }
 
 TEST(RetryTest, TransientErrorsRetriedWithExponentialBackoff) {
@@ -135,9 +135,9 @@ TEST(RetryTest, TransientErrorsRetriedWithExponentialBackoff) {
   EXPECT_EQ(fx.pool.stats().read_retries, 3);
   EXPECT_EQ(inj.stats().transient_read_faults, 3);
   // Backoff doubles per retry: 2ms + 4ms + 8ms of modeled idle time.
-  RetryPolicy policy;
-  const double want = policy.BackoffSeconds(0) + policy.BackoffSeconds(1) +
-                      policy.BackoffSeconds(2);
+  const double want = RetryPolicy::BackoffSeconds(0) +
+                      RetryPolicy::BackoffSeconds(1) +
+                      RetryPolicy::BackoffSeconds(2);
   EXPECT_EQ(fx.clock.phase_usage().idle_seconds, want);
 }
 
@@ -150,8 +150,7 @@ TEST(RetryTest, AttemptsAreBoundedThenUnavailableSurfaces) {
   auto guard = fx.pool.Pin(PageId{7, fx.page_no});
   ASSERT_FALSE(guard.ok());
   EXPECT_EQ(guard.status().code(), StatusCode::kUnavailable);
-  RetryPolicy policy;
-  EXPECT_EQ(fx.pool.stats().read_retries, policy.max_attempts - 1);
+  EXPECT_EQ(fx.pool.stats().read_retries, RetryPolicy::kMaxAttempts - 1);
 }
 
 // ---------- Transfer faults ----------
@@ -250,8 +249,7 @@ TEST(RecoveryTest, MidQueryCrashRestartsNodeAndKeepsItsRows) {
   EXPECT_EQ(file->num_records(), 20);
   EXPECT_EQ(inj.stats().crashes, 1);
   // Detection cost: the coordinator waited out the failure timeout.
-  EXPECT_GE(coord.query_seconds(),
-            cluster.retry_policy().detect_timeout_seconds);
+  EXPECT_GE(coord.query_seconds(), RetryPolicy::kDetectTimeoutSeconds);
   // The node is alive again and the fragment fully readable.
   EXPECT_TRUE(cluster.alive(0));
   auto scan = (*table)->ScanFragment(&cluster, 0, true);
@@ -350,7 +348,7 @@ TEST(ChecksumTest, SalvageOfPersistentlyCorruptFragmentReturnsCorruption) {
   inj.set_torn_read_rate(1.0);
   cluster.SetFaultInjector(&inj);
   cluster.MarkNodeDead(1);
-  Status st = table->RedeclusterAfterLoss(&cluster, 1);
+  Status st = cluster.topology()->MigrateForLoss(table.get(), 1);
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
 
@@ -432,19 +430,6 @@ LoadedDb LoadTinyDb(int nodes, int num_threads) {
   return out;
 }
 
-/// Redeclusters every benchmark table after a permanent node loss — the
-/// node-loss handler a real deployment would install.
-void InstallLossHandler(benchmark::BenchmarkDatabase* db) {
-  db->cluster()->set_node_loss_handler([db](int dead) -> Status {
-    ParallelTable* tables[] = {&db->places(), &db->roads(), &db->drainage(),
-                               &db->land_cover(), &db->raster()};
-    for (ParallelTable* t : tables) {
-      PARADISE_RETURN_IF_ERROR(t->RedeclusterAfterLoss(db->cluster(), dead));
-    }
-    return Status::OK();
-  });
-}
-
 /// The acceptance fault schedule: transient disk errors, torn pages,
 /// dropped and duplicated batches, and one node-crash event.
 void ConfigureAcceptanceFaults(FaultInjector* inj, bool permanent_crash) {
@@ -490,7 +475,6 @@ FaultedRun RunFaulted(int query, int num_threads, bool permanent_crash,
   LoadedDb loaded = LoadTinyDb(4, num_threads);
   FaultInjector inj(seed);
   ConfigureAcceptanceFaults(&inj, permanent_crash);
-  InstallLossHandler(loaded.db.get());
   // Wire after load so fault ordinals start from the same (empty) state
   // regardless of how the load was scheduled.
   loaded.cluster->SetFaultInjector(&inj);
@@ -583,10 +567,7 @@ TEST(DegradedModeTest, RedeclusterPreservesEveryTableRow) {
   for (ParallelTable* t : tables) rows_before.push_back(t->num_rows());
 
   loaded.cluster->MarkNodeDead(2);
-  for (ParallelTable* t : tables) {
-    ASSERT_TRUE(t->RedeclusterAfterLoss(loaded.cluster.get(), 2).ok())
-        << t->def().name;
-  }
+  ASSERT_TRUE(loaded.cluster->topology()->MigrateAllForLoss(2).ok());
 
   for (size_t i = 0; i < std::size(tables); ++i) {
     EXPECT_EQ(tables[i]->num_rows(), rows_before[i])

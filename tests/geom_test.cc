@@ -126,12 +126,9 @@ TEST(SegmentTest, SegmentBoxIntersection) {
   EXPECT_TRUE(SegmentIntersectsBox(Point{15, 0}, Point{0, 15}, box));
 }
 
-TEST(PolygonTest, AreaAndCentroid) {
+TEST(PolygonTest, Area) {
   Polygon sq = Square(0, 0, 10);
   EXPECT_DOUBLE_EQ(sq.Area(), 100.0);
-  Point c = sq.Centroid();
-  EXPECT_NEAR(c.x, 5.0, 1e-9);
-  EXPECT_NEAR(c.y, 5.0, 1e-9);
   // Orientation independence.
   Polygon sq_cw({Point{0, 0}, Point{0, 10}, Point{10, 10}, Point{10, 0}});
   EXPECT_DOUBLE_EQ(sq_cw.Area(), 100.0);
@@ -170,36 +167,6 @@ TEST(PolygonTest, PolygonPolylineIntersection) {
   EXPECT_TRUE(a.Intersects(crossing));
   EXPECT_FALSE(a.Intersects(outside));
   EXPECT_TRUE(a.Intersects(inside));  // wholly inside
-}
-
-TEST(PolygonTest, ClipToBox) {
-  Polygon sq = Square(0, 0, 10);
-  // Clip to the right half.
-  Polygon clipped = sq.ClipToBox(Box(5, -5, 20, 15));
-  EXPECT_DOUBLE_EQ(clipped.Area(), 50.0);
-  // Disjoint clip.
-  EXPECT_EQ(sq.ClipToBox(Box(20, 20, 30, 30)).num_points(), 0u);
-  // Fully containing clip returns the polygon unchanged.
-  Polygon same = sq.ClipToBox(Box(-5, -5, 15, 15));
-  EXPECT_DOUBLE_EQ(same.Area(), 100.0);
-}
-
-TEST(PolygonTest, ClipAreaNeverGrows) {
-  Rng rng(7);
-  for (int iter = 0; iter < 50; ++iter) {
-    Polygon p = RandomPolygon(&rng, rng.NextDouble(-50, 50),
-                              rng.NextDouble(-50, 50), 20, 12);
-    Box clip(rng.NextDouble(-60, 20), rng.NextDouble(-60, 20),
-             rng.NextDouble(20, 60), rng.NextDouble(20, 60));
-    Polygon clipped = p.ClipToBox(clip);
-    EXPECT_LE(clipped.Area(), p.Area() + 1e-6);
-    if (clipped.num_points() >= 3) {
-      // Every clipped vertex lies inside the clip box.
-      for (const Point& v : clipped.ring()) {
-        EXPECT_TRUE(clip.Inflate(1e-9).Contains(v));
-      }
-    }
-  }
 }
 
 TEST(PolygonTest, DistanceToPoint) {
@@ -472,7 +439,6 @@ TEST(CircleTest, Basics) {
   EXPECT_FALSE(c.Contains(Point{4, 4}));
   EXPECT_TRUE(c.IntersectsBox(Box(4, 0, 10, 1)));
   EXPECT_FALSE(c.IntersectsBox(Box(4, 4, 10, 10)));
-  EXPECT_NEAR(c.DoubleArea().Area(), 2 * c.Area(), 1e-9);
 }
 
 /// Property sweep: polygon-polygon intersection is symmetric, and
@@ -513,16 +479,6 @@ TEST_P(PolygonPropertyTest, DistanceZeroIffContains) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PolygonPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-/// Property: clipping to the MBR is the identity (area-wise).
-TEST(PolygonTest, ClipToOwnMbrKeepsArea) {
-  Rng rng(99);
-  for (int iter = 0; iter < 30; ++iter) {
-    Polygon p = RandomPolygon(&rng, 0, 0, 10, 5 + iter % 10);
-    Polygon clipped = p.ClipToBox(p.Mbr());
-    EXPECT_NEAR(clipped.Area(), p.Area(), 1e-6);
-  }
-}
 
 TEST(TileGridTest, DegenerateInputsMapToDefinedCells) {
   // Zero width: every x is column 0, wherever it lies; y still spreads,

@@ -72,49 +72,6 @@ TEST(BPlusTreeTest, RangeScanOrdered) {
   EXPECT_EQ(got, expected);
 }
 
-TEST(BPlusTreeTest, EraseSpecificValues) {
-  BPlusTree<int64_t> tree;
-  for (uint64_t i = 0; i < 100; ++i) {
-    tree.Insert(7, i);
-  }
-  EXPECT_TRUE(tree.Erase(7, 31));
-  EXPECT_FALSE(tree.Erase(7, 31));  // already gone
-  EXPECT_FALSE(tree.Erase(8, 0));   // never existed
-  auto vals = tree.Find(7);
-  EXPECT_EQ(vals.size(), 99u);
-  EXPECT_EQ(std::count(vals.begin(), vals.end(), 31u), 0);
-}
-
-TEST(BPlusTreeTest, RandomInsertEraseMatchesMultimap) {
-  BPlusTree<int64_t> tree;
-  std::multimap<int64_t, uint64_t> reference;
-  Rng rng(77);
-  for (int step = 0; step < 8000; ++step) {
-    if (reference.empty() || rng.NextBool(0.6)) {
-      int64_t key = rng.NextInt(-200, 200);
-      uint64_t val = rng.Next() % 100000;
-      tree.Insert(key, val);
-      reference.emplace(key, val);
-    } else {
-      auto it = reference.begin();
-      std::advance(it, static_cast<long>(rng.NextUint(reference.size())));
-      EXPECT_TRUE(tree.Erase(it->first, it->second));
-      reference.erase(it);
-    }
-  }
-  EXPECT_EQ(tree.size(), reference.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-  std::vector<std::pair<int64_t, uint64_t>> tree_all, ref_all;
-  tree.ScanAll([&](const int64_t& k, const uint64_t& v) {
-    tree_all.emplace_back(k, v);
-    return true;
-  });
-  for (auto& [k, v] : reference) ref_all.emplace_back(k, v);
-  std::sort(tree_all.begin(), tree_all.end());
-  std::sort(ref_all.begin(), ref_all.end());
-  EXPECT_EQ(tree_all, ref_all);
-}
-
 TEST(BPlusTreeTest, EarlyStopScan) {
   BPlusTree<int64_t> tree;
   for (int64_t i = 0; i < 100; ++i) tree.Insert(i, static_cast<uint64_t>(i));
@@ -201,65 +158,7 @@ TEST_P(RStarPropertyTest, CircleSearchIsSuperset) {
   }
 }
 
-TEST_P(RStarPropertyTest, NearestMatchesBruteForce) {
-  Rng rng(GetParam() * 101 + 7);
-  RStarTree tree;
-  std::vector<std::pair<Box, uint64_t>> all;
-  for (int i = 0; i < 600; ++i) {
-    Box b = RandomBox(&rng, 50, 3);
-    tree.Insert(b, static_cast<uint64_t>(i));
-    all.emplace_back(b, static_cast<uint64_t>(i));
-  }
-  for (int q = 0; q < 25; ++q) {
-    Point p{rng.NextDouble(-60, 60), rng.NextDouble(-60, 60)};
-    double best = std::numeric_limits<double>::infinity();
-    for (auto& [b, id] : all) best = std::min(best, b.DistanceTo(p));
-    RStarTree::NearestResult r = tree.Nearest(p);
-    ASSERT_TRUE(r.found);
-    EXPECT_NEAR(r.distance, best, 1e-9);
-  }
-}
-
-TEST_P(RStarPropertyTest, EraseMaintainsInvariantsAndResults) {
-  Rng rng(GetParam() * 997 + 3);
-  RStarTree tree;
-  std::vector<std::pair<Box, uint64_t>> alive;
-  for (int i = 0; i < 800; ++i) {
-    Box b = RandomBox(&rng, 30, 4);
-    tree.Insert(b, static_cast<uint64_t>(i));
-    alive.emplace_back(b, static_cast<uint64_t>(i));
-  }
-  // Delete a random half.
-  for (int i = 0; i < 400; ++i) {
-    size_t pick = rng.NextUint(alive.size());
-    EXPECT_TRUE(tree.Erase(alive[pick].first, alive[pick].second));
-    alive.erase(alive.begin() + static_cast<long>(pick));
-  }
-  EXPECT_EQ(tree.size(), alive.size());
-  EXPECT_TRUE(tree.CheckInvariants());
-  Box query(-10, -10, 10, 10);
-  std::set<uint64_t> expected;
-  for (auto& [b, id] : alive) {
-    if (b.Intersects(query)) expected.insert(id);
-  }
-  std::set<uint64_t> got;
-  tree.SearchOverlap(query, [&](const Box&, uint64_t id) {
-    got.insert(id);
-    return true;
-  });
-  EXPECT_EQ(got, expected);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, RStarPropertyTest, ::testing::Values(1, 2, 3));
-
-TEST(RStarTreeTest, EraseMissingReturnsFalse) {
-  RStarTree tree;
-  tree.Insert(Box(0, 0, 1, 1), 1);
-  EXPECT_FALSE(tree.Erase(Box(0, 0, 1, 1), 2));
-  EXPECT_FALSE(tree.Erase(Box(5, 5, 6, 6), 1));
-  EXPECT_TRUE(tree.Erase(Box(0, 0, 1, 1), 1));
-  EXPECT_EQ(tree.size(), 0u);
-}
 
 TEST(RStarTreeTest, BulkLoadMatchesDynamic) {
   Rng rng(31);

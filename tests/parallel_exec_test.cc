@@ -19,6 +19,7 @@
 #include "core/coordinator.h"
 #include "core/parallel_ops.h"
 #include "core/table.h"
+#include "core/topology.h"
 #include "datagen/datagen.h"
 #include "index/b_plus_tree.h"
 #include "sim/cost_model.h"
@@ -281,10 +282,9 @@ struct IndexJoinRun {
   double seconds = 0.0;
 };
 
-IndexJoinRun RunPlacesIntoLandCover(bool two_layer_vectors, int num_threads) {
-  LoadedDb loaded = LoadTinyDb(4, num_threads, two_layer_vectors);
-  benchmark::BenchmarkDatabase* db = loaded.db.get();
-  QueryCoordinator coord(loaded.cluster.get());
+IndexJoinRun JoinPlacesIntoLandCover(LoadedDb* loaded) {
+  benchmark::BenchmarkDatabase* db = loaded->db.get();
+  QueryCoordinator coord(loaded->cluster.get());
   EXPECT_TRUE(coord.BeginQuery().ok());
   auto places = core::ParallelScan(&coord, db->places(), nullptr, {});
   EXPECT_TRUE(places.ok()) << places.status().ToString();
@@ -312,6 +312,11 @@ IndexJoinRun RunPlacesIntoLandCover(bool two_layer_vectors, int num_threads) {
   return run;
 }
 
+IndexJoinRun RunPlacesIntoLandCover(bool two_layer_vectors, int num_threads) {
+  LoadedDb loaded = LoadTinyDb(4, num_threads, two_layer_vectors);
+  return JoinPlacesIntoLandCover(&loaded);
+}
+
 TEST(IndexSpatialJoinDeterminismTest, NonEmptyJoinBitIdenticalAt1And8Threads) {
   std::vector<std::string> spatial_rows;
   for (bool two_layer : {false, true}) {
@@ -329,6 +334,40 @@ TEST(IndexSpatialJoinDeterminismTest, NonEmptyJoinBitIdenticalAt1And8Threads) {
       EXPECT_EQ(sorted, spatial_rows);
     } else {
       spatial_rows = std::move(sorted);
+    }
+  }
+}
+
+// An index never forgets a row: migration GC tombstones a row in
+// Fragment::live and leaves its R*-tree entries. A rolling restart drops a
+// node's copies when its tiles leave and stores new copies when they come
+// back, so the old entries match the probes again. The join must keep only
+// live rows, on either load.
+TEST(IndexSpatialJoinChurnTest, RollingRestartOfEveryNodeKeepsRows) {
+  for (bool two_layer : {false, true}) {
+    SCOPED_TRACE(two_layer ? "two_layer_vectors" : "default load");
+    LoadedDb loaded = LoadTinyDb(4, /*num_threads=*/1, two_layer);
+    core::TopologyManager* topo = loaded.cluster->topology();
+    benchmark::BenchmarkDatabase* db = loaded.db.get();
+    std::vector<std::string> before = JoinPlacesIntoLandCover(&loaded).rows;
+    std::sort(before.begin(), before.end());
+    ASSERT_EQ(before.size(), 4112u);
+    for (int n = 0; n < 4; ++n) {
+      SCOPED_TRACE("rolling restart of node " + std::to_string(n));
+      topo->DrainNode(n);
+      ASSERT_TRUE(topo->DrainMigration(0.0).ok());
+      ASSERT_TRUE(topo->PumpMigration(0.0).ok());  // runs the deferred GC
+      topo->RemoveNode(n);
+      topo->ReinstateNode(n);
+      ASSERT_TRUE(topo->DrainMigration(0.0).ok());
+      std::vector<std::string> after = JoinPlacesIntoLandCover(&loaded).rows;
+      std::sort(after.begin(), after.end());
+      EXPECT_EQ(after, before);
+      for (ParallelTable* t : {&db->places(), &db->roads(), &db->drainage(),
+                               &db->land_cover(), &db->raster()}) {
+        Status st = t->ValidateOwnership(loaded.cluster.get());
+        EXPECT_TRUE(st.ok()) << t->def().name << ": " << st.ToString();
+      }
     }
   }
 }

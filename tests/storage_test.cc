@@ -27,7 +27,8 @@ TEST(DiskVolumeTest, AllocateReadWrite) {
   EXPECT_EQ(p1, 1u);
   Page page;
   page.payload()[0] = 0xab;
-  ASSERT_TRUE(vol.WritePage(p0, page).ok());
+  const Page* pages[] = {&page};
+  ASSERT_TRUE(vol.WriteRun(p0, 1, pages).ok());
   Page read;
   ASSERT_TRUE(vol.ReadPage(p0, &read).ok());
   EXPECT_EQ(read.payload()[0], 0xab);
@@ -52,16 +53,6 @@ TEST(DiskVolumeTest, SequentialVsRandomCharging) {
   }
   sim::ResourceUsage random = clock.EndPhase();
   EXPECT_EQ(random.disk_seeks, 50);
-}
-
-TEST(DiskVolumeTest, FreeListReuse) {
-  DiskVolume vol(0, nullptr);
-  PageNo a = vol.AllocatePage();
-  vol.AllocatePage();
-  vol.FreePage(a);
-  EXPECT_EQ(vol.allocated_pages(), 1u);
-  PageNo c = vol.AllocatePage();
-  EXPECT_EQ(c, a);  // reused
 }
 
 // ---------- Page checksum ----------
@@ -392,19 +383,6 @@ TEST(LargeObjectTest, RangeReadTouchesOnlyNeededPages) {
   ASSERT_TRUE(range.ok());
   sim::ResourceUsage u = clock.EndPhase();
   EXPECT_EQ(u.disk_bytes_read, static_cast<int64_t>(kPageSize));
-}
-
-TEST(LargeObjectTest, FreeReleasesPages) {
-  DiskVolume vol(0, nullptr);
-  BufferPool pool(64);
-  pool.AttachVolume(&vol);
-  LargeObjectStore store(&pool, &vol);
-  ByteBuffer data(50000, 1);
-  auto id = store.Write(data);
-  ASSERT_TRUE(id.ok());
-  uint32_t before = vol.allocated_pages();
-  store.Free(*id);
-  EXPECT_EQ(vol.allocated_pages(), before - id->num_pages);
 }
 
 }  // namespace
