@@ -32,6 +32,7 @@ void ArrayHandle::Serialize(ByteWriter* w) const {
 ArrayHandle ArrayHandle::Deserialize(ByteReader* r) {
   ArrayHandle h;
   uint32_t ndims = r->GetU32();
+  if (!r->Fits(ndims, 8)) return h;  // dims and tile_dims
   h.dims.resize(ndims);
   for (uint32_t& d : h.dims) d = r->GetU32();
   h.elem_size = r->GetU32();
@@ -40,6 +41,7 @@ ArrayHandle ArrayHandle::Deserialize(ByteReader* r) {
   h.owner_node = r->GetU32();
   h.inline_data = r->GetBlob();
   uint32_t ntiles = r->GetU32();
+  if (!r->Fits(ntiles, 25)) return h;
   h.tiles.resize(ntiles);
   for (TileRef& t : h.tiles) {
     t.lob.volume = r->GetU32();

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
-
 namespace paradise {
 
 using ByteBuffer = std::vector<uint8_t>;
@@ -41,8 +39,11 @@ class ByteWriter {
   ByteBuffer* out_;
 };
 
-/// Reads values written by ByteWriter. Bounds violations abort (they would
-/// indicate page/log corruption that CHECKs elsewhere should have caught).
+/// Reads values written by ByteWriter. The bytes may be malformed even
+/// when read back from a page whose checksum verifies, so a read past the
+/// end, or a decoder's Fail(), marks the reader failed instead of
+/// aborting: every read from then on yields zero bytes, and the caller
+/// tests failed() once after decoding a whole record.
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t size)
@@ -50,7 +51,7 @@ class ByteReader {
   explicit ByteReader(const ByteBuffer& buf)
       : ByteReader(buf.data(), buf.size()) {}
 
-  uint8_t GetU8() { return data_[Advance(1)]; }
+  uint8_t GetU8() { return GetRaw<uint8_t>(); }
   uint16_t GetU16() { return GetRaw<uint16_t>(); }
   uint32_t GetU32() { return GetRaw<uint32_t>(); }
   uint64_t GetU64() { return GetRaw<uint64_t>(); }
@@ -60,15 +61,41 @@ class ByteReader {
 
   std::string GetString() {
     uint32_t n = GetU32();
-    size_t at = Advance(n);
-    return std::string(reinterpret_cast<const char*>(data_ + at), n);
+    const uint8_t* at = Take(n);
+    if (at == nullptr) return std::string();
+    return std::string(reinterpret_cast<const char*>(at), n);
   }
 
   ByteBuffer GetBlob() {
     uint32_t n = GetU32();
-    size_t at = Advance(n);
-    return ByteBuffer(data_ + at, data_ + at + n);
+    const uint8_t* at = Take(n);
+    if (at == nullptr) return ByteBuffer();
+    return ByteBuffer(at, at + n);
   }
+
+  /// Advances past `n` bytes; false if the reader has failed.
+  bool Skip(size_t n) {
+    Take(n);
+    return !failed_;
+  }
+
+  /// True if `count` items of at least `item_bytes` each can still be
+  /// read; else fails the reader. A decoder checks a stored count with it
+  /// before sizing a container by that count.
+  bool Fits(uint64_t count, size_t item_bytes) {
+    if (failed_) return false;
+    if (count <= remaining() / item_bytes) return true;
+    Fail();
+    return false;
+  }
+
+  /// Marks the bytes malformed (an unknown tag, say): the reader fails and
+  /// reads nothing more.
+  void Fail() {
+    failed_ = true;
+    pos_ = size_;
+  }
+  bool failed() const { return failed_; }
 
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
@@ -77,15 +104,20 @@ class ByteReader {
  private:
   template <typename T>
   T GetRaw() {
-    size_t at = Advance(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + at, sizeof(T));
+    T v{};
+    const uint8_t* at = Take(sizeof(T));
+    if (at != nullptr) std::memcpy(&v, at, sizeof(T));
     return v;
   }
 
-  size_t Advance(size_t n) {
-    PARADISE_CHECK_MSG(pos_ + n <= size_, "byte reader overrun");
-    size_t at = pos_;
+  /// The next `n` bytes, or null once the reader has failed.
+  const uint8_t* Take(size_t n) {
+    if (failed_) return nullptr;
+    if (n > size_ - pos_) {
+      Fail();
+      return nullptr;
+    }
+    const uint8_t* at = data_ + pos_;
     pos_ += n;
     return at;
   }
@@ -93,6 +125,7 @@ class ByteReader {
   const uint8_t* data_;
   size_t size_;
   size_t pos_;
+  bool failed_ = false;
 };
 
 }  // namespace paradise

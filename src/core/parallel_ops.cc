@@ -65,11 +65,9 @@ StatusOr<PerNode> ParallelScan(QueryCoordinator* coord,
   popts.scan_share_key = "scan:" + table.def().name;
   PARADISE_RETURN_IF_ERROR(coord->RunPhase("scan", popts, [&](int n) -> Status {
     NodeExecContext nc = MakeNodeContext(cluster, n);
-    PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
-                              table.ScanFragment(cluster, n, true));
-    if (predicate != nullptr) {
-      PARADISE_ASSIGN_OR_RETURN(rows, exec::Filter(rows, predicate, nc.ctx));
-    }
+    PARADISE_ASSIGN_OR_RETURN(
+        TupleVec rows,
+        table.ScanFragment(cluster, n, true, predicate, &nc.ctx));
     if (!projection.empty()) {
       PARADISE_ASSIGN_OR_RETURN(rows, exec::Project(rows, projection, nc.ctx));
     }
@@ -89,12 +87,8 @@ StatusOr<PerNode> ParallelScanAll(QueryCoordinator* coord,
   PARADISE_RETURN_IF_ERROR(coord->RunPhase(
       "scan all", popts, [&](int n) -> Status {
     NodeExecContext nc = MakeNodeContext(cluster, n);
-    PARADISE_ASSIGN_OR_RETURN(TupleVec rows,
-                              table.ScanFragment(cluster, n, false));
-    if (predicate != nullptr) {
-      PARADISE_ASSIGN_OR_RETURN(rows, exec::Filter(rows, predicate, nc.ctx));
-    }
-    out[n] = std::move(rows);
+    PARADISE_ASSIGN_OR_RETURN(
+        out[n], table.ScanFragment(cluster, n, false, predicate, &nc.ctx));
     return Status::OK();
   }));
   return out;

@@ -1,6 +1,8 @@
 #include "core/table.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -9,6 +11,7 @@
 #include "array/raster.h"
 #include "common/logging.h"
 #include "core/pull.h"
+#include "exec/expr.h"
 #include "sim/cost_model.h"
 
 namespace paradise::core {
@@ -34,14 +37,23 @@ ByteBuffer EncodeRow(const Tuple& tuple, bool primary) {
   return out;
 }
 
-Tuple DecodeRow(const ByteBuffer& record, bool* primary) {
-  ByteReader r(record);
-  *primary = (r.GetU8() & 1) != 0;
-  return Tuple::Deserialize(&r);
+/// A reader over a stored record's tuple bytes (past the flag byte).
+ByteReader TupleReader(std::span<const uint8_t> record) {
+  return ByteReader(record.data() + 1, record.size() - 1);
+}
+
+/// Decodes a stored record. A read past its end, an unknown value tag or
+/// a count larger than the bytes left is kCorruption, not an abort.
+StatusOr<Tuple> DecodeRow(std::span<const uint8_t> record) {
+  if (record.empty()) return Status::Corruption("empty stored record");
+  ByteReader r = TupleReader(record);
+  Tuple t = Tuple::Deserialize(&r);
+  if (r.failed()) return Status::Corruption("malformed stored record");
+  return t;
 }
 
 /// Primary bit of a stored record's flag byte.
-bool RecordPrimary(const ByteBuffer& record) {
+bool RecordPrimary(std::span<const uint8_t> record) {
   PARADISE_CHECK(!record.empty());
   return (record[0] & 1) != 0;
 }
@@ -123,8 +135,8 @@ StatusOr<std::unique_ptr<ParallelTable>> ParallelTable::Load(
     local.reserve(frag.oids.size());
     for (const storage::Oid& oid : frag.oids) {
       PARADISE_ASSIGN_OR_RETURN(ByteBuffer rec, frag.file->Get(oid));
-      bool primary;
-      local.push_back(DecodeRow(rec, &primary));
+      PARADISE_ASSIGN_OR_RETURN(Tuple t, DecodeRow(rec));
+      local.push_back(std::move(t));
     }
     for (const catalog::IndexDef& idx : def.indexes) {
       if (idx.spatial) {
@@ -183,26 +195,65 @@ int64_t ParallelTable::num_stored() const {
   return n;
 }
 
-StatusOr<TupleVec> ParallelTable::ScanFragment(Cluster* cluster, int node,
-                                               bool primaries_only) const {
+StatusOr<TupleVec> ParallelTable::ScanFragment(
+    Cluster* cluster, int node, bool primaries_only,
+    const exec::ExprPtr& predicate, const exec::ExecContext* ctx) const {
+  PARADISE_CHECK(predicate == nullptr || ctx != nullptr);
   const Fragment& frag = *fragments_[node];
   sim::NodeClock* clock = cluster->node(node).clock();
-  TupleVec out;
-  out.reserve(frag.oids.size());
+  const std::optional<exec::OverlapsFilterStep> step =
+      predicate == nullptr ? std::nullopt
+                           : exec::OverlapsFilterStep::Of(*predicate);
+  // Without a predicate: every row. With one: the rows Eval must decide,
+  // decoded during the page walk and evaluated after it.
+  TupleVec rows;
+  if (predicate == nullptr) rows.reserve(frag.oids.size());
+  // The filter step's verdict on each row it saw, in row order: the
+  // charge of a row it rejected, or nullopt for a row in `rows`.
+  std::vector<std::optional<double>> verdicts;
   auto it = frag.file->NewIterator();
   storage::Oid oid;
-  ByteBuffer record;
+  std::span<const uint8_t> record;
   while (it.Next(&oid, &record)) {
     // Charged per stored record read, replica or not; a replica is then
     // skipped on its flag byte without materializing the tuple.
     clock->ChargeCpu(sim::cpu_cost::kTupleOverhead +
                      sim::cpu_cost::kPerByteCopied *
                          static_cast<double>(record.size()));
+    if (record.empty()) return Status::Corruption("empty stored record");
     if (primaries_only && !RecordPrimary(record)) continue;
-    bool primary;
-    out.push_back(DecodeRow(record, &primary));
+    if (step.has_value()) {
+      ByteReader r = TupleReader(record);
+      std::optional<double> reject = step->RejectCharge(&r);
+      if (reject.has_value()) {
+        verdicts.push_back(reject);
+        continue;
+      }
+    }
+    PARADISE_ASSIGN_OR_RETURN(Tuple t, DecodeRow(record));
+    rows.push_back(std::move(t));
+    if (predicate != nullptr) verdicts.push_back(std::nullopt);
   }
   PARADISE_RETURN_IF_ERROR(it.status());
+  if (predicate == nullptr) return rows;
+
+  // Charge and evaluate in row order, after the walk, exactly as a scan
+  // followed by exec::Filter: cpu_ops is a floating-point sum, so every
+  // walk charge lands before the first filter charge. Eval never runs
+  // during the walk: a raster clip reads tiles through the same pool.
+  TupleVec out;
+  size_t next = 0;
+  for (const std::optional<double>& reject : verdicts) {
+    ctx->ChargeCpu(sim::cpu_cost::kTupleOverhead);
+    if (reject.has_value()) {
+      ctx->ChargeCpu(*reject);
+      continue;
+    }
+    Tuple& t = rows[next++];
+    PARADISE_ASSIGN_OR_RETURN(bool keep,
+                              exec::EvalPredicate(predicate, t, *ctx));
+    if (keep) out.push_back(std::move(t));
+  }
   return out;
 }
 
@@ -372,14 +423,15 @@ Status ParallelTable::SalvageDeadNode(Cluster* cluster, int dead_node) {
   {
     auto it = dead.file->NewIterator();
     storage::Oid oid;
-    ByteBuffer record;
+    std::span<const uint8_t> record;
     while (it.Next(&oid, &record)) {
       dead_clock->ChargeCpu(sim::cpu_cost::kTupleOverhead +
                             sim::cpu_cost::kPerByteCopied *
                                 static_cast<double>(record.size()));
       Salvaged s;
-      s.tuple = DecodeRow(record, &s.primary);
-      s.record = std::move(record);
+      PARADISE_ASSIGN_OR_RETURN(s.tuple, DecodeRow(record));
+      s.primary = RecordPrimary(record);
+      s.record.assign(record.begin(), record.end());
       salvaged.push_back(std::move(s));
     }
     PARADISE_RETURN_IF_ERROR(it.status());
@@ -531,8 +583,7 @@ StatusOr<ParallelTable::StagedMove> ParallelTable::StageTileRows(
     sclock->ChargeCpu(sim::cpu_cost::kTupleOverhead +
                       sim::cpu_cost::kPerByteCopied *
                           static_cast<double>(rec.size()));
-    bool primary;
-    Tuple t = DecodeRow(rec, &primary);
+    PARADISE_ASSIGN_OR_RETURN(Tuple t, DecodeRow(rec));
     geom::Box mbr = t.at(def_.partition_column).Mbr();
     std::vector<uint32_t> tiles = grid_.TilesOfBox(mbr);
     if (std::find(tiles.begin(), tiles.end(), tile) == tiles.end()) continue;
@@ -585,8 +636,7 @@ StatusOr<ParallelTable::StagedMove> ParallelTable::StageStripeRows(
     sclock->ChargeCpu(sim::cpu_cost::kTupleOverhead +
                       sim::cpu_cost::kPerByteCopied *
                           static_cast<double>(rec.size()));
-    bool primary;
-    Tuple t = DecodeRow(rec, &primary);
+    PARADISE_ASSIGN_OR_RETURN(Tuple t, DecodeRow(rec));
     st.source_rows.push_back(StagedRowRef{r, geom::Box(), rec});
     PARADISE_ASSIGN_OR_RETURN(
         InsertOutcome out, InsertMigratedRow(cluster, target, t, rec, false));
@@ -675,8 +725,7 @@ StatusOr<int64_t> ParallelTable::DropOrphanedRows(
       if (frag.primary[r] != 0) continue;
       PARADISE_ASSIGN_OR_RETURN(ByteBuffer rec, frag.file->Get(frag.oids[r]));
       clock->ChargeCpu(sim::cpu_cost::kTupleOverhead);
-      bool primary;
-      Tuple t = DecodeRow(rec, &primary);
+      PARADISE_ASSIGN_OR_RETURN(Tuple t, DecodeRow(rec));
       bool keep = false;
       for (uint32_t tl : grid_.TilesOfBox(t.at(def_.partition_column).Mbr())) {
         if (grid_.NodeOfTile(tl) == static_cast<uint32_t>(node)) {
@@ -705,8 +754,8 @@ Status ParallelTable::ValidateOwnership(Cluster* cluster) const {
     for (uint64_t r = 0; r < frag.oids.size(); ++r) {
       if (!frag.row_live(r)) continue;
       PARADISE_ASSIGN_OR_RETURN(ByteBuffer rec, frag.file->Get(frag.oids[r]));
-      bool flag;
-      Tuple t = DecodeRow(rec, &flag);
+      PARADISE_ASSIGN_OR_RETURN(Tuple t, DecodeRow(rec));
+      const bool flag = RecordPrimary(rec);
       if ((frag.primary[r] != 0) != flag) {
         return Status::Internal("ownership audit: primary flag vector out of "
                                 "sync with stored record");
@@ -758,8 +807,7 @@ StatusOr<Tuple> ParallelTable::FetchRow(Cluster* cluster, int node,
   cluster->node(node).clock()->ChargeCpu(
       sim::cpu_cost::kTupleOverhead +
       sim::cpu_cost::kPerByteCopied * static_cast<double>(record.size()));
-  bool primary;
-  return DecodeRow(record, &primary);
+  return DecodeRow(record);
 }
 
 }  // namespace paradise::core

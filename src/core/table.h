@@ -10,6 +10,7 @@
 #include "catalog/catalog.h"
 #include "core/cluster.h"
 #include "core/spatial_grid.h"
+#include "exec/expr.h"
 #include "exec/tuple.h"
 #include "index/b_plus_tree.h"
 #include "index/r_star_tree.h"
@@ -191,9 +192,16 @@ class ParallelTable {
   /// Sequential scan of node `node`'s fragment through its heap file
   /// (charges that node's disk sequentially + per-tuple CPU). When
   /// `primaries_only`, replicated copies are skipped — correct for
-  /// non-spatial queries.
-  StatusOr<exec::TupleVec> ScanFragment(Cluster* cluster, int node,
-                                        bool primaries_only) const;
+  /// non-spatial queries. A `predicate` keeps only the rows it accepts,
+  /// evaluated in `ctx` (required then) with the rows, row order and
+  /// charges of the scan followed by exec::Filter. Records are read in
+  /// place on their pages; a row the predicate's OverlapsFilterStep
+  /// rejects on the stored bytes is never decoded. A malformed record is
+  /// kCorruption.
+  StatusOr<exec::TupleVec> ScanFragment(
+      Cluster* cluster, int node, bool primaries_only,
+      const exec::ExprPtr& predicate = nullptr,
+      const exec::ExecContext* ctx = nullptr) const;
 
   /// Random fetch of one row by id (index probe path): charges one random
   /// page read.

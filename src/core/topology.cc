@@ -276,8 +276,9 @@ int TopologyManager::ShedHotTiles(int source, int k) {
                 targets.end());
   if (targets.empty()) return 0;
 
-  // Sample per-tile weight: R*-tree candidate counts across the
-  // registered spatial tables, charged as index probes on the source.
+  // Sample per-tile weight: live R*-tree hits across the registered
+  // spatial tables, charged as index probes on the source. The trees keep
+  // the entries of rows migration GC dropped, which weigh nothing.
   sim::NodeClock* clock = cluster_->node(source).clock();
   std::vector<std::pair<int64_t, uint32_t>> weighted;  // (-count, tile)
   for (uint32_t tile : OwnedTiles(source)) {
@@ -289,8 +290,8 @@ int TopologyManager::ShedHotTiles(int source, int k) {
       if (frag.rtree == nullptr) continue;
       clock->ChargeCpu(sim::cpu_cost::kIndexProbe);
       frag.rtree->SearchOverlap(grid->TileBox(tile),
-                                [&](const geom::Box&, uint64_t) {
-                                  ++count;
+                                [&](const geom::Box&, uint64_t r) {
+                                  if (frag.row_live(r)) ++count;
                                   return true;
                                 });
     }

@@ -23,6 +23,8 @@ class ColumnExpr : public Expr {
     return t.at(index_);
   }
 
+  size_t index() const { return index_; }
+
  private:
   size_t index_;
 };
@@ -33,6 +35,8 @@ class LiteralExpr : public Expr {
   StatusOr<Value> Eval(const Tuple&, const ExecContext&) const override {
     return value_;
   }
+
+  const Value& value() const { return value_; }
 
  private:
   Value value_;
@@ -118,6 +122,9 @@ class OverlapsExpr : public Expr {
     PARADISE_ASSIGN_OR_RETURN(bool hit, SpatialIntersects(va, vb, ctx));
     return Value(static_cast<int64_t>(hit ? 1 : 0));
   }
+
+  const Expr& a() const { return *a_; }
+  const Expr& b() const { return *b_; }
 
  private:
   ExprPtr a_, b_;
@@ -320,14 +327,53 @@ size_t SpatialSegmentCount(const Value& v) {
   }
 }
 
+double SpatialIntersectsCharge(size_t segments) {
+  return sim::cpu_cost::kPerSegmentTest * static_cast<double>(segments);
+}
+
 StatusOr<bool> SpatialIntersects(const Value& a, const Value& b,
                                  const ExecContext& ctx) {
-  ctx.ChargeCpu(sim::cpu_cost::kPerSegmentTest *
-                static_cast<double>(SpatialSegmentCount(a) +
-                                    SpatialSegmentCount(b)));
+  ctx.ChargeCpu(SpatialIntersectsCharge(SpatialSegmentCount(a) +
+                                        SpatialSegmentCount(b)));
   // MBR prune first (as the exact-test phase of the join algorithms does).
   if (!a.Mbr().Intersects(b.Mbr())) return false;
   return SpatialIntersectsExact(a, b, ctx);
+}
+
+OverlapsFilterStep::OverlapsFilterStep(size_t column, const Value& literal)
+    : column_(column),
+      literal_mbr_(literal.Mbr()),
+      literal_segments_(SpatialSegmentCount(literal)) {}
+
+std::optional<OverlapsFilterStep> OverlapsFilterStep::Of(
+    const Expr& predicate) {
+  const auto* overlaps = dynamic_cast<const OverlapsExpr*>(&predicate);
+  if (overlaps == nullptr) return std::nullopt;
+  const auto* col = dynamic_cast<const ColumnExpr*>(&overlaps->a());
+  const auto* lit = dynamic_cast<const LiteralExpr*>(&overlaps->b());
+  // A literal of another type is Eval's type error to report.
+  if (col == nullptr || lit == nullptr || !IsSpatial(lit->value().type())) {
+    return std::nullopt;
+  }
+  return OverlapsFilterStep(col->index(), lit->value());
+}
+
+std::optional<double> OverlapsFilterStep::RejectCharge(ByteReader* r) const {
+  const uint32_t columns = r->GetU32();
+  if (r->failed() || column_ >= columns) return std::nullopt;
+  for (size_t c = 0; c < column_; ++c) {
+    if (!Value::SkipSerialized(r)) return std::nullopt;
+  }
+  const std::optional<StoredShape> shape = Value::ReadStoredShape(r);
+  if (!shape.has_value() || shape->mbr.Intersects(literal_mbr_)) {
+    return std::nullopt;
+  }
+  // Reject only a tuple whose full decode would succeed, so a malformed
+  // record is reported whatever the predicate.
+  for (size_t c = column_ + 1; c < columns; ++c) {
+    if (!Value::SkipSerialized(r)) return std::nullopt;
+  }
+  return SpatialIntersectsCharge(shape->segments + literal_segments_);
 }
 
 StatusOr<bool> SpatialIntersectsExact(const Value& a, const Value& b,

@@ -2,6 +2,7 @@
 #define PARADISE_EXEC_EXPR_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -69,10 +70,41 @@ ExprPtr RasterLowerResOf(ExprPtr raster, uint32_t factor);
 /// spatial predicates by (kPerSegmentTest / kPerPointDistance per segment).
 size_t SpatialSegmentCount(const Value& v);
 
+/// The CPU ops SpatialIntersects charges before its MBR prune, for two
+/// operands of `segments` segments between them (SpatialSegmentCount(a) +
+/// SpatialSegmentCount(b)).
+double SpatialIntersectsCharge(size_t segments);
+
 /// Exact intersection test between two spatial values, charging CPU to
 /// `ctx` proportional to the segment work.
 StatusOr<bool> SpatialIntersects(const Value& a, const Value& b,
                                  const ExecContext& ctx);
+
+/// The filter step a fragment scan runs on a stored record before
+/// decoding it. A predicate has one when it is Overlaps(Col(c), Lit(v))
+/// with a spatial v, the form a non-sargable OVERLAPS in a WHERE clause
+/// takes: its Eval starts with SpatialIntersects on column c and v, which
+/// charges SpatialIntersectsCharge and rejects the row when the two MBRs
+/// miss.
+class OverlapsFilterStep {
+ public:
+  /// The filter step of `predicate`, or nullopt if it has none.
+  static std::optional<OverlapsFilterStep> Of(const Expr& predicate);
+
+  /// Decides the stored tuple at `r` (positioned at the tuple's column
+  /// count). Returns the CPU ops Eval charges before it rejects the tuple
+  /// on an MBR miss, or nullopt when Eval must decide: the MBRs meet,
+  /// column c is not a polyline, or a column cannot be skipped or does
+  /// not decode.
+  std::optional<double> RejectCharge(ByteReader* r) const;
+
+ private:
+  OverlapsFilterStep(size_t column, const Value& literal);
+
+  size_t column_;
+  geom::Box literal_mbr_;
+  size_t literal_segments_;
+};
 
 /// The exact-geometry dispatch of SpatialIntersects with no up-front
 /// charge and no MBR prune. Precondition: the caller has already charged

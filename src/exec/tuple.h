@@ -38,6 +38,7 @@ struct Tuple {
   static Tuple Deserialize(ByteReader* r) {
     Tuple t;
     uint32_t n = r->GetU32();
+    if (!r->Fits(n, 1)) return t;
     t.values.reserve(n);
     for (uint32_t i = 0; i < n; ++i) t.values.push_back(Value::Deserialize(r));
     return t;

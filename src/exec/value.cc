@@ -25,6 +25,21 @@ const char* ValueTypeName(ValueType t) {
   return "?";
 }
 
+bool IsSpatial(ValueType t) {
+  switch (t) {
+    case ValueType::kPoint:
+    case ValueType::kBox:
+    case ValueType::kCircle:
+    case ValueType::kPolygon:
+    case ValueType::kPolyline:
+    case ValueType::kSwissCheese:
+    case ValueType::kRaster:
+      return true;
+    default:
+      return false;
+  }
+}
+
 ValueType Value::type() const {
   return static_cast<ValueType>(rep_.index());
 }
@@ -220,8 +235,40 @@ Value Value::Deserialize(ByteReader* r) {
     case ValueType::kRaster:
       return Value(array::Raster::Deserialize(r));
   }
-  PARADISE_CHECK_MSG(false, "corrupt value tag");
+  r->Fail();  // unknown value tag
   return Value();
+}
+
+bool Value::SkipSerialized(ByteReader* r) {
+  const ValueType t = static_cast<ValueType>(r->GetU8());
+  switch (t) {
+    case ValueType::kNull: return !r->failed();
+    case ValueType::kInt:
+    case ValueType::kDouble: return r->Skip(8);
+    case ValueType::kString: return r->Skip(r->GetU32());
+    case ValueType::kDate: return r->Skip(4);
+    case ValueType::kPoint: return r->Skip(16);
+    case ValueType::kBox: return r->Skip(32);
+    case ValueType::kCircle: return r->Skip(24);
+    case ValueType::kPolygon:
+    case ValueType::kPolyline: return geom::Polyline::SkipSerialized(r);
+    case ValueType::kSwissCheese:
+    case ValueType::kRaster: return false;
+  }
+  r->Fail();  // unknown value tag
+  return false;
+}
+
+std::optional<StoredShape> Value::ReadStoredShape(ByteReader* r) {
+  if (static_cast<ValueType>(r->GetU8()) != ValueType::kPolyline) {
+    return std::nullopt;
+  }
+  StoredShape shape;
+  const std::optional<uint32_t> points =
+      geom::Polyline::DeserializeMbr(r, &shape.mbr);
+  if (!points.has_value()) return std::nullopt;
+  shape.segments = *points < 2 ? 0 : *points - 1;  // num_segments()
+  return shape;
 }
 
 std::string Value::ToString() const {

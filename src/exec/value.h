@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -35,6 +36,17 @@ enum class ValueType : uint8_t {
 };
 
 const char* ValueTypeName(ValueType t);
+
+/// Types with an MBR: the operands of OVERLAPS, distance() and closest().
+bool IsSpatial(ValueType t);
+
+/// What a scan's filter step reads off a stored polyline without decoding
+/// it: the value's MBR and its segment count, bit-equal to
+/// Deserialize(r)'s Mbr() and SpatialSegmentCount().
+struct StoredShape {
+  geom::Box mbr;
+  size_t segments = 0;
+};
 
 /// Large spatial attributes are shared by reference between tuples: a
 /// projection or join output aliases the same geometry/raster the input
@@ -107,6 +119,18 @@ class Value {
 
   void Serialize(ByteWriter* w) const;
   static Value Deserialize(ByteReader* r);
+
+  /// Advances `r` past one serialized value without decoding it, failing
+  /// `r` where Deserialize would (bytes that end early, an unknown tag, a
+  /// count larger than the bytes left). Returns false then, and also for
+  /// swiss-cheese and raster values, which it does not skip.
+  static bool SkipSerialized(ByteReader* r);
+
+  /// Reads the StoredShape of the serialized polyline at `r` (advancing
+  /// past it) through Polyline::DeserializeMbr, so NaN and signed-zero
+  /// coordinates and empty or one-point chains give the decoded value's
+  /// answer. Nullopt for any other type, or where SkipSerialized fails.
+  static std::optional<StoredShape> ReadStoredShape(ByteReader* r);
 
   std::string ToString() const;
 

@@ -103,23 +103,11 @@ double Polygon::DistanceTo(const Point& p) const {
 }
 
 void Polygon::Serialize(ByteWriter* w) const {
-  w->PutU32(static_cast<uint32_t>(ring_.size()));
-  for (const Point& p : ring_) {
-    w->PutDouble(p.x);
-    w->PutDouble(p.y);
-  }
+  Polyline::SerializePoints(ring_, w);
 }
 
 Polygon Polygon::Deserialize(ByteReader* r) {
-  uint32_t n = r->GetU32();
-  std::vector<Point> pts;
-  pts.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    double x = r->GetDouble();
-    double y = r->GetDouble();
-    pts.push_back(Point{x, y});
-  }
-  return Polygon(std::move(pts));
+  return Polygon(Polyline::DeserializePoints(r));
 }
 
 std::string Polygon::ToString() const {
@@ -155,6 +143,7 @@ void SwissCheesePolygon::Serialize(ByteWriter* w) const {
 SwissCheesePolygon SwissCheesePolygon::Deserialize(ByteReader* r) {
   Polygon outer = Polygon::Deserialize(r);
   uint32_t n = r->GetU32();
+  if (!r->Fits(n, 4)) return SwissCheesePolygon(std::move(outer), {});
   std::vector<Polygon> holes;
   holes.reserve(n);
   for (uint32_t i = 0; i < n; ++i) holes.push_back(Polygon::Deserialize(r));

@@ -138,24 +138,58 @@ bool Polyline::IntersectsBox(const Box& box) const {
   return false;
 }
 
-void Polyline::Serialize(ByteWriter* w) const {
-  w->PutU32(static_cast<uint32_t>(points_.size()));
-  for (const Point& p : points_) {
+namespace {
+
+/// A stored chain's point count, or nullopt (failing `r`) if that many
+/// points cannot follow.
+std::optional<uint32_t> ReadPointCount(ByteReader* r) {
+  const uint32_t n = r->GetU32();
+  if (!r->Fits(n, 16)) return std::nullopt;
+  return n;
+}
+
+Point ReadPoint(ByteReader* r) {
+  const double x = r->GetDouble();
+  const double y = r->GetDouble();
+  return Point{x, y};
+}
+
+}  // namespace
+
+void Polyline::SerializePoints(const std::vector<Point>& points,
+                               ByteWriter* w) {
+  w->PutU32(static_cast<uint32_t>(points.size()));
+  for (const Point& p : points) {
     w->PutDouble(p.x);
     w->PutDouble(p.y);
   }
 }
 
-Polyline Polyline::Deserialize(ByteReader* r) {
-  uint32_t n = r->GetU32();
+std::vector<Point> Polyline::DeserializePoints(ByteReader* r) {
+  const std::optional<uint32_t> n = ReadPointCount(r);
+  if (!n.has_value()) return {};
   std::vector<Point> pts;
-  pts.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    double x = r->GetDouble();
-    double y = r->GetDouble();
-    pts.push_back(Point{x, y});
-  }
-  return Polyline(std::move(pts));
+  pts.reserve(*n);
+  for (uint32_t i = 0; i < *n; ++i) pts.push_back(ReadPoint(r));
+  return pts;
+}
+
+std::optional<uint32_t> Polyline::DeserializeMbr(ByteReader* r, Box* mbr) {
+  const std::optional<uint32_t> n = ReadPointCount(r);
+  if (!n.has_value()) return std::nullopt;
+  for (uint32_t i = 0; i < *n; ++i) mbr->ExpandToInclude(ReadPoint(r));
+  return n;
+}
+
+bool Polyline::SkipSerialized(ByteReader* r) {
+  const std::optional<uint32_t> n = ReadPointCount(r);
+  return n.has_value() && r->Skip(16 * static_cast<size_t>(*n));
+}
+
+void Polyline::Serialize(ByteWriter* w) const { SerializePoints(points_, w); }
+
+Polyline Polyline::Deserialize(ByteReader* r) {
+  return Polyline(DeserializePoints(r));
 }
 
 std::string Polyline::ToString() const {

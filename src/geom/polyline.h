@@ -1,6 +1,8 @@
 #ifndef PARADISE_GEOM_POLYLINE_H_
 #define PARADISE_GEOM_POLYLINE_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,22 @@ class Polyline {
 
   void Serialize(ByteWriter* w) const;
   static Polyline Deserialize(ByteReader* r);
+
+  /// A point chain (a polyline's points, or a polygon's ring) is stored
+  /// as a u32 count, then each point's x and y doubles.
+  static void SerializePoints(const std::vector<Point>& points,
+                              ByteWriter* w);
+  /// Reads a stored chain. No points, with `r` failed, if the count is
+  /// larger than the bytes left.
+  static std::vector<Point> DeserializePoints(ByteReader* r);
+  /// Reads a stored chain's MBR without building the chain: the points
+  /// fold through Box::ExpandToInclude in stored order, as the
+  /// constructors fold them, so NaN and signed-zero coordinates give the
+  /// decoded chain's MBR. Returns the point count, or nullopt (with `r`
+  /// failed) if the bytes end early.
+  static std::optional<uint32_t> DeserializeMbr(ByteReader* r, Box* mbr);
+  /// Advances `r` past a stored chain; false if the bytes end early.
+  static bool SkipSerialized(ByteReader* r);
 
   std::string ToString() const;
 

@@ -11,6 +11,7 @@ namespace paradise::sql {
 using core::Query;
 using exec::CompareOp;
 using exec::ExprPtr;
+using exec::IsSpatial;
 using exec::Value;
 using exec::ValueType;
 using geom::Point;
@@ -29,22 +30,6 @@ struct Bound {
 
 bool IsNumeric(ValueType t) {
   return t == ValueType::kInt || t == ValueType::kDouble;
-}
-
-/// Types with an MBR: the operands of OVERLAPS, distance() and closest().
-bool IsSpatial(ValueType t) {
-  switch (t) {
-    case ValueType::kPoint:
-    case ValueType::kBox:
-    case ValueType::kCircle:
-    case ValueType::kPolygon:
-    case ValueType::kPolyline:
-    case ValueType::kSwissCheese:
-    case ValueType::kRaster:
-      return true;
-    default:
-      return false;
-  }
 }
 
 /// Types Value::Compare orders: sort and group keys, min/max inputs.

@@ -90,7 +90,7 @@ Status HeapFile::Update(const Oid& oid, const ByteBuffer& record) {
   return Status::OK();
 }
 
-bool HeapFile::Iterator::Next(Oid* oid, ByteBuffer* record) {
+bool HeapFile::Iterator::Next(Oid* oid, std::span<const uint8_t>* record) {
   if (!status_.ok()) return false;
   std::lock_guard<std::mutex> g(file_->mu_);
   while (page_index_ < file_->pages_.size()) {
@@ -136,8 +136,7 @@ bool HeapFile::Iterator::Next(Oid* oid, ByteBuffer* record) {
       uint16_t s = slot_++;
       if (!sp.SlotInUse(s)) continue;
       *oid = Oid{page_no, s};
-      const uint8_t* data = sp.RecordData(s);
-      record->assign(data, data + sp.SlotLength(s));
+      *record = std::span<const uint8_t>(sp.RecordData(s), sp.SlotLength(s));
       return true;
     }
     ++page_index_;

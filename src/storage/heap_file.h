@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -57,7 +58,9 @@ class HeapFile {
     Iterator& operator=(Iterator&&) = default;
     /// Returns false at end of file or when a page cannot be pinned (e.g.
     /// a persistent checksum mismatch); status() tells the two apart.
-    bool Next(Oid* oid, ByteBuffer* record);
+    /// `record` points into the pinned page, with no copy, and stays valid
+    /// until the next call.
+    bool Next(Oid* oid, std::span<const uint8_t>* record);
     /// OK unless the scan stopped on an error, which stays here.
     const Status& status() const { return status_; }
 

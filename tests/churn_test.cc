@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -271,6 +272,90 @@ TEST(ChurnTopologyTest, ShedHotTilesRelievesSourceAndPreservesAnswers) {
   ValidateAll(&loaded);
   const QueryRun after = RunQ(&loaded, 13);
   EXPECT_EQ(after.rows, base.rows);
+}
+
+/// Per tile `node` owns, the rows of the R*-tree-indexed spatial tables
+/// on `node` whose indexed shape meets the tile's box: live rows only
+/// (decoded from the fragment, not read off the tree), or every tree hit,
+/// which also counts the entries of rows migration GC dropped.
+std::map<uint32_t, int64_t> TileWeights(LoadedDb* loaded, int node,
+                                        bool live_only) {
+  const SpatialGrid& grid = loaded->db->places().grid();
+  std::map<uint32_t, int64_t> weights;
+  ParallelTable* tables[] = {&loaded->db->roads(), &loaded->db->drainage(),
+                             &loaded->db->land_cover()};
+  for (uint32_t tile = 0; tile < grid.num_tiles(); ++tile) {
+    if (grid.NodeOfTile(tile) != static_cast<uint32_t>(node)) continue;
+    int64_t& w = weights[tile];
+    for (ParallelTable* t : tables) {
+      const ParallelTable::Fragment& frag = t->fragment(node);
+      const size_t col = t->def().indexes.at(0).column;
+      EXPECT_TRUE(t->def().indexes.at(0).spatial);
+      if (!live_only) {
+        frag.rtree->SearchOverlap(grid.TileBox(tile),
+                                  [&](const geom::Box&, uint64_t) {
+                                    ++w;
+                                    return true;
+                                  });
+        continue;
+      }
+      for (uint64_t r = 0; r < frag.oids.size(); ++r) {
+        if (!frag.row_live(r)) continue;
+        auto row = t->FetchRow(loaded->cluster.get(), node, r);
+        EXPECT_TRUE(row.ok());
+        if (row.ok() && row->at(col).Mbr().Intersects(grid.TileBox(tile))) ++w;
+      }
+    }
+  }
+  return weights;
+}
+
+/// The tile ShedHotTiles(source, 1) should pick from `weights`: the
+/// heaviest, ties to the lowest tile id.
+uint32_t Heaviest(const std::map<uint32_t, int64_t>& weights) {
+  uint32_t best = 0;
+  int64_t best_w = -1;
+  for (const auto& [tile, w] : weights) {
+    if (w > best_w) {
+      best = tile;
+      best_w = w;
+    }
+  }
+  return best;
+}
+
+TEST(ChurnTopologyTest, ShedHotTilesWeighsOnlyLiveRows) {
+  LoadedDb loaded = LoadTinyDb(4, 1);
+  TopologyManager* topo = loaded.cluster->topology();
+  const SpatialGrid& grid = loaded.db->places().grid();
+
+  // Rolling restart of node 2: its rows are dropped on the way out and
+  // copied back on the way in, so its R*-trees keep a dead entry beside
+  // each live one.
+  topo->DrainNode(2);
+  ASSERT_OK(topo->DrainMigration(0.0));
+  topo->RemoveNode(2);
+  topo->ReinstateNode(2);
+  ASSERT_OK(topo->DrainMigration(1.0));
+  // Node 2, the least loaded, then takes over node 0's hottest tile,
+  // whose entries on node 2 are all live.
+  ASSERT_EQ(topo->ShedHotTiles(/*source=*/0, /*k=*/1), 1);
+  ASSERT_OK(topo->DrainMigration(2.0));
+
+  const std::map<uint32_t, int64_t> live = TileWeights(&loaded, 2, true);
+  const uint32_t hottest = Heaviest(live);
+  // The dead entries change the ranking: weighed by every tree hit, node
+  // 2 would shed one of its own tiles instead.
+  ASSERT_NE(Heaviest(TileWeights(&loaded, 2, false)), hottest);
+
+  ASSERT_EQ(topo->ShedHotTiles(/*source=*/2, /*k=*/1), 1);
+  ASSERT_OK(topo->DrainMigration(3.0));
+  std::vector<uint32_t> shed;
+  for (const auto& [tile, w] : live) {
+    if (grid.NodeOfTile(tile) != 2) shed.push_back(tile);
+  }
+  EXPECT_EQ(shed, std::vector<uint32_t>{hottest});
+  ValidateAll(&loaded);
 }
 
 // ---------- Epoch pinning ----------

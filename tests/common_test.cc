@@ -172,6 +172,49 @@ TEST(BytesTest, WriterReaderRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(BytesTest, ReaderRecordsAnOverrunInsteadOfAborting) {
+  ByteBuffer buf;
+  ByteWriter w(&buf);
+  w.PutU32(7);
+  w.PutString("ab");
+  ByteReader r(buf.data(), buf.size());
+  EXPECT_EQ(r.GetU32(), 7u);
+  EXPECT_EQ(r.GetString(), "ab");
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(r.GetU64(), 0u);  // past the end: zero, and failed
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.GetU8(), 0u);
+  EXPECT_FALSE(r.Skip(0));
+
+  // A length prefix that runs past the end yields nothing.
+  ByteBuffer cut;
+  ByteWriter cw(&cut);
+  cw.PutU32(100);
+  cw.PutRaw("abc", 3);
+  ByteReader s(cut.data(), cut.size());
+  EXPECT_EQ(s.GetString(), "");
+  EXPECT_TRUE(s.failed());
+  ByteReader b(cut.data(), cut.size());
+  EXPECT_TRUE(b.GetBlob().empty());
+  EXPECT_TRUE(b.failed());
+}
+
+TEST(BytesTest, FitsBoundsAStoredCountByTheBytesLeft) {
+  const uint8_t bytes[10] = {};
+  ByteReader r(bytes, sizeof(bytes));
+  EXPECT_TRUE(r.Fits(2, 5));
+  EXPECT_TRUE(r.Fits(0, 16));
+  EXPECT_FALSE(r.failed());
+  EXPECT_FALSE(r.Fits(0xffffffffu, 16));
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.remaining(), 0u);
+
+  ByteReader t(bytes, sizeof(bytes));
+  t.Fail();
+  EXPECT_TRUE(t.failed());
+  EXPECT_FALSE(t.Fits(0, 1));
+}
+
 TEST(BytesTest, PositionTracking) {
   ByteBuffer buf;
   ByteWriter w(&buf);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -291,6 +293,224 @@ TEST(ParallelTableTest, PrimariesOnlyScanChargesEveryStoredRecordTwoLayer) {
   auto table = ParallelTable::Load(&cluster, def, rows, /*tiles_per_axis=*/20);
   ASSERT_TRUE(table.ok());
   ExpectPrimariesOnlyScanChargesEveryRecord(&cluster, **table);
+}
+
+// ---------- Filtered fragment scans: the filter step ----------
+
+/// What one node's filtered scan returned, bit for bit and in order, what
+/// it charged, and what its pool counted.
+struct NodeScan {
+  std::vector<ByteBuffer> rows;
+  sim::ResourceUsage usage;
+  std::vector<int64_t> pool;
+};
+
+std::vector<ByteBuffer> RowBytes(const TupleVec& rows) {
+  std::vector<ByteBuffer> out;
+  for (const Tuple& t : rows) {
+    ByteBuffer b;
+    b.reserve(256);
+    ByteWriter w(&b);
+    t.Serialize(&w);
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+std::vector<int64_t> PoolCounters(Cluster* cluster, int node) {
+  const storage::BufferPool::Stats s = cluster->node(node).pool()->stats();
+  return {s.hits,           s.misses,         s.evictions,
+          s.readahead_batches, s.readahead_pages, s.promotions,
+          s.writeback_runs,    s.writeback_pages};
+}
+
+std::vector<int64_t> Minus(std::vector<int64_t> a,
+                           const std::vector<int64_t>& b) {
+  for (size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+  return a;
+}
+
+/// The path filtered scans took before the filter step, kept as the
+/// oracle: decode the whole fragment, then exec::Filter.
+std::vector<NodeScan> ReferenceFilteredScan(Cluster* cluster,
+                                            const ParallelTable& table,
+                                            bool primaries_only,
+                                            const exec::ExprPtr& pred) {
+  cluster->ResetForQuery();
+  std::vector<NodeScan> out(cluster->num_nodes());
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    const std::vector<int64_t> before = PoolCounters(cluster, n);
+    NodeExecContext nc = MakeNodeContext(cluster, n);
+    auto rows = table.ScanFragment(cluster, n, primaries_only);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok()) continue;
+    auto kept = exec::Filter(*rows, pred, nc.ctx);
+    EXPECT_TRUE(kept.ok()) << kept.status().ToString();
+    if (kept.ok()) out[n].rows = RowBytes(*kept);
+    out[n].usage = cluster->node(n).clock()->EndPhase();
+    out[n].pool = Minus(PoolCounters(cluster, n), before);
+  }
+  return out;
+}
+
+/// The same scan through ParallelScan (primaries only) or ParallelScanAll
+/// on `threads` worker threads.
+std::vector<NodeScan> FilteredScan(Cluster* cluster, const ParallelTable& table,
+                                   bool primaries_only,
+                                   const exec::ExprPtr& pred, int threads) {
+  cluster->SetNumThreads(threads);
+  std::vector<std::vector<int64_t>> before;
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    before.push_back(PoolCounters(cluster, n));
+  }
+  QueryCoordinator coord(cluster);
+  EXPECT_TRUE(coord.BeginQuery().ok());
+  auto per = primaries_only ? ParallelScan(&coord, table, pred, {})
+                            : ParallelScanAll(&coord, table, pred);
+  EXPECT_TRUE(per.ok()) << per.status().ToString();
+  std::vector<NodeScan> out(cluster->num_nodes());
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    if (per.ok()) out[n].rows = RowBytes((*per)[n]);
+    out[n].usage = cluster->node(n).clock()->total_usage();
+    out[n].pool = Minus(PoolCounters(cluster, n), before[n]);
+  }
+  return out;
+}
+
+void ExpectSameScan(const std::vector<NodeScan>& got,
+                    const std::vector<NodeScan>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t n = 0; n < got.size(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    EXPECT_EQ(got[n].rows, want[n].rows);
+    const sim::ResourceUsage& g = got[n].usage;
+    const sim::ResourceUsage& w = want[n].usage;
+    EXPECT_EQ(g.disk_seeks, w.disk_seeks);
+    EXPECT_EQ(g.disk_bytes_read, w.disk_bytes_read);
+    EXPECT_EQ(g.disk_bytes_written, w.disk_bytes_written);
+    EXPECT_EQ(g.net_messages, w.net_messages);
+    EXPECT_EQ(g.net_bytes, w.net_bytes);
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.cpu_ops),
+              std::bit_cast<uint64_t>(w.cpu_ops))
+        << g.cpu_ops << " vs " << w.cpu_ops;
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.idle_seconds),
+              std::bit_cast<uint64_t>(w.idle_seconds));
+    EXPECT_EQ(got[n].pool, want[n].pool);
+  }
+}
+
+/// Rows (id, shape, tag), the shape a polyline or a polygon on an integer
+/// lattice, so many MBR edges meet the predicates' box edges exactly.
+/// Chains have 1-6 points (0-6 when `allow_empty`: an empty chain has no
+/// tile to decluster to); the tag's length varies the record size, so the
+/// walk's per-byte charges are not integers and a change in charge order
+/// changes cpu_ops.
+TupleVec LatticeRows(ValueType type, bool allow_empty, int n, uint64_t seed) {
+  Rng rng(seed);
+  TupleVec out;
+  for (int i = 0; i < n; ++i) {
+    Point p{static_cast<double>(rng.NextInt(-45, 45)),
+            static_cast<double>(rng.NextInt(-45, 45))};
+    std::vector<Point> pts(
+        static_cast<size_t>(rng.NextInt(allow_empty ? 0 : 1, 6)));
+    for (Point& q : pts) {
+      q = p;
+      p.x += static_cast<double>(rng.NextInt(-4, 4));
+      p.y += static_cast<double>(rng.NextInt(-4, 4));
+    }
+    const Value shape = type == ValueType::kPolyline
+                            ? Value(Polyline(std::move(pts)))
+                            : Value(Polygon(std::move(pts)));
+    out.push_back(Tuple({Value(int64_t{i}), shape,
+                         Value(std::string(rng.NextUint(24), 'a' + i % 26))}));
+  }
+  return out;
+}
+
+/// Predicates on column 1 that a scan's filter step does and does not
+/// apply to (it reads only Overlaps with the column first), with literals
+/// that touch stored MBRs exactly.
+std::vector<exec::ExprPtr> ScanPredicates(const TupleVec& rows) {
+  using exec::Col;
+  using exec::Lit;
+  using exec::Overlaps;
+  const Box m = rows[7].at(1).Mbr();
+  const std::vector<Value> literals = {
+      Value(Box(-10, -10, 15, 12)),
+      Value(Box(m.xmax, m.ymin, m.xmax + 3, m.ymax)),      // touches an edge
+      Value(Box(m.xmax, m.ymax, m.xmax + 1, m.ymax + 1)),  // touches a corner
+      Value(Box(m.xmin, m.ymin, m.xmin, m.ymin)),          // zero extent
+      Value(Box(3, -20, 3, 20)),                           // zero width
+      Value(Box()),                                        // empty
+      Value(Box(5, 5, -5, -5)),                            // inverted
+      Value(Polygon({{-20, -20}, {20, -15}, {0, 25}})),
+      Value(geom::Circle(Point{5, 5}, 12)),
+  };
+  std::vector<exec::ExprPtr> preds;
+  for (const Value& v : literals) {
+    preds.push_back(Overlaps(Col(1), Lit(v)));
+    preds.push_back(Overlaps(Lit(v), Col(1)));
+  }
+  const exec::ExprPtr box = Overlaps(Col(1), Lit(literals[0]));
+  const exec::ExprPtr low_id =
+      exec::Cmp(CompareOp::kLt, Col(0), Lit(Value(int64_t{150})));
+  preds.push_back(exec::And(box, low_id));
+  preds.push_back(exec::And(low_id, box));
+  preds.push_back(exec::Or(box, low_id));
+  preds.push_back(exec::Not(box));
+  preds.push_back(exec::Cmp(CompareOp::kGe, Col(0), Lit(Value(int64_t{100}))));
+  return preds;
+}
+
+TEST(FilteredScanTest, MatchesScanThenFilterBitForBit) {
+  struct Case {
+    PartitioningKind part;
+    ValueType shape;
+    bool allow_empty;
+  };
+  const Case cases[] = {
+      {PartitioningKind::kSpatial, ValueType::kPolyline, false},
+      {PartitioningKind::kTwoLayer, ValueType::kPolyline, false},
+      {PartitioningKind::kRoundRobin, ValueType::kPolyline, true},
+      // The filter step reads only polylines: every polygon row takes the
+      // full decode.
+      {PartitioningKind::kSpatial, ValueType::kPolygon, false},
+  };
+  uint64_t seed = 70;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("partitioning " + std::to_string(static_cast<int>(c.part)) +
+                 " shape " + ValueTypeName(c.shape));
+    Cluster cluster(4, SmallClusterOptions());
+    const TupleVec rows = LatticeRows(c.shape, c.allow_empty, 300, seed++);
+    TableDef def;
+    def.name = "t";
+    def.schema = exec::Schema({{"id", ValueType::kInt},
+                               {"shape", c.shape},
+                               {"tag", ValueType::kString}});
+    def.partitioning = c.part;
+    def.partition_column = 1;
+    def.universe = Box(-50, -50, 50, 50);
+    auto table = ParallelTable::Load(&cluster, def, rows, /*tiles_per_axis=*/8);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    // A first pass leaves each disk head where every measured scan leaves
+    // it.
+    ReferenceFilteredScan(&cluster, **table, false,
+                          exec::Cmp(CompareOp::kGe, exec::Col(0),
+                                    exec::Lit(Value(int64_t{0}))));
+    for (const exec::ExprPtr& pred : ScanPredicates(rows)) {
+      for (bool primaries_only : {true, false}) {
+        const std::vector<NodeScan> want =
+            ReferenceFilteredScan(&cluster, **table, primaries_only, pred);
+        for (int threads : {1, 8}) {
+          SCOPED_TRACE("threads " + std::to_string(threads) +
+                       (primaries_only ? " primaries only" : " all copies"));
+          ExpectSameScan(
+              FilteredScan(&cluster, **table, primaries_only, pred, threads),
+              want);
+        }
+      }
+    }
+  }
 }
 
 // ---------- Parallel operators: the result-preserving invariant ----------
@@ -620,8 +840,10 @@ std::vector<std::pair<storage::Oid, ByteBuffer>> StoredRecords(
   std::vector<std::pair<storage::Oid, ByteBuffer>> out;
   auto it = frag.file->NewIterator();
   storage::Oid oid;
-  ByteBuffer record;
-  while (it.Next(&oid, &record)) out.emplace_back(oid, record);
+  std::span<const uint8_t> record;
+  while (it.Next(&oid, &record)) {
+    out.emplace_back(oid, ByteBuffer(record.begin(), record.end()));
+  }
   EXPECT_TRUE(it.status().ok()) << it.status().ToString();
   return out;
 }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "common/status.h"
 #include "core/cluster.h"
 #include "core/coordinator.h"
+#include "core/parallel_ops.h"
 #include "core/table.h"
 #include "core/topology.h"
 #include "datagen/datagen.h"
@@ -350,6 +352,84 @@ TEST(ChecksumTest, SalvageOfPersistentlyCorruptFragmentReturnsCorruption) {
   cluster.MarkNodeDead(1);
   Status st = cluster.topology()->MigrateForLoss(table.get(), 1);
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+// ---------- Malformed records on a page that verifies ----------
+
+TEST(MalformedRecordTest, FragmentScanReturnsCorruption) {
+  // Rows (id, shape, name) on one node. Each case rewrites row 0's stored
+  // record in place, then flushes, so the page is stamped anew and passes
+  // its checksum: only the record bytes are wrong.
+  Cluster::Options copts;
+  copts.buffer_pool_frames = 64;
+  Cluster cluster(1, copts);
+  TupleVec rows;
+  for (int64_t i = 0; i < 30; ++i) {
+    const double x = static_cast<double>(i);
+    rows.push_back(Tuple({Value(i),
+                          Value(geom::Polyline({{x, 0}, {x + 1, 1}, {x, 2}})),
+                          Value(std::string("name"))}));
+  }
+  TableDef def;
+  def.name = "lines";
+  def.schema = exec::Schema({{"id", ValueType::kInt},
+                             {"shape", ValueType::kPolyline},
+                             {"name", ValueType::kString}});
+  def.partitioning = PartitioningKind::kRoundRobin;
+  auto table = ParallelTable::Load(&cluster, def, rows);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const ParallelTable::Fragment& frag = (*table)->fragment(0);
+  auto stored = frag.file->Get(frag.oids[0]);
+  ASSERT_TRUE(stored.ok());
+  const ByteBuffer good = *stored;
+  // Stored layout: flag byte, column count, then per value a tag and its
+  // payload: int tag @5, int @6, polyline tag @14, point count @15,
+  // 3 points @19, string tag @67, length @68.
+  ASSERT_EQ(good[14], static_cast<uint8_t>(ValueType::kPolyline));
+  ASSERT_EQ(good[67], static_cast<uint8_t>(ValueType::kString));
+
+  struct Case {
+    const char* what;
+    size_t at;
+    uint32_t value;  // written little-endian over `width` bytes
+    size_t width;
+  };
+  const Case cases[] = {
+      {"point count past the end", 15, 1u << 20, 4},
+      {"unknown value tag", 14, 0xee, 1},
+      {"string length past the end", 68, 1u << 20, 4},
+  };
+  // Row 0's shape misses this box: a filter step that decided on the
+  // shape alone would drop the row without reading the broken bytes.
+  const exec::ExprPtr box = exec::Overlaps(
+      exec::Col(1), exec::Lit(Value(geom::Box(100, 100, 101, 101))));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    ByteBuffer bad = good;
+    std::memcpy(bad.data() + c.at, &c.value, c.width);
+    ASSERT_TRUE(frag.file->Update(frag.oids[0], bad).ok());
+    ASSERT_TRUE(cluster.node(0).pool()->FlushAll().ok());
+    cluster.node(0).pool()->DiscardAll();
+
+    for (bool primaries_only : {true, false}) {
+      auto plain = (*table)->ScanFragment(&cluster, 0, primaries_only);
+      ASSERT_FALSE(plain.ok());
+      EXPECT_EQ(plain.status().code(), StatusCode::kCorruption)
+          << plain.status().ToString();
+      core::NodeExecContext nc = core::MakeNodeContext(&cluster, 0);
+      auto filtered =
+          (*table)->ScanFragment(&cluster, 0, primaries_only, box, &nc.ctx);
+      ASSERT_FALSE(filtered.ok());
+      EXPECT_EQ(filtered.status().code(), StatusCode::kCorruption)
+          << filtered.status().ToString();
+    }
+  }
+
+  // Restored, the fragment scans in full again.
+  ASSERT_TRUE(frag.file->Update(frag.oids[0], good).ok());
+  auto scan = (*table)->ScanFragment(&cluster, 0, true);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->size(), 30u);
 }
 
 // ---------- Coordinator error paths close the phase ----------

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -310,7 +311,7 @@ TEST_F(HeapFileTest, ScanVisitsEverything) {
   std::set<std::string> seen;
   auto it = file_.NewIterator();
   Oid oid;
-  ByteBuffer rec;
+  std::span<const uint8_t> rec;
   while (it.Next(&oid, &rec)) seen.insert(std::string(rec.begin(), rec.end()));
   EXPECT_EQ(seen, inserted);
 }
