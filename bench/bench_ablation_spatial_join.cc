@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
                                 paradise::core::ParallelScanAll(c, in, nullptr));
       paradise::core::ParallelSpatialJoinOptions opts;
       opts.right_predeclustered = true;
-      opts.tiles_per_axis = in.grid().tiles_per_axis();
+      opts.routing_grid = &in.grid();
       return paradise::core::ParallelSpatialJoin(c, o, 1, i, 1,
                                                  in.def().universe, opts);
     });

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/logging.h"
-#include "core/topology.h"
 #include "opt/partition_tuner.h"
 #include "sim/cost_model.h"
 
@@ -321,6 +320,23 @@ StatusOr<TupleVec> Gather(QueryCoordinator* coord, PerNode input) {
   return out;
 }
 
+namespace {
+
+/// The grid a join that redistributes both of its inputs routes on: the
+/// base hash over every node of the cluster, with the tiles of a node that
+/// is not alive rehashed over the live ones. Without that rehash the
+/// reference-point filter asks a dead node for its vote and its pairs
+/// vanish from the answer.
+SpatialGrid MakeRoutingGrid(Cluster* cluster, const Box& universe,
+                            uint32_t tiles_per_axis) {
+  SpatialGrid grid(universe, tiles_per_axis,
+                   static_cast<uint32_t>(cluster->num_nodes()));
+  grid.RehashOntoLive(cluster->alive_node_ids());
+  return grid;
+}
+
+}  // namespace
+
 StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
                                       const PerNode& left, size_t left_col,
                                       const PerNode& right, size_t right_col,
@@ -328,16 +344,19 @@ StatusOr<PerNode> ParallelSpatialJoin(QueryCoordinator* coord,
                                       const ParallelSpatialJoinOptions& opts) {
   Cluster* cluster = coord->cluster();
   int N = cluster->num_nodes();
-  // The single source of truth for ownership and liveness: either the
-  // caller's table grid (predeclustered joins) or a topology-derived
-  // routing grid. A dead node's tiles rehash over the survivors; without
-  // that, the reference-point filter below asks for the dead node's vote
-  // and its pairs vanish from the answer.
-  const SpatialGrid grid =
-      opts.routing_grid != nullptr
-          ? *opts.routing_grid
-          : cluster->topology()->MakeRoutingGrid(universe,
-                                                 opts.tiles_per_axis);
+  // A side read where it lies is placed by its table's grid, so routing
+  // and duplicate elimination must use that grid's recorded owners.
+  if ((opts.left_predeclustered || opts.right_predeclustered) &&
+      opts.routing_grid == nullptr) {
+    return Status::InvalidArgument(
+        "a predeclustered join side needs its table's grid as routing_grid");
+  }
+  SpatialGrid fresh;
+  if (opts.routing_grid == nullptr) {
+    fresh = MakeRoutingGrid(cluster, universe, opts.tiles_per_axis);
+  }
+  const SpatialGrid& grid =
+      opts.routing_grid != nullptr ? *opts.routing_grid : fresh;
 
   // Phase 1: spatial redeclustering with replication (skipped for inputs
   // already declustered on this grid).
@@ -569,8 +588,7 @@ StatusOr<TupleVec> SpatialJoinWithClosest(
     uint32_t tiles_per_axis, ClosestJoinStats* stats) {
   Cluster* cluster = coord->cluster();
   int N = cluster->num_nodes();
-  const SpatialGrid grid =
-      cluster->topology()->MakeRoutingGrid(universe, tiles_per_axis);
+  const SpatialGrid grid = MakeRoutingGrid(cluster, universe, tiles_per_axis);
   double universe_area = universe.Area();
 
   // Step 1-2: decluster features (with replication) and points on the

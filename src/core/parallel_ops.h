@@ -91,12 +91,12 @@ struct ParallelSpatialJoinOptions {
   /// (redistribution) is skipped for them (Section 2.7.2).
   bool left_predeclustered = false;
   bool right_predeclustered = false;
-  /// The grid to route and duplicate-eliminate on. Predeclustered joins
-  /// MUST pass their table's grid so migration reassignments line up;
-  /// when null, the join asks the cluster's TopologyManager for a
-  /// routing grid (base hash over the current nodes, carrying the
-  /// canonical table's reassignments when the geometry matches, dead
-  /// nodes rehashed) instead of deriving liveness onto a local copy.
+  /// The grid to route and duplicate-eliminate on. A join with a
+  /// predeclustered side must pass that table's grid (InvalidArgument
+  /// otherwise), whose recorded owners say where the side's rows lie.
+  /// When null, both sides are redistributed on a fresh grid: the base
+  /// hash over the cluster's nodes, a dead node's tiles rehashed over the
+  /// live ones.
   const SpatialGrid* routing_grid = nullptr;
   /// Run the two-layer class mini-join plan (kTwoLayer tables): each node
   /// joins only its owned tiles' class pairs via exec::TwoLayerSpatialJoin

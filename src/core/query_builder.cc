@@ -319,7 +319,9 @@ StatusOr<PerNode> Query::ExecuteJoin(QueryCoordinator* coord,
           return joined;
         });
   }
-  // PBSM: redecluster both sides on a fresh grid.
+  // PBSM: a spatially declustered inner is joined where it lies, with the
+  // outer redeclustered onto its grid; otherwise both sides go to a fresh
+  // grid.
   PARADISE_ASSIGN_OR_RETURN(PerNode inner,
                             ParallelScanAll(coord, *jc.right, nullptr));
   ParallelSpatialJoinOptions opts;
@@ -327,10 +329,7 @@ StatusOr<PerNode> Query::ExecuteJoin(QueryCoordinator* coord,
       catalog::IsSpatialPartitioning(jc.right->def().partitioning);
   opts.two_layer =
       jc.right->def().partitioning == catalog::PartitioningKind::kTwoLayer;
-  if (opts.two_layer) opts.routing_grid = &jc.right->grid();
-  opts.tiles_per_axis = opts.right_predeclustered
-                            ? jc.right->grid().tiles_per_axis()
-                            : SpatialGrid::kDefaultTilesPerAxis;
+  if (opts.right_predeclustered) opts.routing_grid = &jc.right->grid();
   geom::Box universe = jc.right->def().universe;
   if (universe.IsEmpty()) {
     for (const exec::TupleVec& v : outer) {

@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "core/spatial_grid.h"
-#include "geom/box.h"
 
 namespace paradise::core {
 
@@ -84,8 +83,8 @@ class TopologyManager {
 
   // -- Planned membership changes -----------------------------------------
 
-  /// Scale-out: appends a new empty node to the cluster, extends every
-  /// registered grid's routable domain, and queues a fair share of tiles
+  /// Scale-out: appends a new empty node to the cluster, gives every
+  /// registered table a fragment there, and queues a fair share of tiles
   /// (num_tiles / num_active, taken from the most-loaded donors) to
   /// migrate onto it. Returns the new node id.
   int AddNode();
@@ -157,16 +156,6 @@ class TopologyManager {
   uint64_t PinEpoch();
   void UnpinEpoch(uint64_t epoch);
 
-  // -- Routing ------------------------------------------------------------
-
-  /// A compute-placement grid for parallel operators (joins build one per
-  /// query): base-hashed over the current node count, carrying the
-  /// canonical table grid's reassignments when the geometry matches
-  /// (same universe and tiles-per-axis), with every non-alive node
-  /// dead-marked — exactly the grid operators used to derive locally.
-  SpatialGrid MakeRoutingGrid(const geom::Box& universe,
-                              uint32_t tiles_per_axis) const;
-
   NodeTopologyState node_state(int node) const;
   const Stats& stats() const { return stats_; }
 
@@ -216,8 +205,8 @@ class TopologyManager {
   void UpdateBackgroundLoad();
 
   /// After a loss rehash, tiles of the dead node may have landed on a
-  /// *draining* node (the grid's dead-rehash only knows liveness, not
-  /// drain intent). Queue drain moves for any such tiles so the drain
+  /// *draining* node (the loss rehash only knows liveness, not drain
+  /// intent). Queue drain moves for any such tiles so the drain
   /// still converges to zero owned tiles.
   void RequeueDrainingTiles();
 

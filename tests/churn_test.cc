@@ -151,6 +151,15 @@ int TilesOwnedBy(const SpatialGrid& grid, uint32_t node) {
   return owned;
 }
 
+/// Tiles whose recorded owner is not their base-hash owner.
+int TilesOffBase(const SpatialGrid& grid) {
+  int off = 0;
+  for (uint32_t t = 0; t < grid.num_tiles(); ++t) {
+    if (grid.NodeOfTile(t) != grid.BaseNodeOfTile(t)) ++off;
+  }
+  return off;
+}
+
 // ---------- Planned membership changes ----------
 
 TEST(ChurnTopologyTest, AddNodeRebalancesAndPreservesAnswers) {
@@ -246,10 +255,11 @@ TEST(ChurnTopologyTest, DrainRemoveReinstateRoundTrip) {
   EXPECT_GT(topo->pending_moves(), 0);
   ASSERT_OK(topo->DrainMigration(1.0));
 
-  // Every tile whose base owner node 1 is has moved home, so no override
-  // remains (a full rolling-restart round trip restores the layout).
+  // Every tile whose base owner node 1 is has moved home, so every tile is
+  // back with its base owner (a full rolling-restart round trip restores
+  // the layout).
   EXPECT_EQ(TilesOwnedBy(grid, 1), owned0);
-  EXPECT_TRUE(grid.reassigned_tiles().empty());
+  EXPECT_EQ(TilesOffBase(grid), 0);
   ValidateAll(&loaded);
   const QueryRun restored = RunQ(&loaded, 13);
   EXPECT_EQ(restored.rows, base.rows);
@@ -578,25 +588,110 @@ TEST(ChurnCacheTest, CrashDuringMigrationInvalidatesCachedResults) {
   loaded.cluster->SetFaultInjector(nullptr);
 }
 
-// ---------- Routing follows the canonical grid ----------
+// ---------- Routing follows the recorded owners ----------
 
-TEST(ChurnRoutingTest, RoutingGridCarriesMigratedAssignments) {
+TEST(ChurnCrashTest, LossWhileAnotherNodeIsRemovedKeepsEveryRow) {
+  // Node 1 leaves by a planned drain and removal; node 2 is then lost for
+  // good. Its tiles must rehash over the nodes that are alive (0 and 3),
+  // never onto the removed node 1, which no reader asks any more.
+  LoadedDb loaded = LoadTinyDb(4, 1);
+  TopologyManager* topo = loaded.cluster->topology();
+  const QueryRun base = RunQ(&loaded, 13);
+  ASSERT_EQ(base.rows.size(), 359u);
+  const SpatialGrid& grid = loaded.db->places().grid();
+
+  topo->DrainNode(1);
+  ASSERT_OK(topo->DrainMigration(0.0));
+  topo->RemoveNode(1);
+  // What a permanent barrier crash of node 2 runs.
+  loaded.cluster->MarkNodeDead(2);
+  ASSERT_OK(topo->MigrateAllForLoss(2));
+  EXPECT_EQ(TilesOwnedBy(grid, 1), 0);
+  EXPECT_EQ(TilesOwnedBy(grid, 2), 0);
+  ValidateAll(&loaded);
+  EXPECT_EQ(RunQ(&loaded, 13).rows, base.rows);
+
+  // Node 1 rejoins and takes its base tiles back from nodes 0 and 3.
+  topo->ReinstateNode(1);
+  ASSERT_OK(topo->DrainMigration(1.0));
+  EXPECT_GT(TilesOwnedBy(grid, 1), 0);
+  EXPECT_EQ(TilesOwnedBy(grid, 2), 0);
+  ValidateAll(&loaded);
+  EXPECT_EQ(RunQ(&loaded, 13).rows, base.rows);
+}
+
+TEST(ChurnRoutingTest, PlannerPbsmJoinAfterAddNodeKeepsItsRows) {
+  // The planner joins roads with drainage by PBSM: drainage is read where
+  // it lies, so roads must be routed, and duplicates eliminated, on
+  // drainage's grid, whose tiles partly moved to the added node.
+  LoadedDb loaded = LoadTinyDb(4, 1);
+  TopologyManager* topo = loaded.cluster->topology();
+  auto planner_join = [&loaded]() {
+    auto query = [&loaded]() {
+      return core::Query::On(&loaded.db->roads())
+          .SpatialJoinWith(&loaded.db->drainage(), datagen::col::kLineShape,
+                           datagen::col::kLineShape);
+    };
+    EXPECT_NE(query().Explain().find("spatial redecluster + PBSM"),
+              std::string::npos);
+    QueryCoordinator coord(loaded.cluster.get());
+    auto rows = query().Run(&coord);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? RenderRowsSorted(*rows) : std::vector<std::string>{};
+  };
+  const std::vector<std::string> before = planner_join();
+  ASSERT_EQ(before.size(), 359u);
+
+  topo->AddNode();
+  ASSERT_OK(topo->DrainMigration(0.0));
+  ASSERT_GT(TilesOwnedBy(loaded.db->drainage().grid(), 4), 0);
+  EXPECT_EQ(planner_join(), before);
+}
+
+TEST(ChurnRoutingTest, RedistributedJoinRoutesOnTheBaseHash) {
+  // A join that redistributes both sides places its work by the base hash
+  // over the cluster's nodes, whatever the table grids recorded: node 2
+  // owns no table tile after its drain but still joins its base tiles, on
+  // a grid of the tables' geometry as on any other.
   LoadedDb loaded = LoadTinyDb(4, 1);
   TopologyManager* topo = loaded.cluster->topology();
   topo->DrainNode(2);
   ASSERT_OK(topo->DrainMigration(0.0));
+  ASSERT_EQ(TilesOwnedBy(loaded.db->roads().grid(), 2), 0);
 
-  const SpatialGrid& canon = loaded.db->places().grid();
-  const SpatialGrid routing = topo->MakeRoutingGrid(
-      loaded.db->universe(), canon.tiles_per_axis());
-  for (uint32_t t = 0; t < canon.num_tiles(); ++t) {
-    EXPECT_EQ(routing.NodeOfTile(t), canon.NodeOfTile(t)) << "tile " << t;
+  const size_t left_width = loaded.db->roads().def().schema.num_columns();
+  for (uint32_t tiles_per_axis : {10u, 20u}) {
+    SCOPED_TRACE("tiles per axis " + std::to_string(tiles_per_axis));
+    QueryCoordinator coord(loaded.cluster.get());
+    ASSERT_OK(coord.BeginQuery());
+    auto roads = core::ParallelScan(&coord, loaded.db->roads(), nullptr, {});
+    auto drainage =
+        core::ParallelScan(&coord, loaded.db->drainage(), nullptr, {});
+    ASSERT_TRUE(roads.ok() && drainage.ok());
+    core::ParallelSpatialJoinOptions opts;
+    opts.tiles_per_axis = tiles_per_axis;
+    auto joined = core::ParallelSpatialJoin(
+        &coord, *roads, datagen::col::kLineShape, *drainage,
+        datagen::col::kLineShape, loaded.db->universe(), opts);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    coord.EndQuery();
+
+    const SpatialGrid base(loaded.db->universe(), tiles_per_axis, 4);
+    size_t rows = 0;
+    for (uint32_t n = 0; n < 4; ++n) {
+      for (const Tuple& t : (*joined)[n]) {
+        const geom::Box lb = t.at(datagen::col::kLineShape).Mbr();
+        const geom::Box rb =
+            t.at(left_width + datagen::col::kLineShape).Mbr();
+        const geom::Point rp = base.ClampToUniverse(geom::Point{
+            std::max(lb.xmin, rb.xmin), std::max(lb.ymin, rb.ymin)});
+        EXPECT_EQ(base.NodeOfPoint(rp), n);
+      }
+      rows += (*joined)[n].size();
+    }
+    EXPECT_EQ(rows, 359u);
+    EXPECT_FALSE((*joined)[2].empty());
   }
-
-  // A different geometry falls back to the base hash (no override carry).
-  const SpatialGrid other = topo->MakeRoutingGrid(loaded.db->universe(), 10);
-  EXPECT_EQ(other.num_tiles(), 100u);
-  EXPECT_TRUE(other.reassigned_tiles().empty());
 }
 
 // ---------- Two-layer tables under churn ----------

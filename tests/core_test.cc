@@ -130,6 +130,55 @@ std::multiset<int64_t> Ids(const TupleVec& rows, size_t col = 0) {
   return out;
 }
 
+// Owners of two grids after node losses, pinned as literals from the
+// lazily applied dead-node rehash the recorded tile table replaced: the
+// table must reproduce every one.
+
+TEST(SpatialGridTest, TableGridOwnersAfterTwoLossesArePinned) {
+  Cluster cluster(5, SmallClusterOptions());
+  Rng rng(41);
+  Box universe(-50, -50, 50, 50);
+  auto t = ParallelTable::Load(
+      &cluster, PolyTableDef("p", PartitioningKind::kSpatial, universe),
+      RandomPolyTuples(&rng, 200, 45, 5), /*tiles_per_axis=*/10);
+  ASSERT_TRUE(t.ok());
+  cluster.topology()->RegisterTable(t->get());
+  // Node 1's tiles rehash over {0, 2, 3, 4}; then node 3's, its base tiles
+  // and those it took from node 1, over {0, 2, 4}.
+  cluster.MarkNodeDead(1);
+  ASSERT_TRUE(cluster.topology()->MigrateAllForLoss(1).ok());
+  cluster.MarkNodeDead(3);
+  ASSERT_TRUE(cluster.topology()->MigrateAllForLoss(3).ok());
+  const std::vector<uint32_t> expected = {
+      0, 4, 2, 2, 0, 4, 2, 2, 0, 0, 4, 2, 0, 0, 4, 4, 2, 0, 4, 4,
+      2, 2, 0, 4, 4, 2, 0, 0, 4, 4, 0, 0, 4, 0, 2, 2, 4, 4, 2, 2,
+      0, 4, 0, 2, 0, 0, 0, 2, 0, 0, 4, 0, 2, 4, 4, 4, 2, 4, 0, 4,
+      2, 2, 0, 0, 0, 2, 0, 0, 0, 2, 2, 4, 4, 2, 2, 4, 0, 4, 2, 2,
+      0, 4, 2, 2, 0, 0, 4, 2, 2, 0, 4, 2, 2, 0, 4, 4, 2, 2, 0, 4};
+  const SpatialGrid& grid = (*t)->grid();
+  ASSERT_EQ(grid.num_tiles(), expected.size());
+  for (uint32_t tile = 0; tile < grid.num_tiles(); ++tile) {
+    EXPECT_EQ(grid.NodeOfTile(tile), expected[tile]) << "tile " << tile;
+  }
+  Status audit = (*t)->ValidateOwnership(&cluster);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  cluster.topology()->UnregisterTable(t->get());
+}
+
+TEST(SpatialGridTest, RoutingGridOwnersWithTwoDeadNodesArePinned) {
+  SpatialGrid grid(Box(0, 0, 100, 100), 10, 6);
+  grid.RehashOntoLive({0, 1, 3, 5});  // nodes 2 and 4 dead
+  const std::vector<uint32_t> expected = {
+      0, 3, 1, 0, 5, 5, 1, 5, 5, 5, 3, 5, 1, 1, 3, 0, 1, 1, 0, 0,
+      3, 1, 0, 0, 3, 3, 0, 0, 5, 3, 0, 1, 5, 5, 1, 3, 1, 5, 1, 3,
+      1, 1, 3, 5, 3, 1, 0, 0, 3, 3, 0, 0, 5, 3, 5, 0, 5, 5, 5, 0,
+      1, 5, 0, 1, 1, 1, 0, 1, 3, 1, 0, 3, 3, 3, 0, 0, 3, 3, 3, 0,
+      5, 5, 3, 5, 5, 5, 5, 0, 1, 1, 5, 0, 1, 1, 0, 1, 3, 1, 0, 0};
+  for (uint32_t tile = 0; tile < grid.num_tiles(); ++tile) {
+    EXPECT_EQ(grid.NodeOfTile(tile), expected[tile]) << "tile " << tile;
+  }
+}
+
 TEST(ParallelTableTest, RoundRobinLoadAndScan) {
   Cluster cluster(4, SmallClusterOptions());
   Rng rng(1);
@@ -1069,6 +1118,24 @@ INSTANTIATE_TEST_SUITE_P(NodeCounts, ParallelEquivalenceTest,
                          ::testing::Values(2, 3, 4, 8));
 
 // ---------- Redistribution & pull ----------
+
+TEST(ParallelSpatialJoinTest, PredeclusteredSideNeedsARoutingGrid) {
+  // A side read where it lies can only be routed and deduplicated on the
+  // grid that placed it; without one the join refuses to guess.
+  Cluster cluster(4, SmallClusterOptions());
+  QueryCoordinator coord(&cluster);
+  ASSERT_TRUE(coord.BeginQuery().ok());
+  const PerNode empty(4);
+  for (bool left : {true, false}) {
+    ParallelSpatialJoinOptions opts;
+    opts.left_predeclustered = left;
+    opts.right_predeclustered = !left;
+    auto joined = ParallelSpatialJoin(&coord, empty, 1, empty, 1,
+                                      Box(0, 0, 10, 10), opts);
+    EXPECT_EQ(joined.status().code(), StatusCode::kInvalidArgument);
+  }
+  coord.EndQuery();
+}
 
 TEST(RedistributeTest, RoutesAndChargesNetwork) {
   Cluster cluster(4, SmallClusterOptions());
