@@ -244,7 +244,8 @@ Status BufferPool::ReadPageVerifiedLocked(Shard& s, DiskVolume* volume,
       }
       ++s.stats.read_retries;
     }
-    Status st = volume->ReadPage(page_no, out);
+    Status st;
+    PARADISE_RETURN_IF_ERROR(volume->ReadRun(page_no, 1, &out, &st));
     if (st.ok()) {
       if (out->VerifyChecksum()) return Status::OK();
       ++s.stats.checksum_failures;

@@ -20,15 +20,6 @@ PageNo DiskVolume::AllocateRun(uint32_t count) {
   return first;
 }
 
-void DiskVolume::ChargeAccess(PageNo page_no) {
-  if (clock_ == nullptr) return;
-  // Sequential if this access continues where the previous one ended.
-  bool sequential = (last_accessed_ != kInvalidPageNo &&
-                     page_no == last_accessed_ + 1);
-  clock_->ChargeDiskRead(static_cast<int64_t>(kPageSize), sequential ? 0 : 1);
-  last_accessed_ = page_no;
-}
-
 Status DiskVolume::ReadPageLocked(PageNo page_no, Page* out) {
   sim::DiskFaultKind fault = sim::DiskFaultKind::kNone;
   if (fault_injector_ != nullptr) {
@@ -51,15 +42,6 @@ Status DiskVolume::ReadPageLocked(PageNo page_no, Page* out) {
     if (out->stored_checksum() == 0) out->set_stored_checksum(0xdeadbeefu);
   }
   return Status::OK();
-}
-
-Status DiskVolume::ReadPage(PageNo page_no, Page* out) {
-  std::lock_guard<std::mutex> g(mu_);
-  if (page_no >= pages_.size()) {
-    return Status::OutOfRange("read past end of volume");
-  }
-  ChargeAccess(page_no);
-  return ReadPageLocked(page_no, out);
 }
 
 Status DiskVolume::ReadRun(PageNo first, uint32_t count, Page* const* outs,

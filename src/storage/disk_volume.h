@@ -38,20 +38,18 @@ class DiskVolume {
   /// Allocates `count` physically consecutive pages and returns the first.
   PageNo AllocateRun(uint32_t count);
 
-  /// Reads a page. With a fault injector wired, the read may fail with
-  /// kUnavailable (transient error — charged, retryable) or return torn
-  /// bytes (corruption confined to `out`; the durable medium is intact, so
-  /// a retry after checksum detection succeeds).
-  Status ReadPage(PageNo page_no, Page* out);
-
-  /// Batched read of `count` consecutive pages starting at `first` into
-  /// `outs[0..count)`. Charged atomically as one positioning cost (zero if
-  /// the run continues the previous access) plus `count` sequential
-  /// transfers — the readahead path's whole point. Fault injection is
-  /// consulted once per page in page order with the page's own read
-  /// ordinal, so a batch fetch makes exactly the fault decisions the same
-  /// pages would see read one at a time; per-page outcomes land in
-  /// `statuses[0..count)`. Returns non-OK only for a bad range.
+  /// The only read path: reads `count` consecutive pages starting at
+  /// `first` into `outs[0..count)` (a demand read is a run of one).
+  /// Charged atomically as one positioning cost (zero if the run continues
+  /// the previous access) plus `count` sequential transfers — the
+  /// readahead path's whole point. Fault injection is consulted once per
+  /// page in page order with the page's own read ordinal, so a batch fetch
+  /// makes exactly the fault decisions the same pages would see read one
+  /// at a time. Per-page outcomes land in `statuses[0..count)`: with a
+  /// fault injector wired, a page may fail with kUnavailable (transient
+  /// error — charged, retryable) or come back torn (corruption confined to
+  /// its `outs` copy; the durable medium is intact, so a retry after
+  /// checksum detection succeeds). Returns non-OK only for a bad range.
   ///
   /// `charge == false` suppresses the clock charges only — the run rides a
   /// transfer another query already paid for (scan sharing). Fault
@@ -80,9 +78,6 @@ class DiskVolume {
   void SetFaultInjector(sim::FaultInjector* injector, uint32_t node_id);
 
  private:
-  /// Charges one single-page read at `page_no`.
-  void ChargeAccess(PageNo page_no);
-
   /// Copies the durable page into `out`, applying any injected fault for
   /// this page's next read ordinal. Requires mu_ held; does not charge.
   Status ReadPageLocked(PageNo page_no, Page* out);
