@@ -5,8 +5,8 @@
 //   transient  — disk read errors + torn pages at the configured rates,
 //                healed by checksum-verified retries (modeled backoff);
 //   recover    — one recoverable node crash at the first phase barrier
-//                (detection timeout + a restart that re-reads the
-//                node's heap files + cold re-reads);
+//                (detection timeout + the misses of the node's cold
+//                pool; the restart itself reads nothing);
 //   degraded   — one permanent node loss at query start: the dead node's
 //                fragments are redeclustered over the survivors and the
 //                query completes at N-1.

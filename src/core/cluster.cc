@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "core/topology.h"
-#include "storage/heap_file.h"
 
 namespace paradise::core {
 
@@ -39,24 +38,6 @@ Node::Node(uint32_t id, size_t buffer_pool_frames)
 
 void Node::SetFaultInjector(sim::FaultInjector* injector) {
   for (auto& v : volumes_) v->SetFaultInjector(injector, id_);
-}
-
-void Node::RegisterFile(storage::HeapFile* file) {
-  std::lock_guard<std::mutex> g(files_mu_);
-  files_[file->file_id()] = file;
-}
-
-void Node::UnregisterFile(const storage::HeapFile* file) {
-  std::lock_guard<std::mutex> g(files_mu_);
-  files_.erase(file->file_id());
-}
-
-std::vector<storage::HeapFile*> Node::registered_files() const {
-  std::lock_guard<std::mutex> g(files_mu_);
-  std::vector<storage::HeapFile*> out;
-  out.reserve(files_.size());
-  for (const auto& [id, file] : files_) out.push_back(file);
-  return out;
 }
 
 Cluster::Cluster(int num_nodes) : Cluster(num_nodes, Options{}) {}
@@ -144,17 +125,6 @@ std::vector<int> Cluster::alive_node_ids() const {
 
 void Cluster::CrashNode(int i) {
   nodes_[static_cast<size_t>(i)]->pool()->DiscardAll();
-}
-
-Status Cluster::RecoverNode(int i) {
-  Node& n = *nodes_[static_cast<size_t>(i)];
-  // The record counters were volatile: rebuild them from the pages, which
-  // reads every page of the node's files back into the emptied pool.
-  for (storage::HeapFile* file : n.registered_files()) {
-    PARADISE_RETURN_IF_ERROR(file->RecountRecords());
-  }
-  // The query resumes on a pool with nothing dirty in it.
-  return n.pool()->FlushAll();
 }
 
 void Cluster::MarkNodeDead(int i) {

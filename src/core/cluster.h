@@ -17,10 +17,6 @@
 #include "storage/disk_volume.h"
 #include "storage/large_object.h"
 
-namespace paradise::storage {
-class HeapFile;
-}  // namespace paradise::storage
-
 namespace paradise::core {
 
 class TopologyManager;
@@ -56,14 +52,6 @@ class Node {
   /// Reads tiles stored on this node, charging this node's clock.
   array::LocalTileSource* local_tile_source() { return local_source_.get(); }
 
-  /// The heap files stored on this node, which a restart re-reads
-  /// (Cluster::RecoverNode). Whoever owns a file registers it when it is
-  /// created and unregisters it before destroying it.
-  void RegisterFile(storage::HeapFile* file);
-  void UnregisterFile(const storage::HeapFile* file);
-  /// The registered files, in the order a restart re-reads them.
-  std::vector<storage::HeapFile*> registered_files() const;
-
   /// Wires (or unwires, with nullptr) a fault injector into every volume.
   void SetFaultInjector(sim::FaultInjector* injector);
 
@@ -75,8 +63,6 @@ class Node {
   std::unique_ptr<storage::LargeObjectStore> lob_store_;
   std::unique_ptr<storage::LargeObjectStore> temp_store_;
   std::unique_ptr<array::LocalTileSource> local_source_;
-  mutable std::mutex files_mu_;
-  std::unordered_map<uint32_t, storage::HeapFile*> files_;  // by file id
 };
 
 /// The simulated shared-nothing cluster plus the coordinator's clock. The
@@ -128,13 +114,10 @@ class Cluster {
   /// Ids of the nodes currently alive, ascending.
   std::vector<int> alive_node_ids() const;
 
-  /// Simulated node crash: the buffer pool is lost. The volumes survive.
+  /// Simulated node crash: the buffer pool is lost. The volumes survive,
+  /// and nothing else is volatile, so a restart rebuilds nothing: the
+  /// node comes back with a cold pool.
   void CrashNode(int i);
-
-  /// Restart of a crashed node: re-reads every page of its registered
-  /// heap files (rebuilding their record counts), then flushes the pool.
-  /// All I/O is charged to the node's clock.
-  Status RecoverNode(int i);
 
   /// Declares a node permanently failed; RunPhase skips dead nodes.
   void MarkNodeDead(int i);

@@ -358,10 +358,9 @@ Status QueryCoordinator::HandleBarrierFaults() {
     cluster_->coordinator_clock()->ChargeIdle(
         sim::RetryPolicy::kDetectTimeoutSeconds);
     if (!crash->permanent) {
-      Status st = cluster_->RecoverNode(n);
+      // The node restarts with a cold pool; nothing else was volatile.
       ClosePhase("recover node " + std::to_string(n), /*sequential=*/true,
                  wall_start);
-      PARADISE_RETURN_IF_ERROR(std::move(st));
     } else {
       cluster_->MarkNodeDead(n);
       Status st = cluster_->topology()->MigrateAllForLoss(n);

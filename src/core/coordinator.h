@@ -238,7 +238,7 @@ class WorkloadSession {
 /// Failure protocol: every phase end is a barrier at which scheduled
 /// node-crash events fire. The coordinator detects a crash after the retry
 /// policy's timeout (charged to its clock), then either restarts the node
-/// (recoverable crash) or marks it dead, invokes the
+/// with a cold pool (recoverable crash) or marks it dead, invokes the
 /// cluster's node-loss handler to redecluster the lost fragments, and
 /// finishes the query on the survivors. Each handling step is closed as
 /// its own PhaseReport so the degraded run's extra cost is visible.

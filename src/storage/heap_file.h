@@ -79,11 +79,6 @@ class HeapFile {
   };
   Iterator NewIterator() const { return Iterator(this); }
 
-  int64_t num_records() const;
-
-  /// Recomputes the record count from the pages, reading every page
-  /// through the pool (a node restart does this for each of its files).
-  Status RecountRecords();
   size_t num_pages() const;
 
  private:
@@ -95,7 +90,6 @@ class HeapFile {
 
   mutable std::mutex mu_;
   std::vector<PageNo> pages_;
-  int64_t num_records_ = 0;
 };
 
 }  // namespace paradise::storage
